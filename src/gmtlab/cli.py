@@ -31,6 +31,7 @@ from .generators import (
     gen_random_delta_s_set,
     segment_set,
 )
+from .geometry import Line
 from .incidence import LineSet, beck_analyze, incidence_count, spanned_lines
 from .experiments import (
     ExperimentSpec,
@@ -48,7 +49,7 @@ from .tubes import (
     uniform_tube_family,
 )
 
-SCHEMA_VERSION = "1.0.0"
+SCHEMA_VERSION = "2.0.0"
 
 _ENVELOPE_SCHEMA = {
     "type": "object",
@@ -59,7 +60,7 @@ _ENVELOPE_SCHEMA = {
         "command": {"type": "string"},
         "config": {
             "type": "object",
-            "required": ["seed", "rng", "workers"],
+            "required": ["seed", "rng"],
         },
         "timing": {
             "type": "object",
@@ -86,23 +87,10 @@ _RESULT_SCHEMAS = {
 }
 
 
-def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get("GMTLAB_WORKERS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigInvalid(f"GMTLAB_WORKERS={env!r} is not an integer")
-    return os.cpu_count() or 1
-
-
 def _echo_config(args, extra: dict) -> dict:
     cfg = {
         "seed": int(getattr(args, "seed", 0)),
         "rng": RNG_ALGORITHM,
-        "workers": _workers(args),
         "out": args.out,
     }
     cfg.update(extra)
@@ -199,11 +187,9 @@ def cmd_incidence(args) -> int:
     t0 = time.perf_counter()
     ds = _read_points(args)
     if args.lines:
-        rows = np.loadtxt(args.lines, delimiter=",", skiprows=1, ndmin=2)
-        from .geometry import Line
-        ls = LineSet.from_lines(
-            [Line.from_angle_offset(a, o) for a, o in rows[:, :2]]
-        )
+        ls = LineSet.from_lines([
+            Line.from_angle_offset(a, o) for a, o in gio.read_lines_csv(args.lines)
+        ])
     else:
         ls = spanned_lines(ds)
     report = incidence_count(ds, ls, eps=args.eps)
@@ -345,8 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, seed=True):
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--workers", type=int, default=0,
-                        help="worker cap (recorded; runs are single-process)")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
 

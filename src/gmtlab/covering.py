@@ -54,18 +54,25 @@ class DimensionEstimate:
             )
 
 
-def fit_log2_slope(levels: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope/intercept/r^2 of log2(values) against level."""
+def fit_log2_slope(levels: np.ndarray, values: np.ndarray):
+    """Least-squares slope/intercept/r^2 of log2(values) against level.
+
+    values of shape (L,) give three floats; values of shape (L, k) give
+    three length-k arrays, one fit per column.
+    """
     x = np.asarray(levels, dtype=float)
     y = np.log2(np.asarray(values, dtype=float))
-    xm, ym = x.mean(), y.mean()
+    xm, ym = x.mean(), y.mean(axis=0)
     sxx = float(np.sum((x - xm) ** 2))
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+    slope = (x - xm) @ (y - ym) / sxx
     intercept = ym - slope * xm
-    res = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - ym) ** 2))
-    ss_res = float(np.sum(res ** 2))
-    r2 = 1.0 if ss_tot < 1e-15 else max(0.0, 1.0 - ss_res / ss_tot)
+    res = y - (slope * (x if y.ndim == 1 else x[:, None]) + intercept)
+    ss_tot = np.sum((y - ym) ** 2, axis=0)
+    ss_res = np.sum(res ** 2, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(ss_tot < 1e-15, 1.0, np.maximum(0.0, 1.0 - ss_res / ss_tot))
+    if y.ndim == 1:
+        return float(slope), float(intercept), float(r2)
     return slope, intercept, r2
 
 

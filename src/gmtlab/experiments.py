@@ -16,6 +16,7 @@ from .covering import (
     DimensionEstimate,
     box_dimension,
     circle_box_dimension,
+    fit_log2_slope,
     verify_delta_s_set,
 )
 from .dyadic import level_of, quota_child_counts
@@ -29,9 +30,9 @@ from .errors import (
     ScaleRangeTooNarrow,
 )
 from .generators import DiscreteSet, gen_random_delta_s_set
-from .geometry import Point
+from .geometry import Point, line_residuals
 from .incidence import spanned_lines
-from .tubes import TubeFamily, verify_tube_set
+from .tubes import TubeFamily, _line_metric_cells, verify_tube_set
 
 _LINE_TOL = 1e-9
 # constant-target exponent for the generated set in furstenberg_count
@@ -264,12 +265,8 @@ def erdos_beck_profile(x: DiscreteSet, t: float) -> dict:
     angles, offsets = ls.angle_offset_arrays()
     pts = x.points
     worst_rem = dim_x.slope
-    for li in order:
-        n_vec = (-math.sin(angles[li]), math.cos(angles[li]))
-        off_line = np.abs(
-            pts[:, 0] * n_vec[0] + pts[:, 1] * n_vec[1] - offsets[li]
-        ) > _LINE_TOL
-        kept = pts[off_line]
+    for dist in line_residuals(pts, angles[order], offsets[order]).T:
+        kept = pts[dist > _LINE_TOL]
         if kept.shape[0] < 2 or all_collinear(kept):
             rem = 0.0
         else:
@@ -369,12 +366,7 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
                     f"pencil {i} misses the direction-regularity target "
                     f"(worst ratio {chk.worst_ratio:.2f} > 16)"
                 )
-        ax, ay = fam.anchor_arrays()
-        all_cells.append(np.column_stack((
-            np.floor(fam.angles / delta).astype(np.int64),
-            np.floor(ax / delta).astype(np.int64),
-            np.floor(ay / delta).astype(np.int64),
-        )))
+        all_cells.append(_line_metric_cells(fam, delta))
     union = np.unique(np.concatenate(all_cells, axis=0), axis=0)
     count = int(union.shape[0])
     wolff_floor = delta ** (-2.0 * sigma)
@@ -416,14 +408,11 @@ def orthogonal_exceptional_profile(y: DiscreteSet, sigma: float) -> dict:
     lv_hi = min(8, level_of(y.delta))
     lv_lo = min(2, max(0, lv_hi - 3))
     levels = np.arange(lv_lo, lv_hi + 1, dtype=float)
-    logs = np.empty((levels.size, n_dir))
+    counts = np.empty((levels.size, n_dir))
     for k, lv in enumerate(range(lv_lo, lv_hi + 1)):
         bins = np.floor(scaled * 2.0 ** lv)
-        counts = 1 + (np.diff(bins, axis=0) > 0).sum(axis=0)
-        logs[k] = np.log2(counts)
-    xm = levels.mean()
-    sxx = float(np.sum((levels - xm) ** 2))
-    slopes = (levels - xm) @ (logs - logs.mean(axis=0)) / sxx
+        counts[k] = 1 + (np.diff(bins, axis=0) > 0).sum(axis=0)
+    slopes, _, _ = fit_log2_slope(levels, counts)
     slopes = np.where(flat, 0.0, slopes)
     exceptional = theta[slopes < sigma]
     if exceptional.size == 0:

@@ -265,26 +265,6 @@ def gen_random_delta_s_set(s: float, delta: float, seed: int) -> DiscreteSet:
     )
 
 
-def _max_collinear(ipts: np.ndarray) -> int:
-    """Exact maximum number of collinear points (integer coordinates)."""
-    n = ipts.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    p, q = ipts[iu], ipts[ju]
-    a = q[:, 1] - p[:, 1]
-    b = p[:, 0] - q[:, 0]
-    c = a * p[:, 0] + b * p[:, 1]
-    g = np.gcd(np.gcd(np.abs(a), np.abs(b)), np.abs(c))
-    g[g == 0] = 1
-    a, b, c = a // g, b // g, c // g
-    flip = (a < 0) | ((a == 0) & (b < 0))
-    a[flip], b[flip], c[flip] = -a[flip], -b[flip], -c[flip]
-    triples = np.stack([a, b, c], axis=1)
-    _, counts = np.unique(triples, axis=0, return_counts=True)
-    kmax = counts.max()
-    # pair count C(k, 2) -> k
-    return int((1 + math.isqrt(1 + 8 * int(kmax))) // 2)
-
-
 def gen_planted_collinear(n: int, k: int, seed: int) -> DiscreteSet:
     """n points of which exactly n-k are collinear (on y = 1/2).
 
@@ -292,6 +272,9 @@ def gen_planted_collinear(n: int, k: int, seed: int) -> DiscreteSet:
     in exact arithmetic; drawing repeats until the maximum collinearity
     equals n-k exactly.
     """
+    # incidence imports this module, so the line keying is imported here
+    from .incidence import _spanned_exact
+
     if not (4 <= n <= 2 ** 12):
         raise PreconditionError(f"n {n!r} outside [4, 4096]")
     if not (0 <= k <= n - 2):
@@ -315,7 +298,7 @@ def gen_planted_collinear(n: int, k: int, seed: int) -> DiscreteSet:
         ipts = np.concatenate([on_line, off], axis=0)
         if np.unique(ipts, axis=0).shape[0] != n:
             continue
-        if _max_collinear(ipts) == m:
+        if int(_spanned_exact(ipts)[1].max()) == m:
             pts = ipts.astype(float) / grid
             return DiscreteSet(
                 pts,

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegeneratePair, InvariantViolation, VerticalLine
 
 # Tolerance for treating two lines as equal (canonical-chart distance).
@@ -172,9 +174,15 @@ def lines_equal(l1: Line, l2: Line, tol: float = LINE_EQ_TOL) -> bool:
     return line_distance(l1, l2) < tol
 
 
-def line_through(p: Point, q: Point) -> Line:
-    """Canonical line through two distinct points (see Line.through)."""
-    return Line.through(p, q)
+def line_residuals(points, angles, offsets) -> np.ndarray:
+    """Distances |x * -sin(angle) + y * cos(angle) - offset| from n points
+    to m lines given in the angle/offset chart, as an (n, m) array."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    ang = np.asarray(angles, dtype=float).reshape(-1)
+    res = pts[:, 0][:, None] * (-np.sin(ang))[None, :]
+    res += pts[:, 1][:, None] * np.cos(ang)[None, :]
+    res -= np.asarray(offsets, dtype=float).reshape(-1)[None, :]
+    return np.abs(res, out=res)
 
 
 def dualize_point(p: Point) -> Line:
@@ -208,10 +216,6 @@ class Tube:
         if rho < 0.0:
             raise InvariantViolation("inflation radius must be nonnegative")
         return Tube(self.axis, self.width + 2.0 * rho)
-
-
-def tube_contains(tube: Tube, p: Point) -> bool:
-    return tube.contains(p)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ the dyadic connected-pair profile, and the many-lines dichotomy."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -18,7 +18,7 @@ from .errors import (
     TooFewPoints,
 )
 from .generators import DiscreteSet
-from .geometry import LINE_EQ_TOL, Line, Point, line_distance
+from .geometry import LINE_EQ_TOL, Line, Point, line_residuals
 
 # largest common denominator for the exact integer path
 _DENOM_CAP = 1 << 21
@@ -87,12 +87,17 @@ def _spanned_exact(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     triples, inv = np.unique(allrows, axis=0, return_inverse=True)
     pair_counts = np.zeros(triples.shape[0], dtype=np.int64)
     np.add.at(pair_counts, inv, allcnt)
-    # recover points-on-line k from the pair count k*(k-1)/2
+    return triples, _points_on_lines(pair_counts)
+
+
+def _points_on_lines(pair_counts: np.ndarray) -> np.ndarray:
+    """Points k on each line from its pair count k*(k-1)/2; a count that is
+    not a binomial coefficient means distinct lines were merged or one line
+    was split."""
     k = ((1.0 + np.sqrt(1.0 + 8.0 * pair_counts.astype(np.float64))) / 2.0).astype(np.int64)
-    bad = k * (k - 1) // 2 != pair_counts
-    if np.any(bad):
+    if np.any(k * (k - 1) // 2 != pair_counts):
         raise InvariantViolation("pair count is not a binomial coefficient")
-    return triples, k
+    return k
 
 
 def _triple_to_angle_offset(triples: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +129,6 @@ class LineSet:
     point_counts: Optional[np.ndarray] = None  # points on each line, exact mode
     angles: Optional[np.ndarray] = None
     offsets: Optional[np.ndarray] = None
-    _lines: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.provenance not in ("spanned", "supplied"):
@@ -148,33 +152,32 @@ class LineSet:
             )
         return self.angles, self.offsets
 
-    @property
-    def lines(self) -> list:
-        if self._lines is None:
-            ang, off = self.angle_offset_arrays()
-            self._lines = [
-                Line.from_angle_offset(float(t), float(d))
-                for t, d in zip(ang, off)
-            ]
-        return self._lines
-
     def line(self, i: int) -> Line:
         ang, off = self.angle_offset_arrays()
         return Line.from_angle_offset(float(ang[i]), float(off[i]))
 
     @classmethod
     def from_lines(cls, lines, provenance: str = "supplied") -> "LineSet":
-        kept: list = []
+        """Keep each line unless it lies within LINE_EQ_TOL of an earlier
+        kept one in the metric of geometry.line_distance."""
+        lines = list(lines)
         for ln in lines:
             if not isinstance(ln, Line):
                 raise PreconditionError(f"expected Line, got {type(ln).__name__}")
-            if all(line_distance(ln, other) > LINE_EQ_TOL for other in kept):
+        ang = np.array([ln.angle for ln in lines], dtype=float)
+        ax = np.array([ln.anchor.x for ln in lines], dtype=float)
+        ay = np.array([ln.anchor.y for ln in lines], dtype=float)
+        kept: list = []
+        for i, ln in enumerate(lines):
+            # the kept lines occupy the first len(kept) slots of the arrays
+            k = len(kept)
+            d = np.abs(ang[:k] - ang[i])
+            d = np.minimum(d, math.pi - d) + np.hypot(ax[:k] - ax[i], ay[:k] - ay[i])
+            if np.all(d > LINE_EQ_TOL):
+                ang[k], ax[k], ay[k] = ang[i], ax[i], ay[i]
                 kept.append(ln)
-        ang = np.array([ln.angle for ln in kept])
         off = np.array([ln.offset() for ln in kept])
-        out = cls(provenance, angles=ang, offsets=off)
-        out._lines = kept
-        return out
+        return cls(provenance, angles=ang[:len(kept)].copy(), offsets=off)
 
 
 @dataclass(frozen=True)
@@ -241,7 +244,8 @@ def _spanned_float(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     Lines are keyed by (angle, offset) rounded at the equality tolerance.
     Adequate for well-separated generic inputs; lattice data always takes
-    the exact path instead.
+    the exact path instead. Lines close enough to share a key make its pair
+    count a non-binomial number, which raises rather than misreports.
     """
     n = points.shape[0]
     ii, jj = np.triu_indices(n, 1)
@@ -252,19 +256,9 @@ def _spanned_float(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     nx, ny = -np.sin(theta), np.cos(theta)
     d = points[ii, 0] * nx + points[ii, 1] * ny
     quant = np.column_stack((np.round(theta / 1e-7), np.round(d / 1e-7))).astype(np.int64)
-    uniq, inv, cnt = np.unique(quant, axis=0, return_inverse=True, return_counts=True)
-    k = ((1.0 + np.sqrt(1.0 + 8.0 * cnt.astype(np.float64))) / 2.0).astype(np.int64)
-    ang = np.zeros(uniq.shape[0])
-    off = np.zeros(uniq.shape[0])
     # representative geometry: first pair hitting each key
-    seen: dict = {}
-    for idx, key in enumerate(inv.tolist()):
-        if key not in seen:
-            seen[key] = idx
-    for key, idx in seen.items():
-        ang[key] = theta[idx]
-        off[key] = d[idx]
-    return np.column_stack((ang, off)), k, cnt
+    _, first, cnt = np.unique(quant, axis=0, return_index=True, return_counts=True)
+    return theta[first], d[first], _points_on_lines(cnt)
 
 
 def spanned_lines(p: DiscreteSet) -> LineSet:
@@ -276,9 +270,8 @@ def spanned_lines(p: DiscreteSet) -> LineSet:
         ints, den = rat
         triples, k = _spanned_exact(ints)
         return LineSet("spanned", triples=triples, denominator=den, point_counts=k)
-    angoff, k, _ = _spanned_float(p.points)
-    return LineSet("spanned", angles=angoff[:, 0], offsets=angoff[:, 1],
-                   point_counts=k)
+    ang, off, k = _spanned_float(p.points)
+    return LineSet("spanned", angles=ang, offsets=off, point_counts=k)
 
 
 def _count_on_lines_exact(p: DiscreteSet, l: LineSet) -> Optional[np.ndarray]:
@@ -311,16 +304,13 @@ def _count_on_lines_exact(p: DiscreteSet, l: LineSet) -> Optional[np.ndarray]:
 
 def _count_on_lines_float(p: DiscreteSet, l: LineSet) -> np.ndarray:
     ang, off = l.angle_offset_arrays()
-    nx, ny = -np.sin(ang), np.cos(ang)
     pts = p.points
     scale = max(1.0, float(np.max(np.abs(pts))) if len(p) else 1.0)
     tol = LINE_EQ_TOL * scale
     counts = np.zeros(len(l), dtype=np.int64)
     block = max(1, (1 << 22) // max(1, len(l)))
     for s in range(0, len(p), block):
-        d = np.abs(pts[s:s + block, 0][:, None] * nx[None, :]
-                   + pts[s:s + block, 1][:, None] * ny[None, :] - off[None, :])
-        counts += (d <= tol).sum(axis=0)
+        counts += (line_residuals(pts[s:s + block], ang, off) <= tol).sum(axis=0)
     return counts
 
 

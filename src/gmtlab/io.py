@@ -77,6 +77,15 @@ def write_points_csv(path: str, ds: DiscreteSet) -> None:
     })
 
 
+def _parse_xy(path: str, lineno: int, row: list) -> list:
+    try:
+        return [float(row[0]), float(row[1])]
+    except (ValueError, IndexError):
+        raise ConfigInvalid(
+            f"{path!r} line {lineno}: expected x,y numbers, got {row!r}"
+        ) from None
+
+
 def read_points_csv(path: str, delta: Optional[float] = None) -> DiscreteSet:
     """Read a point CSV; resolution comes from the sidecar unless given."""
     side = sidecar_path(path)
@@ -92,14 +101,33 @@ def read_points_csv(path: str, delta: Optional[float] = None) -> DiscreteSet:
         raise ConfigInvalid(
             f"no resolution for {path!r}: pass delta or provide {side!r}"
         )
-    with open(path, encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header[:2]] != ["x", "y"]:
-            raise ConfigInvalid(f"{path!r} must start with an x,y header row")
-        pts = [[float(row[0]), float(row[1])] for row in r if row]
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            r = csv.reader(fh)
+            header = next(r, None)
+            if header is None or [h.strip() for h in header[:2]] != ["x", "y"]:
+                raise ConfigInvalid(f"{path!r} must start with an x,y header row")
+            pts = [_parse_xy(path, r.line_num, row) for row in r if row]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigInvalid(f"cannot read {path!r}: {exc}") from None
     return DiscreteSet(np.array(pts, dtype=float), float(delta),
                        label=label, meta=meta)
+
+
+def read_lines_csv(path: str) -> np.ndarray:
+    """(angle, offset) rows of a line CSV with a header row, such as the
+    tubes.csv the tubes command writes; further columns are ignored."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as exc:
+        raise ConfigInvalid(f"cannot read {path!r}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigInvalid(f"{path!r} is not a numeric line CSV: {exc}") from None
+    if rows.size and rows.shape[1] < 2:
+        raise ConfigInvalid(f"{path!r} needs angle and offset columns")
+    if not np.all(np.isfinite(rows[:, :2])):
+        raise ConfigInvalid(f"{path!r} has a non-finite angle or offset")
+    return rows[:, :2]
 
 
 def write_levels_csv(path: str, counts) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 from scipy.spatial import cKDTree, distance
 
-from .covering import _check_level_window
+from .covering import _check_level_window, fit_log2_slope
 from .errors import (
     AllMassAtCenter,
     EmptyInput,
@@ -19,7 +19,7 @@ from .errors import (
     PreconditionError,
 )
 from .generators import DiscreteSet
-from .geometry import Ball, Point, Tube
+from .geometry import Ball, Point, Tube, line_residuals
 
 WEIGHT_TOL = 1e-9
 BALL_TOL = 1e-12
@@ -168,10 +168,7 @@ def ball_mass(m: WeightedMeasure, b: Ball) -> float:
 
 def tube_mass(m: WeightedMeasure, t: Tube, restrict_to=None) -> float:
     """Mass inside the closed tube, optionally restricted to support indices."""
-    pts = m.support.points
-    n = t.axis.normal()
-    off = t.axis.offset()
-    dist = np.abs(pts[:, 0] * n[0] + pts[:, 1] * n[1] - off)
+    dist = line_residuals(m.support.points, t.axis.angle, t.axis.offset())[:, 0]
     mask = dist <= t.width / 2.0 + BALL_TOL
     if restrict_to is not None:
         keep = np.zeros(len(m), dtype=bool)
@@ -258,8 +255,7 @@ def frostman_fit(m: WeightedMeasure, level_min: int, level_max: int) -> Frostman
         argmaxes.append(j)
         maxima.append(float(masses[j]))
     logr = np.array([-float(lv) for lv in levels])
-    logm = np.log2(np.maximum(maxima, 1e-300))
-    slope = float(np.polyfit(logr, logm, 1)[0])
+    slope, _, _ = fit_log2_slope(logr, np.maximum(maxima, 1e-300))
     exponent = min(2.0, max(0.0, slope))
     constant = 1.0
     worst = (Point(*m.support.points[argmaxes[0]]), radii[0])

@@ -6,7 +6,7 @@ and the constant schedule for the bootstrap argument."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     TooManyPoints,
 )
 from .generators import DiscreteSet
-from .geometry import Line, Point, Tube
+from .geometry import Line, Point, Tube, line_residuals
 from .measures import WeightedMeasure
 
 _CONTAIN_TOL = 1e-12
@@ -47,7 +47,6 @@ class TubeFamily:
     direction_net_step: float
     scale: float
     label: str = ""
-    _tubes: Optional[list] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.angles = np.ascontiguousarray(np.asarray(self.angles, dtype=np.float64)).reshape(-1)
@@ -71,12 +70,6 @@ class TubeFamily:
             Line.from_angle_offset(float(self.angles[i]), float(self.offsets[i])),
             self.width,
         )
-
-    @property
-    def tubes(self) -> list:
-        if self._tubes is None:
-            self._tubes = [self.tube(i) for i in range(len(self))]
-        return self._tubes
 
     def anchor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis anchor coordinates (offset times the unit normal)."""
@@ -179,7 +172,8 @@ def containment_multiplicity(fam: TubeFamily, theta_p: float, d_p: float,
     idx = np.unique(np.concatenate(cand_idx))
     th = fam.angles[idx]
     # containment forces the probe's mid-chord point inside the member
-    mid_gap = np.abs(d_p * np.cos(theta_p - th) - fam.offsets[idx])
+    mid = d_p * np.array([-math.sin(theta_p), math.cos(theta_p)])
+    mid_gap = line_residuals(mid, th, fam.offsets[idx])[0]
     idx = idx[mid_gap <= fam.width / 2.0 + 1e-9]
     if idx.size == 0:
         return 0
@@ -217,15 +211,14 @@ def heaviest_tube(m: WeightedMeasure, through: Point, width: float,
         else:
             keep[rt.astype(np.int64)] = True
         w = np.where(keep, w, 0.0)
-    dx = m.support.points[:, 0] - through.x
-    dy = m.support.points[:, 1] - through.y
+    # centred at the through-point, every candidate axis has offset 0
+    rel = m.support.points - np.array([through.x, through.y])
     best_mass = -1.0
     best_j = 0
     block = max(1, (1 << 24) // max(1, len(m)))
     for j0 in range(0, n_dir, block):
         ang = np.arange(j0, min(n_dir, j0 + block)) * width
-        perp = np.abs(dx[:, None] * (-np.sin(ang))[None, :]
-                      + dy[:, None] * np.cos(ang)[None, :])
+        perp = line_residuals(rel, ang, np.zeros(ang.size))
         masses = w @ (perp <= width / 2.0 + _CONTAIN_TOL)
         jloc = int(np.argmax(masses))
         if masses[jloc] > best_mass:
@@ -324,10 +317,8 @@ def thin_tube_audit(mu: WeightedMeasure, nu: WeightedMeasure, sigma: float,
             ratio, width, tube = per_x[i_star]
             if ratio <= 1.0:
                 break
-            n_axis = tube.axis.normal()
-            off = tube.axis.offset()
-            pts = nu.support.points
-            inside = np.abs(pts[:, 0] * n_axis[0] + pts[:, 1] * n_axis[1] - off) \
+            inside = line_residuals(nu.support.points, tube.axis.angle,
+                                    tube.axis.offset())[:, 0] \
                 <= tube.width / 2.0 + _CONTAIN_TOL
             if not np.any(inside & g[i_star]):
                 raise InvariantViolation("offending tube holds no removable mass")
@@ -457,9 +448,7 @@ class FuRenInstance:
         for i, fam in self.tube_map.items():
             if not (0 <= int(i) < len(self.p_x)):
                 raise PreconditionError(f"tube_map key {i!r} is not a point index")
-            x, y = self.p_x.points[int(i)]
-            gap = np.abs(-x * np.sin(fam.angles) + y * np.cos(fam.angles)
-                         - fam.offsets)
+            gap = line_residuals(self.p_x.points[int(i)], fam.angles, fam.offsets)
             if np.any(gap > fam.width / 2.0 + 1e-9):
                 raise PreconditionError(
                     f"a tube attached to point {i} does not contain it"
@@ -529,11 +518,7 @@ def fu_ren_audit(inst: FuRenInstance) -> dict:
             if not verify_tube_set(fam, inst.sigma, big_c).passed:
                 failed.append(f"tube set at point {i}")
                 continue
-            perp = np.abs(
-                pts[:, 0][:, None] * (-np.sin(fam.angles))[None, :]
-                + pts[:, 1][:, None] * np.cos(fam.angles)[None, :]
-                - fam.offsets[None, :]
-            )
+            perp = line_residuals(pts, fam.angles, fam.offsets)
             counts = (perp <= fam.width / 2.0 + _CONTAIN_TOL).sum(axis=0)
             if np.any(counts < floor):
                 failed.append(f"tube count at point {i}")

@@ -45,7 +45,6 @@ class TestEnvelope:
         assert rep["command"] == "generate"
         assert rep["config"]["rng"] == "numpy-pcg64"
         assert rep["config"]["seed"] == 0
-        assert rep["config"]["workers"] >= 1
         assert "elapsed_seconds" in rep["timing"]
         assert rep["results"]["n_points"] == 81
         assert os.path.exists(rep["results"]["points_csv"])
@@ -177,6 +176,28 @@ class TestExitCodes:
                    "--out", str(tmp_path / "x")])
         assert rc == 3
 
+    _BAD_FILES = {
+        "missing-lines": None,
+        "missing-input": None,
+        "malformed-lines": "angle,offset,width\n0.5,oops,0.1\n",
+        "non-finite-lines": "angle,offset,width\nnan,0.25,0.1\n",
+        "malformed-input": "x,y\n0.5,0.25\n0.75\n",
+    }
+
+    @pytest.mark.parametrize("case", list(_BAD_FILES))
+    def test_unreadable_input_file_is_2(self, case, gen_dir, tmp_path, capsys):
+        points = os.path.join(gen_dir, "points.csv")
+        path = str(tmp_path / "input.csv")
+        if self._BAD_FILES[case] is not None:
+            with open(path, "w") as fh:
+                fh.write(self._BAD_FILES[case])
+        if case.endswith("-lines"):
+            args = ["incidence", "--input", points, "--lines", path]
+        else:
+            args = ["dimension", "--input", path, "--delta", "0.0625"]
+        assert _run(args + ["--out", str(tmp_path / "x")]) == 2
+        assert repr(path) in capsys.readouterr().err
+
     def test_missing_required_argument_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             _run(["dimension"])
@@ -257,11 +278,3 @@ def test_module_entry_point_matches(tmp_path):
     rep = _report(out, "audit-constants")
     assert rep["results"]["eta"] > 0.0
 
-
-def test_workers_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("GMTLAB_WORKERS", "3")
-    out = str(tmp_path / "w")
-    rc = _run(["audit-constants", "--sigma", "0.5", "--s", "1.0",
-               "--eps", "0.01", "--out", out])
-    assert rc == 0
-    assert _report(out, "audit-constants")["config"]["workers"] == 3

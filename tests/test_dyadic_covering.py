@@ -205,6 +205,27 @@ def test_fit_log2_slope_exact_line():
     assert r2 == pytest.approx(1.0)
 
 
+def _ortho_slopes_oracle(levels, counts):
+    """orthogonal_exceptional_profile's former private slope fit, one
+    column of covering counts per direction."""
+    logs = np.log2(counts)
+    xm = levels.mean()
+    sxx = float(np.sum((levels - xm) ** 2))
+    return (levels - xm) @ (logs - logs.mean(axis=0)) / sxx
+
+
+@given(lo=st.integers(0, 4), n_levels=st.integers(4, 9), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_fit_log2_slope_columns_match_ortho_oracle(lo, n_levels, seed):
+    levels = np.arange(lo, lo + n_levels, dtype=float)
+    counts = np.random.default_rng(seed).integers(1, 1 << 12, size=(n_levels, 33))
+    slopes, intercepts, r2 = fit_log2_slope(levels, counts.astype(float))
+    assert np.array_equal(slopes, _ortho_slopes_oracle(levels, counts))
+    for j in (0, 16, 32):
+        one = fit_log2_slope(levels, counts[:, j])
+        assert one == pytest.approx((slopes[j], intercepts[j], r2[j]), abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # circle covering
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmtlab.covering import verify_delta_s_set
 from gmtlab.dyadic import count_cells
@@ -21,6 +23,7 @@ from gmtlab.generators import (
     gen_random_delta_s_set,
     segment_set,
 )
+from gmtlab.incidence import _spanned_exact
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +215,41 @@ class TestPlanted:
         ds = gen_planted_collinear(16, 4, seed=9)
         assert ds.meta["params"] == {"n": 16, "k": 4}
         assert ds.meta["seed"] == 9
+
+
+def _max_collinear_oracle(ipts: np.ndarray) -> int:
+    """The planted generator's former private collinearity count, kept as
+    the reference for the incidence keying it now uses."""
+    n = ipts.shape[0]
+    iu, ju = np.triu_indices(n, k=1)
+    p, q = ipts[iu], ipts[ju]
+    a = q[:, 1] - p[:, 1]
+    b = p[:, 0] - q[:, 0]
+    c = a * p[:, 0] + b * p[:, 1]
+    g = np.gcd(np.gcd(np.abs(a), np.abs(b)), np.abs(c))
+    g[g == 0] = 1
+    a, b, c = a // g, b // g, c // g
+    flip = (a < 0) | ((a == 0) & (b < 0))
+    a[flip], b[flip], c[flip] = -a[flip], -b[flip], -c[flip]
+    triples = np.stack([a, b, c], axis=1)
+    _, counts = np.unique(triples, axis=0, return_counts=True)
+    kmax = counts.max()
+    # pair count C(k, 2) -> k
+    return int((1 + math.isqrt(1 + 8 * int(kmax))) // 2)
+
+
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                min_size=2, max_size=40, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_max_collinear_matches_oracle_on_lattice_sets(pts):
+    ipts = np.array(pts, dtype=np.int64)
+    assert int(_spanned_exact(ipts)[1].max()) == _max_collinear_oracle(ipts)
+
+
+@pytest.mark.parametrize("n,k,seed", [(64, 16, 2), (40, 38, 5), (128, 0, 3)])
+def test_planted_max_collinear_matches_oracle(n, k, seed):
+    ipts = np.round(gen_planted_collinear(n, k, seed).points * 2 ** 16).astype(np.int64)
+    assert _max_collinear_oracle(ipts) == n - k
 
 
 def test_ifs_system_validation():

@@ -23,6 +23,7 @@ from gmtlab.geometry import (
     dualize_line,
     dualize_point,
     line_distance,
+    line_residuals,
     lines_equal,
 )
 
@@ -231,3 +232,104 @@ def test_numpy_inputs_coerce():
     """Constructors accept numpy scalars without losing precision."""
     ln = Line.from_angle_offset(np.float64(0.25), np.float64(-0.125))
     assert ln.offset() == pytest.approx(-0.125)
+
+
+# ---------------------------------------------------------------------------
+# point-to-line residual kernel against the inline forms it replaced
+# ---------------------------------------------------------------------------
+
+
+def _residuals_tube_oracle(pts, tube):
+    """Former inline form in tube_mass and the thin-tube shrink step."""
+    n = tube.axis.normal()
+    off = tube.axis.offset()
+    return np.abs(pts[:, 0] * n[0] + pts[:, 1] * n[1] - off)
+
+
+def _residuals_family_oracle(pts, angles, offsets):
+    """Former inline form in fu_ren_audit and _count_on_lines_float."""
+    return np.abs(pts[:, 0][:, None] * (-np.sin(angles))[None, :]
+                  + pts[:, 1][:, None] * np.cos(angles)[None, :]
+                  - offsets[None, :])
+
+
+def _residuals_point_oracle(x, y, angles, offsets):
+    """Former inline form in FuRenInstance: one point, many lines."""
+    return np.abs(-x * np.sin(angles) + y * np.cos(angles) - offsets)
+
+
+def _residuals_line_oracle(pts, angle, offset):
+    """Former inline form in erdos_beck_profile: one line, many points."""
+    n_vec = (-math.sin(angle), math.cos(angle))
+    return np.abs(pts[:, 0] * n_vec[0] + pts[:, 1] * n_vec[1] - offset)
+
+
+def _residuals_through_oracle(pts, through, angles):
+    """Former inline form in heaviest_tube: axes through one point."""
+    dx = pts[:, 0] - through[0]
+    dy = pts[:, 1] - through[1]
+    return np.abs(dx[:, None] * (-np.sin(angles))[None, :]
+                  + dy[:, None] * np.cos(angles)[None, :])
+
+
+@given(
+    pts=st.lists(st.tuples(unit_coord, unit_coord), min_size=1, max_size=12),
+    lines=st.lists(st.tuples(st.floats(0.0, math.pi, exclude_max=True), unit_coord),
+                   min_size=1, max_size=6),
+    width=st.floats(1e-6, 1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_line_residuals_match_inline_oracles(pts, lines, width):
+    pts = np.array(pts)
+    ang = np.array([t for t, _ in lines])
+    off = np.array([d for _, d in lines])
+    got = line_residuals(pts, ang, off)
+    assert got.shape == (len(pts), len(lines))
+    assert np.array_equal(got, _residuals_family_oracle(pts, ang, off))
+    for j, (t, d) in enumerate(lines):
+        assert np.array_equal(got[:, j], _residuals_line_oracle(pts, ang[j], off[j]))
+        tube = Tube(Line.from_angle_offset(t, d), width)
+        assert np.array_equal(
+            line_residuals(pts, tube.axis.angle, tube.axis.offset())[:, 0],
+            _residuals_tube_oracle(pts, tube),
+        )
+    for i, (x, y) in enumerate(pts):
+        assert np.array_equal(line_residuals(pts[i], ang, off)[0],
+                              _residuals_point_oracle(x, y, ang, off))
+        assert np.array_equal(line_residuals(pts - pts[i], ang, np.zeros(ang.size)),
+                              _residuals_through_oracle(pts, pts[i], ang))
+
+
+@given(theta_p=st.floats(0.0, math.pi, exclude_max=True), d_p=unit_coord,
+       lines=st.lists(st.tuples(st.floats(0.0, math.pi, exclude_max=True), unit_coord),
+                      min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_line_residuals_match_mid_chord_form(theta_p, d_p, lines):
+    """containment_multiplicity's former prefilter |d_p cos(dtheta) - d| is
+    the residual of the probe's mid-chord point by a trig identity; the two
+    agree far inside the prefilter's 1e-9 slack."""
+    th = np.array([t for t, _ in lines])
+    off = np.array([d for _, d in lines])
+    old = np.abs(d_p * np.cos(theta_p - th) - off)
+    mid = d_p * np.array([-math.sin(theta_p), math.cos(theta_p)])
+    assert np.allclose(line_residuals(mid, th, off)[0], old, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("level", [2, 4, 6])
+@pytest.mark.parametrize("angle", [0.0, math.pi / 2.0])
+def test_line_residuals_lattice_points_at_half_width(level, angle):
+    """Lattice points exactly width/2 from an axis-parallel dyadic tube
+    axis: the kernel and the former inline form agree bit for bit and both
+    keep the points in the closed tube."""
+    width = 2.0 ** -level
+    along = np.tile(np.arange(-32, 33) * 2.0 ** -5, 2)
+    for axis_off in (0.0, 0.25, -0.5):
+        tube = Tube(Line.from_angle_offset(angle, axis_off), width)
+        across = np.repeat([axis_off - width / 2.0, axis_off + width / 2.0], 65)
+        if angle == 0.0:
+            pts = np.column_stack((along, across))    # axis y = offset
+        else:
+            pts = np.column_stack((-across, along))   # axis x = -offset
+        got = line_residuals(pts, tube.axis.angle, tube.axis.offset())[:, 0]
+        assert np.array_equal(got, _residuals_tube_oracle(pts, tube))
+        assert np.all(got <= width / 2.0 + 1e-12)

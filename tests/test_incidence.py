@@ -10,15 +10,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmtlab.errors import InvariantViolation, PreconditionError, TooFewPoints
+from gmtlab.experiments import line_set_dimension
 from gmtlab.generators import DiscreteSet, gen_grid, gen_planted_collinear
-from gmtlab.geometry import Line, Point
+from gmtlab.geometry import LINE_EQ_TOL, Line, Point, line_distance
 from gmtlab.incidence import (
     LineSet,
     beck_analyze,
     incidence_count,
     rich_lines,
+    _spanned_float,
     spanned_lines,
     weak_dirac_stat,
 )
@@ -103,12 +107,101 @@ class TestSpannedLines:
         k = grid3_lines.point_counts.astype(np.int64)
         assert int((k * (k - 1) // 2).sum()) == 9 * 8 // 2
 
+    def test_float_path_refuses_merged_lines(self):
+        """Two parallel segments 4e-8 apart share one rounded key: its
+        pair count 2 is not a binomial coefficient, so the float path
+        refuses instead of reporting 3 lines where there are 6."""
+        r = math.sqrt(2.0) / 2.0
+        pts = np.array([[0.1 * r, 0.3 * r], [0.15 * r, 0.3 * r],
+                        [0.8 * r, 0.3 * r + 4e-8], [0.85 * r, 0.3 * r + 4e-8]])
+        ds = DiscreteSet(pts, 2.0 ** -26)
+        with pytest.raises(InvariantViolation, match="binomial"):
+            spanned_lines(ds)
+        with pytest.raises(InvariantViolation, match="binomial"):
+            line_set_dimension(ds)
+
     def test_angle_offset_arrays_roundtrip(self, grid3_lines):
         ang, off = grid3_lines.angle_offset_arrays()
         rebuilt = [Line.from_angle_offset(float(t), float(d))
                    for t, d in zip(ang, off)]
-        for ln, rb in zip(grid3_lines.lines, rebuilt):
-            assert ln.distance_to_point(rb.anchor) < 1e-9
+        for i, rb in enumerate(rebuilt):
+            assert grid3_lines.line(i).distance_to_point(rb.anchor) < 1e-9
+
+
+def _spanned_float_oracle(points):
+    """The float path's former per-pair dict loop for the representative
+    (first pair hitting each key) and its unchecked point counts."""
+    n = points.shape[0]
+    ii, jj = np.triu_indices(n, 1)
+    dx = points[jj, 0] - points[ii, 0]
+    dy = points[jj, 1] - points[ii, 1]
+    theta = np.arctan2(dy, dx) % math.pi
+    theta = np.where(theta >= math.pi - 1e-12, 0.0, theta)
+    nx, ny = -np.sin(theta), np.cos(theta)
+    d = points[ii, 0] * nx + points[ii, 1] * ny
+    quant = np.column_stack((np.round(theta / 1e-7), np.round(d / 1e-7))).astype(np.int64)
+    uniq, inv, cnt = np.unique(quant, axis=0, return_inverse=True, return_counts=True)
+    k = ((1.0 + np.sqrt(1.0 + 8.0 * cnt.astype(np.float64))) / 2.0).astype(np.int64)
+    ang = np.zeros(uniq.shape[0])
+    off = np.zeros(uniq.shape[0])
+    seen: dict = {}
+    for idx, key in enumerate(inv.tolist()):
+        if key not in seen:
+            seen[key] = idx
+    for key, idx in seen.items():
+        ang[key] = theta[idx]
+        off[key] = d[idx]
+    return np.column_stack((ang, off)), k, cnt
+
+
+@given(n=st.integers(2, 60), seed=st.integers(0, 2 ** 31), grid=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_spanned_float_matches_dict_loop_oracle(n, seed, grid):
+    """Random float sets, and scaled lattice sets with many collinear
+    triples, give the oracle's representatives and counts bit for bit."""
+    rng = np.random.default_rng(seed)
+    if grid:
+        raw = np.unique(rng.integers(0, 8, size=(n, 2)), axis=0)
+        pts = raw / (7.0 * math.pi)
+    else:
+        pts = rng.random((n, 2)) * 0.7
+    angoff, k, _ = _spanned_float_oracle(pts)
+    ang, off, got_k = _spanned_float(pts)
+    assert np.array_equal(ang, angoff[:, 0])
+    assert np.array_equal(off, angoff[:, 1])
+    assert np.array_equal(got_k, k)
+
+
+def _from_lines_oracle(lines):
+    """LineSet.from_lines' former pairwise loop: first seen wins."""
+    kept = []
+    for ln in lines:
+        if all(line_distance(ln, other) > LINE_EQ_TOL for other in kept):
+            kept.append(ln)
+    return kept
+
+
+_angle = st.one_of(
+    st.sampled_from([0.0, 1e-11, math.pi - 1e-11, math.pi - 4e-10]),
+    st.floats(0.0, math.pi, exclude_max=True),
+)
+
+
+@given(params=st.lists(st.tuples(_angle, st.floats(-1.0, 1.0)), min_size=1, max_size=20),
+       jitter=st.lists(st.sampled_from([0.0, 1e-12, -3e-10, 4e-10, 2e-9]),
+                       min_size=1, max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_from_lines_matches_pairwise_oracle(params, jitter):
+    """Near-duplicates within and just beyond the tolerance, including
+    across the angle wrap 0 ~ pi, dedupe as the former loop did."""
+    lines = []
+    for i, (t, d) in enumerate(params):
+        e = jitter[i % len(jitter)]
+        lines += [Line.from_angle_offset(t, d), Line.from_angle_offset(t + e, d - e)]
+    want = _from_lines_oracle(lines)
+    got = LineSet.from_lines(lines)
+    assert np.array_equal(got.angles, [ln.angle for ln in want])
+    assert np.array_equal(got.offsets, [ln.offset() for ln in want])
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gmtlab.covering import fit_log2_slope
 from gmtlab.errors import (
     AllMassAtCenter,
     EmptyInput,
     InvariantViolation,
     PreconditionError,
 )
-from gmtlab.generators import DiscreteSet, circle_set, gen_grid, segment_set
+from gmtlab.generators import (
+    DiscreteSet,
+    circle_set,
+    gen_grid,
+    gen_random_delta_s_set,
+    segment_set,
+)
 from gmtlab.geometry import Ball, Line, Point, Tube
 from gmtlab.measures import (
     WeightedMeasure,
@@ -124,6 +133,40 @@ def test_frostman_fit_point_mass_is_exponent_zero():
     m = WeightedMeasure(ds, np.array([1.0, 0.0]))
     fit = frostman_fit(m, 2, 7)
     assert fit.exponent == pytest.approx(0.0, abs=1e-9)
+
+
+def _frostman_exponent_oracle(m, level_min, level_max):
+    """frostman_fit's former exponent: np.polyfit of log2 max ball mass
+    against log2 radius, clamped to [0, 2]."""
+    levels = list(range(level_min, level_max + 1))
+    per_level = ball_masses_at_support(m, [2.0 ** -lv for lv in levels])
+    maxima = [float(masses[int(np.argmax(masses))]) for masses in per_level]
+    logr = np.array([-float(lv) for lv in levels])
+    logm = np.log2(np.maximum(maxima, 1e-300))
+    slope = float(np.polyfit(logr, logm, 1)[0])
+    return min(2.0, max(0.0, slope))
+
+
+@pytest.mark.parametrize("make,window", [
+    (lambda: WeightedMeasure.uniform(gen_random_delta_s_set(1.0, 2.0 ** -8, seed=4)), (2, 8)),
+    (lambda: WeightedMeasure.uniform(gen_random_delta_s_set(1.5, 2.0 ** -7, seed=9)), (1, 7)),
+    (lambda: WeightedMeasure.uniform(circle_set(200)), (1, 5)),
+    (lambda: radial_pushforward(
+        WeightedMeasure.uniform(gen_random_delta_s_set(1.5, 2.0 ** -7, seed=2)),
+        Point(0.5, -0.4)).as_circle_measure(), (2, 7)),
+])
+def test_frostman_fit_exponent_matches_polyfit_oracle(make, window):
+    m = make()
+    assert frostman_fit(m, *window).exponent == pytest.approx(
+        _frostman_exponent_oracle(m, *window), abs=1e-12)
+
+
+@given(st.lists(st.floats(2.0 ** -40, 1.0), min_size=4, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_fit_log2_slope_matches_polyfit(maxima):
+    logr = -np.arange(2.0, 2.0 + len(maxima))
+    want = float(np.polyfit(logr, np.log2(maxima), 1)[0])
+    assert fit_log2_slope(logr, maxima)[0] == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
