@@ -89,7 +89,7 @@ _RESULT_SCHEMAS = {
 
 def _echo_config(args, extra: dict) -> dict:
     cfg = {
-        "seed": int(getattr(args, "seed", 0)),
+        "seed": int(args.seed),
         "rng": RNG_ALGORITHM,
         "out": args.out,
     }
@@ -329,10 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
+    def common(sp):
         sp.add_argument("--out", default=".", help="output directory")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int, default=0)
 
     g = sub.add_parser("generate", help="emit a point-set CSV")
     g.add_argument("--kind", required=True,

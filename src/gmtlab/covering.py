@@ -14,7 +14,15 @@ from typing import Optional
 
 import numpy as np
 
-from .dyadic import MAX_LEVEL, cell_indices, count_cells, is_dyadic, level_of, quota_child_counts
+from .dyadic import (
+    MAX_LEVEL,
+    cell_indices,
+    count_cells,
+    is_dyadic,
+    level_of,
+    quota_child_counts,
+    unique_rows,
+)
 from .errors import (
     EmptyInput,
     InvariantViolation,
@@ -124,24 +132,23 @@ def circle_covering_number(angles, level: int, halfwidths=None) -> int:
     n_arcs = 1 << level
     two_pi = 2.0 * math.pi
     if halfwidths is None:
-        bins = np.floor(np.mod(a, two_pi) / two_pi * n_arcs).astype(np.int64)
+        bins = np.floor(a / two_pi * n_arcs).astype(np.int64) % n_arcs
         return int(np.unique(bins).size)
     h = np.broadcast_to(np.asarray(halfwidths, dtype=float), a.shape)
     if np.any(h < 0.0):
         raise PreconditionError("interval halfwidths must be nonnegative")
     if np.any(h >= math.pi):
         return n_arcs
-    lo = np.floor(np.mod(a - h, two_pi) / two_pi * n_arcs).astype(np.int64)
-    spans = np.floor((a + h) / two_pi * n_arcs).astype(np.int64) \
-        - np.floor((a - h) / two_pi * n_arcs).astype(np.int64)
+    lo = np.floor((a - h) / two_pi * n_arcs).astype(np.int64)
+    spans = np.floor((a + h) / two_pi * n_arcs).astype(np.int64) - lo
+    lo %= n_arcs
     occupied = [lo]
     for k in range(1, int(spans.max()) + 1):
         sel = lo[spans >= k]
         if sel.size == 0:
             break
         occupied.append((sel + k) % n_arcs)
-    bins = np.unique(np.concatenate(occupied))
-    return int(min(bins.size, n_arcs))
+    return int(np.unique(np.concatenate(occupied)).size)
 
 
 def circle_box_dimension(angles, level_min: int, level_max: int,
@@ -207,12 +214,10 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     pts = p.points
     delta = p.delta
     n_delta = count_cells(pts, delta)
-    leaf_cells = cell_indices(pts, delta)
-    point_per_cell = np.unique(leaf_cells, axis=0).shape[0] == pts.shape[0]
-    cell_keys = None
+    point_per_cell = n_delta == pts.shape[0]
     if not point_per_cell:
         # points share delta-cells: count distinct cells inside each ball
-        cell_keys = leaf_cells[:, 0] * (2 ** 31) + leaf_cells[:, 1]
+        _, cell_ids = unique_rows(cell_indices(pts, delta), return_inverse=True)
     tree = cKDTree(pts)
     worst = -math.inf
     witness = Point(float(pts[0, 0]), float(pts[0, 1]))
@@ -220,14 +225,14 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     top = level_of(delta)
     for lv in range(0, top + 1):
         r = 2.0 ** -lv
-        sq = np.unique(cell_indices(pts, r), axis=0).astype(float)
+        sq = unique_rows(cell_indices(pts, r)).astype(float)
         centers = np.concatenate([pts, (sq + 0.5) * r], axis=0)
         if point_per_cell:
             counts = tree.query_ball_point(centers, r, return_length=True).astype(float)
         else:
             counts = np.empty(centers.shape[0])
             for i, idx in enumerate(tree.query_ball_point(centers, r)):
-                counts[i] = np.unique(cell_keys[np.asarray(idx, dtype=np.intp)]).size
+                counts[i] = np.unique(cell_ids[np.asarray(idx, dtype=np.intp)]).size
         ratios = counts / (r ** s * n_delta)
         imax = int(np.argmax(ratios))
         if ratios[imax] > worst:
@@ -258,14 +263,11 @@ def frostman_extract(a: DiscreteSet, s: float, rho: float) -> DiscreteSet:
     depth = int(round(math.log2(1.0 / rho)))
     pts = a.points
 
-    # representative point per leaf (level-`depth`) square: lexicographic min
-    leaf_of_point = cell_indices(pts, rho)
-    order = np.lexsort((pts[:, 1], pts[:, 0], leaf_of_point[:, 1], leaf_of_point[:, 0]))
-    sorted_cells = leaf_of_point[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
-    leaf_cells = sorted_cells[first]
-    leaf_rep = order[first]  # index into pts
+    # representative point per leaf (level-`depth`) square: with the points
+    # in lexicographic order, a cell's first occurrence is its smallest point
+    by_point = np.lexsort((pts[:, 1], pts[:, 0]))
+    leaf_cells, first = unique_rows(cell_indices(pts[by_point], rho), return_index=True)
+    leaf_rep = by_point[first]  # index into pts
 
     # bottom-up: cells per level, parent pointers, residual content
     cells = [None] * (depth + 1)
@@ -273,7 +275,7 @@ def frostman_extract(a: DiscreteSet, s: float, rho: float) -> DiscreteSet:
     cells[depth] = leaf_cells
     for lv in range(depth, 0, -1):
         par = cells[lv] // 2  # floor division handles negatives
-        uniq, inv = np.unique(par, axis=0, return_inverse=True)
+        uniq, inv = unique_rows(par, return_inverse=True)
         cells[lv - 1] = uniq
         parent_idx[lv] = inv
     content = [None] * (depth + 1)

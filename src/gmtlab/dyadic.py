@@ -1,4 +1,5 @@
-"""Shared dyadic-grid utilities: cell indexing and quota branching.
+"""Shared dyadic-grid utilities: cell indexing, distinct integer rows and
+quota branching.
 
 The quota-branching helper drives both the random set generator and the
 Frostman-style subset extraction: every parent square keeps between
@@ -35,12 +36,36 @@ def cell_indices(points: np.ndarray, side: float) -> np.ndarray:
     return np.floor(np.asarray(points, dtype=float) / side).astype(np.int64)
 
 
+def unique_rows(rows: np.ndarray, return_index: bool = False,
+                return_inverse: bool = False, return_counts: bool = False):
+    """Distinct rows of a 2-D integer array, in lexicographic order.
+
+    Values, order, first-occurrence index, inverse and counts are those of
+    np.unique(rows, axis=0, ...), from one stable lexsort over the columns.
+    """
+    rows = np.asarray(rows)
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(order.size, dtype=bool)
+    np.any(srt[1:] != srt[:-1], axis=1, out=new[1:])
+    uniq = srt[new]
+    if not (return_index or return_inverse or return_counts):
+        return uniq
+    out = [uniq]
+    if return_index:
+        out.append(order[new])
+    if return_inverse:
+        inverse = np.empty(order.size, dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        out.append(inverse)
+    if return_counts:
+        out.append(np.diff(np.append(np.flatnonzero(new), order.size)))
+    return tuple(out)
+
+
 def count_cells(points: np.ndarray, side: float) -> int:
     """Number of occupied grid cells of the given side length."""
-    cells = cell_indices(points, side)
-    if cells.ndim == 1:
-        return int(np.unique(cells).size)
-    return int(np.unique(cells, axis=0).shape[0])
+    return int(unique_rows(cell_indices(points, side)).shape[0])
 
 
 def quota_child_counts(

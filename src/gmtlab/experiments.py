@@ -19,7 +19,7 @@ from .covering import (
     fit_log2_slope,
     verify_delta_s_set,
 )
-from .dyadic import level_of, quota_child_counts
+from .dyadic import level_of, quota_child_counts, unique_rows
 from .errors import (
     AllCollinear,
     AllMassAtCenter,
@@ -367,8 +367,7 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
                     f"(worst ratio {chk.worst_ratio:.2f} > 16)"
                 )
         all_cells.append(_line_metric_cells(fam, delta))
-    union = np.unique(np.concatenate(all_cells, axis=0), axis=0)
-    count = int(union.shape[0])
+    count = int(unique_rows(np.concatenate(all_cells, axis=0)).shape[0])
     wolff_floor = delta ** (-2.0 * sigma)
     return {
         "count": count,

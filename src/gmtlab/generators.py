@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import is_dyadic, quota_child_counts
+from .dyadic import is_dyadic, quota_child_counts, unique_rows
 from .errors import (
     EmptyInput,
     InvariantViolation,
@@ -74,7 +74,7 @@ class DiscreteSet:
         if np.abs(scaled - snapped).max() < 1e-6:
             # grid-aligned: distinct nodes are automatically delta-separated
             nodes = snapped.astype(np.int64)
-            if np.unique(nodes, axis=0).shape[0] == pts.shape[0]:
+            if unique_rows(nodes).shape[0] == pts.shape[0]:
                 return
             raise InvariantViolation("duplicate grid-snapped points")
         from scipy.spatial import cKDTree
@@ -200,10 +200,9 @@ def gen_ifs(system: IfsSystem, target_delta: float) -> DiscreteSet:
     for _ in range(depth):
         pts = np.concatenate([pts @ mat.T + t for mat, t in mats], axis=0)
 
-    snapped = np.round(pts / target_delta) * target_delta
-    snapped = np.unique(snapped, axis=0)
+    nodes = unique_rows(np.round(pts / target_delta).astype(np.int64))
     return DiscreteSet(
-        snapped,
+        nodes * target_delta,
         target_delta,
         label=system.label,
         meta={
@@ -291,12 +290,12 @@ def gen_planted_collinear(n: int, k: int, seed: int) -> DiscreteSet:
         on_line = np.stack([xs, np.full(m, half, dtype=np.int64)], axis=1)
         off = rng.integers(0, grid + 1, size=(2 * k + 8, 2))
         off = off[off[:, 1] != half]
-        off = np.unique(off, axis=0)
+        off = unique_rows(off)
         if off.shape[0] < k:
             continue
         off = off[rng.permutation(off.shape[0])[:k]]
         ipts = np.concatenate([on_line, off], axis=0)
-        if np.unique(ipts, axis=0).shape[0] != n:
+        if unique_rows(ipts).shape[0] != n:
             continue
         if int(_spanned_exact(ipts)[1].max()) == m:
             pts = ipts.astype(float) / grid

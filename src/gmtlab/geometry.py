@@ -39,9 +39,6 @@ class Point:
     def __post_init__(self) -> None:
         _require_finite("Point", self.x, self.y)
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
     def distance_to(self, other: "Point") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 

@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dyadic import unique_rows
 from .errors import (
     AllCollinear,
     InvariantViolation,
@@ -79,12 +80,12 @@ def _spanned_exact(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ii, jj = np.triu_indices(n, 1)
     for s in range(0, ii.size, _PAIR_CHUNK):
         chunk = _canonical_triples(ints, ii[s:s + _PAIR_CHUNK], jj[s:s + _PAIR_CHUNK])
-        uniq, cnt = np.unique(chunk, axis=0, return_counts=True)
+        uniq, cnt = unique_rows(chunk, return_counts=True)
         pieces.append(uniq)
         counts_pieces.append(cnt)
     allrows = np.concatenate(pieces)
     allcnt = np.concatenate(counts_pieces)
-    triples, inv = np.unique(allrows, axis=0, return_inverse=True)
+    triples, inv = unique_rows(allrows, return_inverse=True)
     pair_counts = np.zeros(triples.shape[0], dtype=np.int64)
     np.add.at(pair_counts, inv, allcnt)
     return triples, _points_on_lines(pair_counts)
@@ -257,7 +258,7 @@ def _spanned_float(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     d = points[ii, 0] * nx + points[ii, 1] * ny
     quant = np.column_stack((np.round(theta / 1e-7), np.round(d / 1e-7))).astype(np.int64)
     # representative geometry: first pair hitting each key
-    _, first, cnt = np.unique(quant, axis=0, return_index=True, return_counts=True)
+    _, first, cnt = unique_rows(quant, return_index=True, return_counts=True)
     return theta[first], d[first], _points_on_lines(cnt)
 
 
@@ -431,14 +432,10 @@ def weak_dirac_stat(p: DiscreteSet) -> tuple[Point, int]:
         )
     ints, _ = rat
     ii, jj = np.triu_indices(n, 1)
-    triples = _canonical_triples(ints, ii, jj)
-    if np.unique(triples, axis=0).shape[0] == 1:
+    _, line_ids = unique_rows(_canonical_triples(ints, ii, jj), return_inverse=True)
+    if not line_ids.any():
         raise AllCollinear("every point lies on a single line")
-    rows = np.concatenate([
-        np.column_stack((ii, triples)),
-        np.column_stack((jj, triples)),
-    ])
-    uniq = np.unique(rows, axis=0)
-    per_point = np.bincount(uniq[:, 0], minlength=n)
+    rows = np.column_stack((np.concatenate((ii, jj)), np.tile(line_ids, 2)))
+    per_point = np.bincount(unique_rows(rows)[:, 0], minlength=n)
     best = int(np.argmax(per_point))
     return Point(*p.points[best]), int(per_point[best])

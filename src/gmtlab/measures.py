@@ -28,6 +28,8 @@ BALL_TOL = 1e-12
 _MAX_FFT_CELLS = 3 * 10 ** 7
 # supports up to this size use the tree scan unconditionally
 _SMALL_SUPPORT = 4096
+# ball centres per tree query, which bounds the neighbour lists held at once
+_TREE_BLOCK = 256
 
 
 @dataclass
@@ -218,8 +220,11 @@ def _ball_masses_tree(m: WeightedMeasure, radii) -> list:
     w = m.weights
     out = []
     for r in radii:
-        hoods = tree.query_ball_point(pts, r + BALL_TOL)
-        out.append(np.array([w[ix].sum() for ix in hoods]))
+        masses = np.empty(pts.shape[0])
+        for s in range(0, pts.shape[0], _TREE_BLOCK):
+            hoods = tree.query_ball_point(pts[s:s + _TREE_BLOCK], r + BALL_TOL)
+            masses[s:s + _TREE_BLOCK] = [w[ix].sum() for ix in hoods]
+        out.append(masses)
     return out
 
 

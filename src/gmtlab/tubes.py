@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .covering import _check_level_window, fit_log2_slope, verify_delta_s_set
-from .dyadic import level_of
+from .dyadic import level_of, unique_rows
 from .errors import (
     EmptyInput,
     InvariantViolation,
@@ -406,8 +406,8 @@ def verify_tube_set(fam: TubeFamily, sigma: float, c: float) -> TubeSetCheck:
             f"{p} tubes exceed the all-pairs verification budget {_VERIFY_CAP}"
         )
     r = fam.scale
-    cells = _line_metric_cells(fam, r)
-    total = np.unique(cells, axis=0).shape[0]
+    uniq, cell_ids = unique_rows(_line_metric_cells(fam, r), return_inverse=True)
+    total = uniq.shape[0]
     ax, ay = fam.anchor_arrays()
     ang = fam.angles
     worst = (-1.0, 0, 0)
@@ -419,7 +419,7 @@ def verify_tube_set(fam: TubeFamily, sigma: float, c: float) -> TubeSetCheck:
             dth = np.minimum(dth, math.pi - dth)
             dist = dth + np.hypot(ax - ax[i], ay - ay[i])
             near = dist <= rho + 1e-12
-            cnt = np.unique(cells[near], axis=0).shape[0]
+            cnt = np.unique(cell_ids[near]).size
             ratio = cnt / (rho ** sigma * total)
             if ratio > worst[0]:
                 worst = (ratio, i, lv)

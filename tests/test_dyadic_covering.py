@@ -5,8 +5,10 @@ counting route before being pinned; when a number appears as a bare
 constant it is an oracle, not a regression snapshot.
 """
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from gmtlab.dyadic import (
     is_dyadic,
     level_of,
     quota_child_counts,
+    unique_rows,
 )
 from gmtlab.errors import (
     EmptyInput,
@@ -44,6 +47,7 @@ from gmtlab.generators import (
     gen_random_delta_s_set,
     segment_set,
 )
+from gmtlab.geometry import Point
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +78,48 @@ def test_count_cells_matches_set_of_tuples(rng):
             (math.floor(x / side), math.floor(y / side)) for x, y in pts
         })
         assert count_cells(pts, side) == expected
+
+
+_FLAG_SETS = [(i, v, c) for i in (False, True) for v in (False, True) for c in (False, True)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-3, 3) | st.integers(-2 ** 40, 2 ** 40), min_size=k, max_size=k),
+    min_size=1, max_size=40,
+)))
+def test_unique_rows_matches_np_unique(rows):
+    """Values, first-occurrence index, inverse and counts agree with
+    np.unique(axis=0) in value, dtype and shape, for every flag set."""
+    a = np.array(rows, dtype=np.int64)
+    for flags in _FLAG_SETS:
+        want = np.unique(a, axis=0, return_index=flags[0],
+                         return_inverse=flags[1], return_counts=flags[2])
+        got = unique_rows(a, *flags)
+        if not any(flags):
+            want, got = (want,), (got,)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
+def test_only_dyadic_dedupes_integer_rows():
+    """Row distinctness goes through dyadic.unique_rows: no module of the
+    package but dyadic.py calls np.unique with an axis."""
+    pkg = Path(__file__).resolve().parents[1] / "src" / "gmtlab"
+    modules = sorted(pkg.glob("*.py"))
+    assert modules
+    offenders = []
+    for path in modules:
+        if path.name == "dyadic.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique"
+                    and any(kw.arg == "axis" for kw in node.keywords)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_cell_indices_negative_coordinates():
@@ -261,6 +307,20 @@ class TestCircleCovering:
         with pytest.raises(EmptyInput):
             circle_covering_number([], 3)
 
+    def test_angle_just_below_zero_is_in_the_last_arc(self):
+        # np.mod(-1e-20, 2 pi) rounds up to 2 pi itself
+        assert circle_covering_number([-1e-20, 2.0 * math.pi - 0.1], 3) == 1
+
+    @pytest.mark.parametrize("level", [2, 4, 8])
+    def test_interval_reaching_just_below_zero(self, level):
+        """[a - h, a + h] with h just above a meets the last arc and arc 0;
+        a point 1.5 arc widths on meets arc 1."""
+        a = 1e-3
+        width = 2.0 * math.pi / 2 ** level
+        n = circle_covering_number([a, 1.5 * width], level,
+                                   halfwidths=[np.nextafter(a, 1.0), 0.0])
+        assert n == 3
+
     def test_equispaced_angles_have_dimension_one(self):
         angles = np.arange(512) * (2.0 * math.pi / 512.0)
         est = circle_box_dimension(angles, 2, 8)
@@ -305,6 +365,60 @@ def test_verify_delta_s_set_rejects_clustered():
     assert check.worst_ratio > 1.0
 
 
+def _verify_delta_s_set_oracle(p, s, c):
+    """verify_delta_s_set before cell rows went through unique_rows: a
+    per-point cell check and an x * 2^31 + y cell key."""
+    from scipy.spatial import cKDTree
+
+    pts = p.points
+    delta = p.delta
+    n_delta = count_cells(pts, delta)
+    leaf_cells = cell_indices(pts, delta)
+    point_per_cell = np.unique(leaf_cells, axis=0).shape[0] == pts.shape[0]
+    cell_keys = None
+    if not point_per_cell:
+        # points share delta-cells: count distinct cells inside each ball
+        cell_keys = leaf_cells[:, 0] * (2 ** 31) + leaf_cells[:, 1]
+    tree = cKDTree(pts)
+    worst = -math.inf
+    witness = Point(float(pts[0, 0]), float(pts[0, 1]))
+    witness_level = 0
+    top = level_of(delta)
+    for lv in range(0, top + 1):
+        r = 2.0 ** -lv
+        sq = np.unique(cell_indices(pts, r), axis=0).astype(float)
+        centers = np.concatenate([pts, (sq + 0.5) * r], axis=0)
+        if point_per_cell:
+            counts = tree.query_ball_point(centers, r, return_length=True).astype(float)
+        else:
+            counts = np.empty(centers.shape[0])
+            for i, idx in enumerate(tree.query_ball_point(centers, r)):
+                counts[i] = np.unique(cell_keys[np.asarray(idx, dtype=np.intp)]).size
+        ratios = counts / (r ** s * n_delta)
+        imax = int(np.argmax(ratios))
+        if ratios[imax] > worst:
+            worst = float(ratios[imax])
+            witness = Point(float(centers[imax, 0]), float(centers[imax, 1]))
+            witness_level = lv
+    return worst <= c + 1e-9, worst, witness, witness_level
+
+
+@pytest.mark.parametrize("seed, spacing", [(0, 0.55), (1, 0.6), (2, 0.75), (3, 0.9)])
+def test_verify_delta_s_set_shared_cells_matches_oracle(seed, spacing):
+    """Off-grid points at least delta/2 apart, several to a delta-cell."""
+    delta = 2.0 ** -4
+    rng = np.random.default_rng(seed)
+    ticks = np.arange(-0.3, 0.5, spacing * delta)
+    grid = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+    pts = grid + rng.uniform(0.0, 0.02 * delta, size=grid.shape)
+    ds = DiscreteSet(pts, delta)
+    assert count_cells(ds.points, delta) < len(ds)
+    for s in (0.5, 1.5, 2.0):
+        chk = verify_delta_s_set(ds, s, 16.0)
+        want = _verify_delta_s_set_oracle(ds, s, 16.0)
+        assert (chk.passed, chk.worst_ratio, chk.witness, chk.witness_level) == want
+
+
 def test_frostman_extract_subset_and_floor(rand_half_set):
     rho = 2.0 ** -6
     out = frostman_extract(rand_half_set, 0.5, rho)
@@ -313,6 +427,38 @@ def test_frostman_extract_subset_and_floor(rand_half_set):
     assert count_cells(out.points, rho) == len(out)  # one point per rho-cell
     floor = 2.0 ** -6 * hausdorff_content(rand_half_set, 0.5) * rho ** -0.5
     assert len(out) >= floor
+
+
+def _leaf_reps_oracle(pts, rho):
+    """frostman_extract's former leaf representatives: a 4-key lexsort
+    and a mask on the first row of each cell."""
+    leaf_of_point = cell_indices(pts, rho)
+    order = np.lexsort((pts[:, 1], pts[:, 0], leaf_of_point[:, 1], leaf_of_point[:, 0]))
+    sorted_cells = leaf_of_point[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1)
+    return order[first]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+             min_size=1, max_size=120),
+    st.integers(1, 4),
+    st.sampled_from([0.5, 1.0, 1.5, 2.0]),
+)
+def test_frostman_extract_leaf_reps_match_oracle(ipts, depth, s):
+    """Each emitted point is the lexicographically smallest input point of
+    its rho-cell; at s = 2 every occupied cell is kept."""
+    pts = np.array(ipts, dtype=float) / 32.0
+    a = DiscreteSet(pts, 2.0 ** -5, check=False)
+    rho = 2.0 ** -depth
+    reps = _leaf_reps_oracle(a.points, rho)
+    out = frostman_extract(a, s, rho)
+    if s == 2.0:
+        assert np.array_equal(out.points, a.points[np.sort(reps)])
+    else:
+        assert {tuple(p) for p in out.points} <= {tuple(p) for p in a.points[reps]}
 
 
 def test_frostman_extract_passes_its_own_check(rand_half_set):

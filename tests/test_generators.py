@@ -252,6 +252,42 @@ def test_planted_max_collinear_matches_oracle(n, k, seed):
     assert _max_collinear_oracle(ipts) == n - k
 
 
+def _gen_ifs_oracle(system, target_delta):
+    """gen_ifs's former snapping: np.unique over the float rows."""
+    rmax = max(m[0] for m in system.maps)
+    depth = 1
+    reach = rmax
+    while reach > target_delta:
+        depth += 1
+        reach *= rmax
+    pts = np.zeros((1, 2))
+    mats = []
+    for ratio, rot, (tx, ty) in system.maps:
+        c, s = math.cos(rot), math.sin(rot)
+        mats.append((ratio * np.array([[c, -s], [s, c]]), np.array([tx, ty])))
+    for _ in range(depth):
+        pts = np.concatenate([pts @ mat.T + t for mat, t in mats], axis=0)
+
+    snapped = np.round(pts / target_delta) * target_delta
+    return np.unique(snapped, axis=0)
+
+
+@pytest.mark.parametrize("system, target_delta", [
+    (cantor_middle_thirds(), 3.0 ** -6),
+    (four_corner_product(), 4.0 ** -4),
+    (IfsSystem(((0.5, 0.3, (0.1, 0.2)), (0.4, -1.0, (-0.3, 0.1)),
+                (0.45, 2.0, (0.2, -0.4))), label="rotated"), 2.0 ** -6),
+])
+def test_gen_ifs_matches_float_unique_oracle(system, target_delta):
+    """Bit for bit, except that a rotated orbit snapping to -0.0 now gives
+    0.0: the integer nodes carry no sign of zero."""
+    got = gen_ifs(system, target_delta).points
+    want = _gen_ifs_oracle(system, target_delta)
+    assert got.shape == want.shape
+    assert got.tobytes() == (want + 0.0).tobytes()
+    assert not np.any(np.signbit(got) & (got == 0.0))
+
+
 def test_ifs_system_validation():
     with pytest.raises(PreconditionError):
         IfsSystem(maps=[], label="empty", depth=1)

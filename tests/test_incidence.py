@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmtlab.errors import InvariantViolation, PreconditionError, TooFewPoints
+from gmtlab.errors import AllCollinear, InvariantViolation, PreconditionError, TooFewPoints
 from gmtlab.experiments import line_set_dimension
 from gmtlab.generators import DiscreteSet, gen_grid, gen_planted_collinear
 from gmtlab.geometry import LINE_EQ_TOL, Line, Point, line_distance
@@ -22,6 +22,8 @@ from gmtlab.incidence import (
     beck_analyze,
     incidence_count,
     rich_lines,
+    _canonical_triples,
+    _rationalize,
     _spanned_float,
     spanned_lines,
     weak_dirac_stat,
@@ -332,6 +334,45 @@ def test_weak_dirac_grid3(grid3):
     pt, count = weak_dirac_stat(grid3)
     assert count == 6
     assert (pt.x, pt.y) == (0.5, 0.0)
+
+
+def _weak_dirac_oracle(p):
+    """weak_dirac_stat before line ids: it uniqued the triples once for
+    the collinearity check and again inside the (point, triple) rows."""
+    n = len(p)
+    ints, _ = _rationalize(p.points)
+    ii, jj = np.triu_indices(n, 1)
+    triples = _canonical_triples(ints, ii, jj)
+    if np.unique(triples, axis=0).shape[0] == 1:
+        raise AllCollinear("every point lies on a single line")
+    rows = np.concatenate([
+        np.column_stack((ii, triples)),
+        np.column_stack((jj, triples)),
+    ])
+    uniq = np.unique(rows, axis=0)
+    per_point = np.bincount(uniq[:, 0], minlength=n)
+    best = int(np.argmax(per_point))
+    return Point(*p.points[best]), int(per_point[best])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                min_size=3, max_size=30, unique=True))
+def test_weak_dirac_matches_oracle(ipts):
+    ds = DiscreteSet(np.array(ipts, dtype=float) / 8.0, 0.125)
+    try:
+        want = _weak_dirac_oracle(ds)
+    except AllCollinear:
+        with pytest.raises(AllCollinear):
+            weak_dirac_stat(ds)
+        return
+    assert weak_dirac_stat(ds) == want
+
+
+def test_weak_dirac_rejects_collinear():
+    ds = DiscreteSet(np.array([[0.0, 0.0], [0.25, 0.5], [0.5, 1.0]]), 0.125)
+    with pytest.raises(AllCollinear):
+        weak_dirac_stat(ds)
 
 
 def test_weak_dirac_needs_three_points():

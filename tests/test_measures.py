@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmtlab import measures
 from gmtlab.covering import fit_log2_slope
 from gmtlab.errors import (
     AllMassAtCenter,
@@ -109,6 +110,33 @@ def test_ball_masses_at_support_matches_direct(grid3_uniform):
                      pts[:, 1, None] - pts[None, :, 1])
         direct = (d <= r + 1e-12) @ grid3_uniform.weights
         assert np.allclose(got, direct)
+
+
+def _ball_masses_tree_oracle(m, radii):
+    """_ball_masses_tree before blocking: one query for every centre."""
+    from scipy.spatial import cKDTree
+
+    pts = m.support.points
+    tree = cKDTree(pts)
+    w = m.weights
+    out = []
+    for r in radii:
+        hoods = tree.query_ball_point(pts, r + measures.BALL_TOL)
+        out.append(np.array([w[ix].sum() for ix in hoods]))
+    return out
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_ball_masses_tree_blocks_match_oracle(monkeypatch, block):
+    ds = gen_random_delta_s_set(1.2, 2.0 ** -7, seed=4)
+    w = np.random.default_rng(4).random(len(ds))
+    m = WeightedMeasure(ds, w / w.sum())
+    assert block < len(ds)
+    monkeypatch.setattr(measures, "_TREE_BLOCK", block)
+    radii = [2.0 ** -lv for lv in range(1, 7)]
+    for got, want in zip(ball_masses_at_support(m, radii),
+                         _ball_masses_tree_oracle(m, radii)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

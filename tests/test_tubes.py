@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from gmtlab.dyadic import level_of
 from gmtlab.errors import (
     InvariantViolation,
     PreconditionError,
@@ -23,6 +24,7 @@ from gmtlab.measures import (
 from gmtlab.tubes import (
     FuRenInstance,
     TubeFamily,
+    _line_metric_cells,
     bootstrap_schedule,
     containment_multiplicity,
     fu_ren_audit,
@@ -302,6 +304,53 @@ class TestVerifyTubeSet:
         chk = verify_tube_set(bad, 0.5, 2.0)
         assert not chk.passed
         assert chk.worst_ratio > 2.0
+
+
+def _verify_tube_set_oracle(fam, sigma, c):
+    """verify_tube_set's former loop: a 3-column np.unique of the cells
+    near each member at each level."""
+    p = len(fam)
+    r = fam.scale
+    cells = _line_metric_cells(fam, r)
+    total = np.unique(cells, axis=0).shape[0]
+    ax, ay = fam.anchor_arrays()
+    ang = fam.angles
+    worst = (-1.0, 0, 0)
+    for lv in range(level_of(r), -1, -1):
+        rho = 2.0 ** -lv
+        for i in range(p):
+            dth = np.abs(ang - ang[i])
+            dth = np.minimum(dth, math.pi - dth)
+            dist = dth + np.hypot(ax - ax[i], ay - ay[i])
+            near = dist <= rho + 1e-12
+            cnt = np.unique(cells[near], axis=0).shape[0]
+            ratio = cnt / (rho ** sigma * total)
+            if ratio > worst[0]:
+                worst = (ratio, i, lv)
+    return worst[0] <= c * (1.0 + 1e-9), worst[0], worst[1], worst[2]
+
+
+def _random_family(seed, n, dl):
+    rng = np.random.default_rng(seed)
+    step = math.pi / 32
+    angs = rng.integers(0, 32, size=n) * step
+    offs = rng.integers(-12, 12, size=n) * (dl / 2)
+    return TubeFamily(angs, offs, width=2 * dl, direction_net_step=step, scale=dl)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: uniform_tube_family(2.0 ** -2),
+    lambda: TubeFamily(np.full(64, 0.1), np.full(64, 0.2), width=2.0 ** -5,
+                       direction_net_step=2.0 ** -6, scale=2.0 ** -6),
+    lambda: _random_family(0, 200, 2.0 ** -5),
+    lambda: _random_family(1, 150, 2.0 ** -3),
+])
+def test_verify_tube_set_matches_oracle(make):
+    fam = make()
+    for sigma in (0.5, 1.0, 2.0):
+        chk = verify_tube_set(fam, sigma, 4.0)
+        got = (chk.passed, chk.worst_ratio, chk.worst_index, chk.worst_level)
+        assert got == _verify_tube_set_oracle(fam, sigma, 4.0)
 
 
 # ---------------------------------------------------------------------------
