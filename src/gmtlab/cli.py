@@ -195,6 +195,7 @@ def cmd_incidence(args) -> int:
     report = incidence_count(ds, ls, eps=args.eps)
     config = _echo_config(args, {
         "input": args.input, "lines": args.lines, "eps": args.eps,
+        "delta": ds.delta,
     })
     _emit(args, "incidence", config, report.as_json(), [], t0)
     return 0
@@ -204,7 +205,8 @@ def cmd_beck(args) -> int:
     t0 = time.perf_counter()
     ds = _read_points(args)
     report = beck_analyze(ds, c_threshold=args.c)
-    config = _echo_config(args, {"input": args.input, "c": args.c})
+    config = _echo_config(args, {"input": args.input, "c": args.c,
+                                 "delta": ds.delta})
     _emit(args, "beck", config, report.as_json(), [], t0)
     return 0
 
@@ -301,7 +303,8 @@ def cmd_ortho(args) -> int:
     exc = out.pop("exceptional_directions")
     dims = out.pop("projection_dims")
     gio.write_angles_csv(dir_path, exc, dims[dims < args.sigma])
-    config = _echo_config(args, {"input": args.input, "sigma": args.sigma})
+    config = _echo_config(args, {"input": args.input, "sigma": args.sigma,
+                                 "delta": ds.delta})
     results = {**out, "exceptional_csv": dir_path}
     _emit(args, "ortho", config, results, [], t0)
     return 0

@@ -131,10 +131,8 @@ def circle_covering_number(angles, level: int, halfwidths=None) -> int:
         raise EmptyInput("circle_covering_number needs at least one angle")
     n_arcs = 1 << level
     two_pi = 2.0 * math.pi
-    if halfwidths is None:
-        bins = np.floor(a / two_pi * n_arcs).astype(np.int64) % n_arcs
-        return int(np.unique(bins).size)
-    h = np.broadcast_to(np.asarray(halfwidths, dtype=float), a.shape)
+    h = np.broadcast_to(np.asarray(0.0 if halfwidths is None else halfwidths,
+                                   dtype=float), a.shape)
     if np.any(h < 0.0):
         raise PreconditionError("interval halfwidths must be nonnegative")
     if np.any(h >= math.pi):
@@ -166,7 +164,7 @@ def circle_box_dimension(angles, level_min: int, level_max: int,
     return DimensionEstimate(slope, intercept, (level_min, level_max), r2, counts)
 
 
-def hausdorff_content(a, s: float, level_cap: Optional[int] = None) -> float:
+def hausdorff_content(a, s: float) -> float:
     """Greedy dyadic upper bound for the s-content.
 
     Minimum over levels from 0 down to the set's resolution of
@@ -178,8 +176,6 @@ def hausdorff_content(a, s: float, level_cap: Optional[int] = None) -> float:
     if pts.shape[0] == 0:
         raise EmptyInput("hausdorff_content needs at least one point")
     deepest = level_of(a.delta) if isinstance(a, DiscreteSet) else MAX_LEVEL
-    if level_cap is not None:
-        deepest = min(deepest, level_cap)
     best = math.inf
     for lv in range(0, deepest + 1):
         side = 2.0 ** -lv

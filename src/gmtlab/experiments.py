@@ -19,7 +19,7 @@ from .covering import (
     fit_log2_slope,
     verify_delta_s_set,
 )
-from .dyadic import level_of, quota_child_counts, unique_rows
+from .dyadic import MAX_LEVEL, level_of, quota_child_counts, unique_rows
 from .errors import (
     AllCollinear,
     AllMassAtCenter,
@@ -388,9 +388,7 @@ def orthogonal_exceptional_profile(y: DiscreteSet, sigma: float) -> dict:
     unit diameter before box counting; a projection of zero diameter
     counts as dimension 0.
     """
-    hi = level_of(y.delta)
-    lo = min(2, max(0, hi - 3))
-    dim_y = box_dimension(y, lo, hi).slope
+    dim_y = box_dimension(y, *_clamped_window((2, MAX_LEVEL), y.delta)).slope
     if sigma > min(dim_y, 1.0) - 0.1 + 1e-9:
         raise PreconditionError(
             f"sigma {sigma!r} above min(dim Y, 1) - 0.1 = "
@@ -404,8 +402,7 @@ def orthogonal_exceptional_profile(y: DiscreteSet, sigma: float) -> dict:
     flat = span < 1e-12
     scaled = (proj - proj.min(axis=0)) / np.where(flat, 1.0, span)
     scaled.sort(axis=0)
-    lv_hi = min(8, level_of(y.delta))
-    lv_lo = min(2, max(0, lv_hi - 3))
+    lv_lo, lv_hi = _clamped_window((2, 8), y.delta)
     levels = np.arange(lv_lo, lv_hi + 1, dtype=float)
     counts = np.empty((levels.size, n_dir))
     for k, lv in enumerate(range(lv_lo, lv_hi + 1)):

@@ -88,15 +88,9 @@ class DiscreteSet:
     def __len__(self) -> int:
         return int(self.points.shape[0])
 
-    def subset(self, indices: np.ndarray, *, delta: Optional[float] = None,
-               label: Optional[str] = None, check: bool = True) -> "DiscreteSet":
-        return DiscreteSet(
-            self.points[np.asarray(indices)],
-            delta if delta is not None else self.delta,
-            label if label is not None else self.label,
-            dict(self.meta),
-            check=check,
-        )
+    def subset(self, indices: np.ndarray) -> "DiscreteSet":
+        return DiscreteSet(self.points[np.asarray(indices)], self.delta,
+                           self.label, dict(self.meta))
 
 
 def as_points(obj) -> np.ndarray:

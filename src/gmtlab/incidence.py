@@ -124,7 +124,6 @@ class LineSet:
     """Deduplicated family of lines, either spanned by a point set (with
     exact integer keys and per-line point counts) or supplied directly."""
 
-    provenance: str  # "spanned" | "supplied"
     triples: Optional[np.ndarray] = None       # (m, 3) int64, exact mode
     denominator: int = 1
     point_counts: Optional[np.ndarray] = None  # points on each line, exact mode
@@ -132,8 +131,6 @@ class LineSet:
     offsets: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.provenance not in ("spanned", "supplied"):
-            raise PreconditionError(f"unknown provenance {self.provenance!r}")
         if self.triples is None and self.angles is None:
             raise PreconditionError("a line set needs triples or angle data")
 
@@ -158,7 +155,7 @@ class LineSet:
         return Line.from_angle_offset(float(ang[i]), float(off[i]))
 
     @classmethod
-    def from_lines(cls, lines, provenance: str = "supplied") -> "LineSet":
+    def from_lines(cls, lines) -> "LineSet":
         """Keep each line unless it lies within LINE_EQ_TOL of an earlier
         kept one in the metric of geometry.line_distance."""
         lines = list(lines)
@@ -178,7 +175,7 @@ class LineSet:
                 ang[k], ax[k], ay[k] = ang[i], ax[i], ay[i]
                 kept.append(ln)
         off = np.array([ln.offset() for ln in kept])
-        return cls(provenance, angles=ang[:len(kept)].copy(), offsets=off)
+        return cls(angles=ang[:len(kept)].copy(), offsets=off)
 
 
 @dataclass(frozen=True)
@@ -270,9 +267,9 @@ def spanned_lines(p: DiscreteSet) -> LineSet:
     if rat is not None:
         ints, den = rat
         triples, k = _spanned_exact(ints)
-        return LineSet("spanned", triples=triples, denominator=den, point_counts=k)
+        return LineSet(triples=triples, denominator=den, point_counts=k)
     ang, off, k = _spanned_float(p.points)
-    return LineSet("spanned", angles=ang, offsets=off, point_counts=k)
+    return LineSet(angles=ang, offsets=off, point_counts=k)
 
 
 def _count_on_lines_exact(p: DiscreteSet, l: LineSet) -> Optional[np.ndarray]:
@@ -361,10 +358,10 @@ def rich_lines(p: DiscreteSet, r: int) -> LineSet:
             f"{keep.size} lines with >= {r} points exceeds 2 n^2 / r^2"
         )
     if full.exact:
-        return LineSet("spanned", triples=full.triples[keep],
+        return LineSet(triples=full.triples[keep],
                        denominator=full.denominator, point_counts=k[keep])
     ang, off = full.angle_offset_arrays()
-    return LineSet("spanned", angles=ang[keep], offsets=off[keep],
+    return LineSet(angles=ang[keep], offsets=off[keep],
                    point_counts=k[keep])
 
 

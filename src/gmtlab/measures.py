@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.spatial import cKDTree, distance
 
 from .covering import _check_level_window, fit_log2_slope
 from .errors import (
@@ -209,12 +207,18 @@ def _ball_masses_fft(m: WeightedMeasure, radii) -> Optional[list]:
         q = int(math.floor(r / h * (1.0 + 1e-9)))
         span = np.arange(-q, q + 1)
         kern = (span[:, None] ** 2 + span[None, :] ** 2) <= (r / h) ** 2 * (1.0 + 1e-9)
-        conv = fftconvolve(grid, kern.astype(np.float64), mode="same")
-        out.append(np.maximum(conv[idx[:, 0], idx[:, 1]], 0.0))
+        # full linear convolution; the stencil's centre sits at offset q
+        pad = (grid.shape[0] + 2 * q, grid.shape[1] + 2 * q)
+        conv = np.fft.irfft2(
+            np.fft.rfft2(grid, pad) * np.fft.rfft2(kern.astype(np.float64), pad), pad
+        )
+        out.append(np.maximum(conv[idx[:, 0] + q, idx[:, 1] + q], 0.0))
     return out
 
 
 def _ball_masses_tree(m: WeightedMeasure, radii) -> list:
+    from scipy.spatial import cKDTree
+
     pts = m.support.points
     tree = cKDTree(pts)
     w = m.weights
@@ -287,7 +291,9 @@ def energy(m: WeightedMeasure, sigma: float) -> float:
     with np.errstate(divide="ignore"):
         for i0 in range(0, n, block):
             i1 = min(n, i0 + block)
-            d = distance.cdist(pts[i0:i1], pts)
+            dx = pts[i0:i1, 0, None] - pts[:, 0]
+            dy = pts[i0:i1, 1, None] - pts[:, 1]
+            d = np.sqrt(dx * dx + dy * dy)
             rows = np.arange(i0, i1)
             d[rows - i0, rows] = np.inf  # exclude the diagonal
             acc += float((w[i0:i1, None] * w[None, :] * d ** -sigma).sum())

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .covering import _check_level_window, fit_log2_slope, verify_delta_s_set
 from .dyadic import level_of, unique_rows
@@ -137,15 +136,12 @@ def _max_dist_to_line(theta_p, d_p, halfwidth, theta_f, d_f) -> np.ndarray:
     return best
 
 
-def containment_multiplicity(fam: TubeFamily, theta_p: float, d_p: float,
-                             probe_width: Optional[float] = None) -> int:
+def containment_multiplicity(fam: TubeFamily, theta_p: float, d_p: float) -> int:
     """How many family members contain the probe tube's intersection with
     the closed unit disc. Exact: candidate members are cut down by proved
     necessary conditions, then checked with the closed-form maximum.
     """
-    if probe_width is None:
-        probe_width = fam.scale
-    h = probe_width / 2.0
+    h = fam.scale / 2.0
     if abs(d_p) >= 1.0:
         raise PreconditionError("probe axis misses the open unit disc")
     chord = 2.0 * math.sqrt(max(1e-300, 1.0 - d_p * d_p))
@@ -265,6 +261,8 @@ class ThinTubeAudit:
 
 
 def _positive_separation(mu: WeightedMeasure, nu: WeightedMeasure) -> float:
+    from scipy.spatial import cKDTree
+
     a = mu.support.points[mu.weights > 0]
     b = nu.support.points[nu.weights > 0]
     if a.shape[0] == 0 or b.shape[0] == 0:

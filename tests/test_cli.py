@@ -138,6 +138,20 @@ class TestEnvelope:
         assert rep["results"]["n_exceptional"] == 1
         assert os.path.exists(rep["results"]["exceptional_csv"])
 
+    @pytest.mark.parametrize("command,extra", [
+        ("incidence", []), ("beck", []), ("ortho", ["--sigma", "0.5"]),
+    ])
+    def test_report_echoes_resolution(self, gen_dir, tmp_path, command, extra):
+        """The resolution a run used is in its config, whether it came from
+        the input's sidecar or from --delta."""
+        points = os.path.join(gen_dir, "points.csv")
+        sidecar = _report(gen_dir, "generate")["results"]["delta"]
+        for flag, want in (([], sidecar), (["--delta", "0.0625"], 0.0625)):
+            out = str(tmp_path / f"{command}{len(flag)}")
+            assert _run([command, "--input", points, *flag, *extra,
+                         "--out", out]) == 0
+            assert _report(out, command)["config"]["delta"] == want
+
     def test_audit_constants_report(self, tmp_path):
         out = str(tmp_path / "audit")
         rc = _run(["audit-constants", "--sigma", "0.5", "--s", "1.0",

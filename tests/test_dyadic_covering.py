@@ -321,6 +321,35 @@ class TestCircleCovering:
                                    halfwidths=[np.nextafter(a, 1.0), 0.0])
         assert n == 3
 
+    @staticmethod
+    def _point_arcs_oracle(angles, level):
+        """circle_covering_number's former branch for halfwidths=None."""
+        a = np.asarray(angles, dtype=float).reshape(-1)
+        n_arcs = 1 << level
+        two_pi = 2.0 * math.pi
+        bins = np.floor(a / two_pi * n_arcs).astype(np.int64) % n_arcs
+        return int(np.unique(bins).size)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-20.0, 20.0),
+                st.sampled_from([0.0, -0.0, 2.0 * math.pi, -2.0 * math.pi]),
+                # exact multiples of an arc width, at any level
+                st.builds(lambda k, lv: k * (2.0 * math.pi / 2 ** lv),
+                          st.integers(-70, 70), st.integers(0, MAX_LEVEL)),
+            ),
+            min_size=1, max_size=30,
+        ),
+        st.integers(0, MAX_LEVEL),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_point_angles_are_zero_halfwidth_intervals(self, angles, level):
+        want = self._point_arcs_oracle(angles, level)
+        assert circle_covering_number(angles, level) == want
+        assert circle_covering_number(angles, level, halfwidths=0.0) == want
+        assert circle_covering_number(angles, level, halfwidths=-0.0) == want
+
     def test_equispaced_angles_have_dimension_one(self):
         angles = np.arange(512) * (2.0 * math.pi / 512.0)
         est = circle_box_dimension(angles, 2, 8)

@@ -5,7 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gmtlab.covering import _check_level_window
+from gmtlab.dyadic import MAX_LEVEL, level_of
 from gmtlab.errors import (
     AllCollinear,
     CollinearX,
@@ -16,6 +20,7 @@ from gmtlab.errors import (
 )
 from gmtlab.experiments import (
     ExperimentSpec,
+    _clamped_window,
     Target,
     all_collinear,
     direction_intervals,
@@ -264,6 +269,29 @@ class TestOrthogonalProfile:
     def test_sigma_precondition(self, segment256):
         with pytest.raises(PreconditionError):
             orthogonal_exceptional_profile(segment256, 0.95)
+
+    @given(st.floats(2.0 ** -24, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_windows_are_clamped_windows(self, delta):
+        """The dim Y and projection windows, as computed inline before,
+        are _clamped_window((2, MAX_LEVEL)) and _clamped_window((2, 8))."""
+        hi = level_of(delta)
+        lv_hi = min(8, level_of(delta))
+        old = ((min(2, max(0, hi - 3)), hi), (min(2, max(0, lv_hi - 3)), lv_hi))
+        if hi < 3:
+            # the old windows spanned under 3 levels, which box_dimension refuses
+            with pytest.raises(ScaleRangeTooNarrow):
+                _clamped_window((2, MAX_LEVEL), delta)
+            with pytest.raises(PreconditionError):
+                _check_level_window(*old[0], delta)
+            return
+        assert _clamped_window((2, MAX_LEVEL), delta) == old[0]
+        assert _clamped_window((2, 8), delta) == old[1]
+
+    def test_coarse_set_is_too_narrow(self):
+        ds = DiscreteSet(np.array([[0.0, 0.0], [0.25, 0.5], [0.5, 0.25]]), 0.25)
+        with pytest.raises(ScaleRangeTooNarrow):
+            orthogonal_exceptional_profile(ds, 0.1)
 
     def test_projection_dims_cover_net(self, segment256):
         out = orthogonal_exceptional_profile(segment256, 0.3)

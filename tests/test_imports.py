@@ -1,0 +1,51 @@
+"""Import hygiene: the package loads numpy only; scipy is imported inside
+the functions that build a k-d tree, and nowhere else."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PKG = Path(__file__).resolve().parents[1] / "src" / "gmtlab"
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PKG.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gmtlab.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _scipy_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n.split(".")[0] == "scipy" for n in names):
+            yield node
+
+
+def test_scipy_imported_only_in_function_bodies():
+    modules = sorted(PKG.glob("*.py"))
+    assert modules
+    offenders = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_functions = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                in_functions.update(id(n) for n in ast.walk(fn))
+        offenders += [f"{path.name}:{node.lineno}" for node in _scipy_imports(tree)
+                      if id(node) not in in_functions]
+    assert offenders == []

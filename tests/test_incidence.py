@@ -78,7 +78,6 @@ class TestSpannedLines:
 
     def test_grid3_exact_mode(self, grid3_lines):
         assert grid3_lines.exact
-        assert grid3_lines.provenance == "spanned"
 
     def test_two_points_single_line(self):
         ds = DiscreteSet(np.array([[0.0, 0.0], [1.0, 1.0]]), 0.5)

@@ -139,6 +139,75 @@ def test_ball_masses_tree_blocks_match_oracle(monkeypatch, block):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _ball_masses_fft_oracle(m, radii):
+    """_ball_masses_fft before numpy.fft: scipy's fftconvolve per radius."""
+    from scipy.signal import fftconvolve
+
+    h = measures._lattice_pitch(m)
+    if h is None:
+        return None
+    idx = np.round(m.support.points / h).astype(np.int64)
+    lo = idx.min(axis=0)
+    idx = idx - lo
+    shape = idx.max(axis=0) + 1
+    qmax = int(math.floor(max(radii) / h * (1.0 + 1e-9)))
+    if (shape[0] + 2 * qmax) * (shape[1] + 2 * qmax) > measures._MAX_FFT_CELLS:
+        return None
+    grid = np.zeros((int(shape[0]), int(shape[1])))
+    np.add.at(grid, (idx[:, 0], idx[:, 1]), m.weights)
+    out = []
+    for r in radii:
+        q = int(math.floor(r / h * (1.0 + 1e-9)))
+        span = np.arange(-q, q + 1)
+        kern = (span[:, None] ** 2 + span[None, :] ** 2) <= (r / h) ** 2 * (1.0 + 1e-9)
+        conv = fftconvolve(grid, kern.astype(np.float64), mode="same")
+        out.append(np.maximum(conv[idx[:, 0], idx[:, 1]], 0.0))
+    return out
+
+
+def _random_weights(ds, seed):
+    w = np.random.default_rng(seed).random(len(ds))
+    return WeightedMeasure(ds, w / w.sum())
+
+
+def test_ball_masses_fft_matches_fftconvolve_oracle():
+    """More than _SMALL_SUPPORT lattice points, so ball_masses_at_support
+    itself takes the FFT path; uniform and random weights."""
+    ds = gen_random_delta_s_set(1.8, 2.0 ** -7, seed=2)
+    assert len(ds) > measures._SMALL_SUPPORT
+    radii = [2.0 ** -lv for lv in range(1, 8)] + [3.0 * 2.0 ** -6]
+    for m in (WeightedMeasure.uniform(ds), _random_weights(ds, 2)):
+        want = _ball_masses_fft_oracle(m, radii)
+        assert want is not None
+        for got, ref in zip(ball_masses_at_support(m, radii), want):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def _lattice_box_subset(rows, cols, seed):
+    """Half the nodes of a rows x cols box of the 2^-6 lattice."""
+    rng = np.random.default_rng(seed)
+    nodes = np.stack(np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+    keep = rng.permutation(nodes.shape[0])[:nodes.shape[0] // 2]
+    return DiscreteSet((nodes[keep] - 20) * 2.0 ** -6, 2.0 ** -6)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_grid(33),
+    lambda: _lattice_box_subset(45, 70, 1),
+])
+def test_ball_masses_fft_matches_tree(make):
+    m = _random_weights(make(), 5)
+    radii = [2.0 ** -lv for lv in range(2, 7)]
+    fft = measures._ball_masses_fft(m, radii)
+    assert fft is not None
+    for got, want in zip(fft, measures._ball_masses_tree(m, radii)):
+        assert np.max(np.abs(got - want)) <= 1e-12
+    for got, want in zip(fft, _ball_masses_fft_oracle(m, radii)):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # frostman fits
 # ---------------------------------------------------------------------------
@@ -200,6 +269,42 @@ def test_fit_log2_slope_matches_polyfit(maxima):
 # ---------------------------------------------------------------------------
 # energy
 # ---------------------------------------------------------------------------
+
+
+def _energy_cdist_oracle(m, sigma):
+    """energy before numpy distances: scipy's cdist per row block."""
+    from scipy.spatial import distance
+
+    pts = m.support.points
+    w = m.weights
+    n = len(m)
+    if n < 2:
+        return 0.0
+    block = max(1, (1 << 22) // n)
+    acc = 0.0
+    with np.errstate(divide="ignore"):
+        for i0 in range(0, n, block):
+            i1 = min(n, i0 + block)
+            d = distance.cdist(pts[i0:i1], pts)
+            rows = np.arange(i0, i1)
+            d[rows - i0, rows] = np.inf  # exclude the diagonal
+            acc += float((w[i0:i1, None] * w[None, :] * d ** -sigma).sum())
+    return acc
+
+
+@pytest.mark.parametrize("make", [
+    lambda: WeightedMeasure.uniform(segment_set(1024)),
+    lambda: WeightedMeasure.uniform(circle_set(512)),
+    lambda: WeightedMeasure.uniform(gen_random_delta_s_set(1.2, 2.0 ** -7, seed=0)),
+    # off-lattice points, random weights, several row blocks
+    lambda: _random_weights(DiscreteSet(
+        np.random.default_rng(1).uniform(-0.7, 0.7, (2600, 2)), 2.0 ** -20,
+        check=False), 1),
+])
+@pytest.mark.parametrize("sigma", [0.5, 0.75, 1.5])
+def test_energy_matches_cdist_oracle(make, sigma):
+    m = make()
+    assert energy(m, sigma) == _energy_cdist_oracle(m, sigma)
 
 
 def test_energy_segment_sigma_half():
