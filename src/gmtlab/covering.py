@@ -8,6 +8,7 @@ the regression never probes below a set's own resolution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,6 +32,11 @@ from .errors import (
 )
 from .generators import DiscreteSet, as_points
 from .geometry import Point
+
+# verify_delta_s_set on points that share delta-cells queries balls in blocks
+# of at most this many (ball, point) pairs, which also bounds its
+# (ball, cell) mask
+_BALL_PAIRS = 1 << 20
 
 
 def covering_number(obj, level: int) -> int:
@@ -140,13 +146,15 @@ def circle_covering_number(angles, level: int, halfwidths=None) -> int:
     lo = np.floor((a - h) / two_pi * n_arcs).astype(np.int64)
     spans = np.floor((a + h) / two_pi * n_arcs).astype(np.int64) - lo
     lo %= n_arcs
-    occupied = [lo]
-    for k in range(1, int(spans.max()) + 1):
-        sel = lo[spans >= k]
-        if sel.size == 0:
-            break
-        occupied.append((sel + k) % n_arcs)
-    return int(np.unique(np.concatenate(occupied)).size)
+    # interval i hits the run of arcs lo_i, ..., lo_i + span_i (mod n_arcs):
+    # mark each run's ends, splitting the runs that wrap past arc 0
+    end = lo + spans + 1
+    wrap = end > n_arcs
+    starts = np.concatenate([lo, np.zeros(np.count_nonzero(wrap), dtype=np.int64)])
+    stops = np.concatenate([np.minimum(end, n_arcs), end[wrap] - n_arcs])
+    depth = np.cumsum(np.bincount(starts, minlength=n_arcs + 1)
+                      - np.bincount(stops, minlength=n_arcs + 1))
+    return int(np.count_nonzero(depth[:n_arcs]))
 
 
 def circle_box_dimension(angles, level_min: int, level_max: int,
@@ -193,6 +201,16 @@ class DeltaSCheck:
     s: float
 
 
+def _distinct_cells_per_ball(hoods, cell_ids: np.ndarray, n_cells: int) -> np.ndarray:
+    """Distinct cell ids among each ball's point indices."""
+    sizes = np.fromiter(map(len, hoods), dtype=np.intp, count=len(hoods))
+    members = np.fromiter(itertools.chain.from_iterable(hoods), dtype=np.intp,
+                          count=int(sizes.sum()))
+    hit = np.zeros((len(hoods), n_cells), dtype=bool)
+    hit[np.repeat(np.arange(len(hoods)), sizes), cell_ids[members]] = True
+    return np.count_nonzero(hit, axis=1)
+
+
 def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     """Check the covering inequality |P ∩ B(x, r)|_delta <= C r^s |P|_delta.
 
@@ -214,6 +232,7 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     if not point_per_cell:
         # points share delta-cells: count distinct cells inside each ball
         _, cell_ids = unique_rows(cell_indices(pts, delta), return_inverse=True)
+        block = max(1, _BALL_PAIRS // pts.shape[0])
     tree = cKDTree(pts)
     worst = -math.inf
     witness = Point(float(pts[0, 0]), float(pts[0, 1]))
@@ -226,9 +245,12 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
         if point_per_cell:
             counts = tree.query_ball_point(centers, r, return_length=True).astype(float)
         else:
-            counts = np.empty(centers.shape[0])
-            for i, idx in enumerate(tree.query_ball_point(centers, r)):
-                counts[i] = np.unique(cell_ids[np.asarray(idx, dtype=np.intp)]).size
+            counts = np.concatenate([
+                _distinct_cells_per_ball(
+                    tree.query_ball_point(centers[b0:b0 + block], r, return_sorted=False),
+                    cell_ids, n_delta)
+                for b0 in range(0, centers.shape[0], block)
+            ]).astype(float)
         ratios = counts / (r ** s * n_delta)
         imax = int(np.argmax(ratios))
         if ratios[imax] > worst:

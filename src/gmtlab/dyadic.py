@@ -87,8 +87,12 @@ def quota_child_counts(
     carry: fractional child credit left over from previous levels; the
         updated carry is returned so small populations still realize a
         fractional branching factor on average.
+
+    Parents run along the last axis. The rows of 2-D arrays are
+    independent populations of one size that share the carry: each row
+    gets the same extra children a 1-D call on it would.
     """
-    p = surplus.shape[0]
+    p = surplus.shape[-1]
     growth = 2.0 ** branch_log2
     base = int(math.floor(growth + 1e-12))
     frac = growth - base
@@ -98,10 +102,10 @@ def quota_child_counts(
     extra = int(math.floor(budget + 1e-9))
     new_carry = budget - extra
     if extra > 0:
-        eligible = np.nonzero(counts < cap)[0]
-        if eligible.size:
-            order = np.lexsort((tiebreak[eligible], surplus[eligible]))
-            take = eligible[order[: min(extra, eligible.size)]]
-            counts = counts.copy()
-            counts[take] += 1
+        eligible = counts < cap
+        order = np.lexsort((tiebreak, surplus, ~eligible), axis=-1)
+        n_take = np.minimum(extra, eligible.sum(axis=-1, keepdims=True))
+        take = np.zeros_like(eligible)
+        np.put_along_axis(take, order, np.arange(p) < n_take, axis=-1)
+        counts = counts + take
     return counts, new_carry

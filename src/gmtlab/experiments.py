@@ -32,7 +32,7 @@ from .errors import (
 from .generators import DiscreteSet, gen_random_delta_s_set
 from .geometry import Point, line_residuals
 from .incidence import spanned_lines
-from .tubes import TubeFamily, _line_metric_cells, verify_tube_set
+from .tubes import TubeFamily, _anchors, _line_metric_cells, verify_tube_set
 
 _LINE_TOL = 1e-9
 # constant-target exponent for the generated set in furstenberg_count
@@ -201,9 +201,8 @@ def radial_dimension_profile(spec: ExperimentSpec) -> ExperimentResult:
     lo, hi = spec.scale_levels
     warnings: list = []
     table: list = []
-    best_slope = -1.0
     best_point = None
-    best_dirs = None
+    best_est = None
     for idx in farthest_point_indices(spec.x_set.points, spec.x_sample):
         x = Point(*spec.x_set.points[idx])
         try:
@@ -216,15 +215,12 @@ def radial_dimension_profile(spec: ExperimentSpec) -> ExperimentResult:
             continue
         est = circle_box_dimension(ang, lo, hi, halfwidths=halfw)
         table.append((x, est.slope))
-        if est.slope > best_slope:
-            best_slope = est.slope
+        if best_est is None or est.slope > best_est.slope:
             best_point = x
-            best_dirs = (ang, halfw)
+            best_est = est
     if best_point is None:
         best_point = Point(*spec.x_set.points[0])
         best_est = DimensionEstimate(0.0, 0.0, (lo, hi), 1.0, ())
-    else:
-        best_est = circle_box_dimension(best_dirs[0], lo, hi, halfwidths=best_dirs[1])
     return ExperimentResult(
         best_point, best_est, predicted,
         best_est.slope - predicted, table, warnings,
@@ -290,26 +286,31 @@ def erdos_beck_profile(x: DiscreteSet, t: float) -> dict:
     return out
 
 
-def _quota_angle_cells(sigma: float, levels: int, rng) -> np.ndarray:
-    """1-d dyadic quota construction: cells of [0,1) whose count grows
-    like 2^(sigma * level), branching at most 2 per parent."""
-    cells = np.zeros(1, dtype=np.int64)
-    surplus = np.zeros(1)
+def _quota_angle_cells(sigma: float, levels: int, rngs: list) -> np.ndarray:
+    """1-d dyadic quota construction, one row per generator: cells of
+    [0,1) whose count grows like 2^(sigma * level), branching at most 2
+    per parent. Every row has the same size, since the quota total
+    depends only on the row size and the carry."""
+    cells = np.zeros((len(rngs), 1), dtype=np.int64)
+    surplus = np.zeros(cells.shape)
     carry = 0.0
     for _ in range(levels):
-        p = cells.shape[0]
+        b, p = cells.shape
+        tiebreak = np.stack([rng.random(p) for rng in rngs])
+        keys = np.stack([rng.random((p, 2)) for rng in rngs])
         counts, carry = quota_child_counts(
             surplus,
             branch_log2=sigma,
-            available=np.full(p, 2, dtype=np.int64),
+            available=np.full((b, p), 2, dtype=np.int64),
             hard_cap=2,
-            tiebreak=rng.random(p),
+            tiebreak=tiebreak,
             carry=carry,
         )
-        ranks = np.argsort(rng.random((p, 2)), axis=1).argsort(axis=1)
-        parent_idx, sub_idx = np.nonzero(ranks < counts[:, None])
-        cells = cells[parent_idx] * 2 + sub_idx
-        surplus = surplus[parent_idx] + np.log2(counts[parent_idx]) - sigma
+        ranks = np.argsort(keys, axis=2).argsort(axis=2)
+        row, parent_idx, sub_idx = np.nonzero(ranks < counts[:, :, None])
+        cells = (cells[row, parent_idx] * 2 + sub_idx).reshape(b, -1)
+        surplus = (surplus[row, parent_idx] + np.log2(counts[row, parent_idx])
+                   - sigma).reshape(b, -1)
     return cells
 
 
@@ -346,27 +347,28 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
                 f"constant 16 (worst ratio {chk.worst_ratio:.2f})"
             )
     step = math.pi * 2.0 ** -lv
+    pts = x_set.points
+    block = max(1, (1 << 18) >> lv)
     all_cells = []
-    pencil_sizes = []
-    verified_any = False
-    for i, (px, py) in enumerate(x_set.points):
-        rng = np.random.default_rng((seed, i))
-        cells = _quota_angle_cells(sigma, lv, rng)
-        angles = (cells.astype(float) + 0.5) * step
-        offsets = -px * np.sin(angles) + py * np.cos(angles)
-        fam = TubeFamily(angles, offsets, width=delta,
-                         direction_net_step=step, scale=delta,
-                         label=f"pencil {i}")
-        pencil_sizes.append(len(fam))
-        if len(fam) <= _PENCIL_VERIFY_CAP and not verified_any:
-            chk = verify_tube_set(fam, sigma, 16.0)
-            verified_any = True
+    for b0 in range(0, len(pts), block):
+        rngs = [np.random.default_rng((seed, i))
+                for i in range(b0, min(len(pts), b0 + block))]
+        angles = (_quota_angle_cells(sigma, lv, rngs).astype(float) + 0.5) * step
+        xy = pts[b0:b0 + len(rngs)]
+        offsets = -xy[:, :1] * np.sin(angles) + xy[:, 1:] * np.cos(angles)
+        if b0 == 0 and angles.shape[1] <= _PENCIL_VERIFY_CAP:
+            pencil = TubeFamily(angles[0], offsets[0], width=delta,
+                                direction_net_step=step, scale=delta,
+                                label="pencil 0")
+            chk = verify_tube_set(pencil, sigma, 16.0)
             if not chk.passed:
                 warnings.append(
-                    f"pencil {i} misses the direction-regularity target "
+                    f"pencil 0 misses the direction-regularity target "
                     f"(worst ratio {chk.worst_ratio:.2f} > 16)"
                 )
-        all_cells.append(_line_metric_cells(fam, delta))
+        all_cells.append(unique_rows(
+            _line_metric_cells(angles, *_anchors(angles, offsets), delta)))
+        pencil_size = angles.shape[1]
     count = int(unique_rows(np.concatenate(all_cells, axis=0)).shape[0])
     wolff_floor = delta ** (-2.0 * sigma)
     return {
@@ -374,7 +376,7 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
         "wolff_floor": wolff_floor,
         "ratio": count / wolff_floor,
         "n_points": len(x_set),
-        "mean_pencil_size": float(np.mean(pencil_sizes)),
+        "mean_pencil_size": float(pencil_size),
         "warnings": warnings,
     }
 

@@ -27,7 +27,7 @@ _MAX_FFT_CELLS = 3 * 10 ** 7
 # supports up to this size use the tree scan unconditionally
 _SMALL_SUPPORT = 4096
 # ball centres per tree query, which bounds the neighbour lists held at once
-_TREE_BLOCK = 256
+_TREE_BLOCK = 64
 
 
 @dataclass

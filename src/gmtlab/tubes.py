@@ -5,6 +5,7 @@ and the constant schedule for the bootstrap argument."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -64,16 +65,32 @@ class TubeFamily:
     def __len__(self) -> int:
         return int(self.angles.size)
 
+    @functools.cached_property
+    def _column_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Members in stable column order (column = round(angle / step)),
+        the distinct columns, and where each one starts in that order.
+        Built on the first probe, so a family never probed pays nothing."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            col = self.angles / self.direction_net_step
+            col = np.round(col, out=col).astype(np.int64)
+        order = np.argsort(col, kind="stable")
+        col = col[order]
+        new = np.ones(col.size, dtype=bool)
+        np.not_equal(col[1:], col[:-1], out=new[1:])
+        return order, col[new], np.append(np.flatnonzero(new), col.size)
+
+    def _column_members(self, lo: int, hi: int) -> np.ndarray:
+        """Indices of the members whose column lies in [lo, hi]."""
+        order, values, starts = self._column_index
+        i = np.searchsorted(values, lo, side="left")
+        j = np.searchsorted(values, hi, side="right")
+        return order[starts[i]:starts[j]]
+
     def tube(self, i: int) -> Tube:
         return Tube(
             Line.from_angle_offset(float(self.angles[i]), float(self.offsets[i])),
             self.width,
         )
-
-    def anchor_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Axis anchor coordinates (offset times the unit normal)."""
-        return (-self.offsets * np.sin(self.angles),
-                self.offsets * np.cos(self.angles))
 
 
 def uniform_tube_family(r: float) -> TubeFamily:
@@ -152,20 +169,20 @@ def containment_multiplicity(fam: TubeFamily, theta_p: float, d_p: float) -> int
     step = fam.direction_net_step
     k_star = round(theta_p / step)
     j_span = int(math.ceil(ang_win / step)) + 1
-    cand_idx = []
     m_cols = int(round(math.pi / step))
-    col_of = np.round(fam.angles / step).astype(np.int64)
-    order = np.argsort(col_of, kind="stable")
-    col_sorted = col_of[order]
-    for k in range(k_star - j_span, k_star + j_span + 1):
-        km = k % m_cols
-        lo = np.searchsorted(col_sorted, km, side="left")
-        hi = np.searchsorted(col_sorted, km, side="right")
-        if hi > lo:
-            cand_idx.append(order[lo:hi])
-    if not cand_idx:
+    if m_cols < 1:
+        raise PreconditionError(f"direction net step {step!r} leaves no column in [0, pi)")
+    # the window's columns mod m_cols: one or two runs of [0, m_cols), or all
+    k_lo, k_hi = k_star - j_span, k_star + j_span
+    if k_hi - k_lo + 1 >= m_cols:
+        runs = [(0, m_cols - 1)]
+    elif k_lo % m_cols <= k_hi % m_cols:
+        runs = [(k_lo % m_cols, k_hi % m_cols)]
+    else:
+        runs = [(k_lo % m_cols, m_cols - 1), (0, k_hi % m_cols)]
+    idx = np.concatenate([fam._column_members(a, b) for a, b in runs])
+    if idx.size == 0:
         return 0
-    idx = np.unique(np.concatenate(cand_idx))
     th = fam.angles[idx]
     # containment forces the probe's mid-chord point inside the member
     mid = d_p * np.array([-math.sin(theta_p), math.cos(theta_p)])
@@ -379,12 +396,19 @@ class TubeSetCheck:
         }
 
 
-def _line_metric_cells(fam: TubeFamily, scale: float) -> np.ndarray:
-    ax, ay = fam.anchor_arrays()
+def _anchors(angles: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Axis anchor coordinates (offset times the unit normal)."""
+    return -offsets * np.sin(angles), offsets * np.cos(angles)
+
+
+def _line_metric_cells(angles: np.ndarray, ax: np.ndarray, ay: np.ndarray,
+                       scale: float) -> np.ndarray:
+    """Line-metric cells, one row per line: the angle and the axis anchor,
+    floored at the scale."""
     return np.column_stack((
-        np.floor(fam.angles / scale).astype(np.int64),
-        np.floor(ax / scale).astype(np.int64),
-        np.floor(ay / scale).astype(np.int64),
+        np.floor(np.ravel(angles) / scale).astype(np.int64),
+        np.floor(np.ravel(ax) / scale).astype(np.int64),
+        np.floor(np.ravel(ay) / scale).astype(np.int64),
     ))
 
 
@@ -404,9 +428,10 @@ def verify_tube_set(fam: TubeFamily, sigma: float, c: float) -> TubeSetCheck:
             f"{p} tubes exceed the all-pairs verification budget {_VERIFY_CAP}"
         )
     r = fam.scale
-    uniq, cell_ids = unique_rows(_line_metric_cells(fam, r), return_inverse=True)
+    ax, ay = _anchors(fam.angles, fam.offsets)
+    uniq, cell_ids = unique_rows(_line_metric_cells(fam.angles, ax, ay, r),
+                                 return_inverse=True)
     total = uniq.shape[0]
-    ax, ay = fam.anchor_arrays()
     ang = fam.angles
     worst = (-1.0, 0, 0)
     for lv in range(level_of(r), -1, -1):

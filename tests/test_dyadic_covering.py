@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmtlab import covering
 from gmtlab.covering import (
     box_dimension,
     circle_box_dimension,
@@ -272,6 +273,58 @@ def test_fit_log2_slope_columns_match_ortho_oracle(lo, n_levels, seed):
         assert one == pytest.approx((slopes[j], intercepts[j], r2[j]), abs=1e-12)
 
 
+def _quota_child_counts_oracle(surplus, branch_log2, available, hard_cap,
+                               tiebreak, carry=0.0):
+    """quota_child_counts before it worked along the last axis: a lexsort
+    over the eligible parents of one population."""
+    p = surplus.shape[0]
+    growth = 2.0 ** branch_log2
+    base = int(math.floor(growth + 1e-12))
+    frac = growth - base
+    cap = np.minimum(available, hard_cap)
+    counts = np.minimum(np.maximum(base, 1), cap)
+    budget = frac * p + carry
+    extra = int(math.floor(budget + 1e-9))
+    new_carry = budget - extra
+    if extra > 0:
+        eligible = np.nonzero(counts < cap)[0]
+        if eligible.size:
+            order = np.lexsort((tiebreak[eligible], surplus[eligible]))
+            take = eligible[order[: min(extra, eligible.size)]]
+            counts = counts.copy()
+            counts[take] += 1
+    return counts, new_carry
+
+
+@given(
+    rows=st.integers(1, 5),
+    p=st.integers(0, 40),
+    branch=st.floats(0.0, 2.0),
+    hard_cap=st.integers(1, 4),
+    carry=st.floats(0.0, 0.999),
+    seed=st.integers(0, 2 ** 31),
+)
+@settings(max_examples=200, deadline=None)
+def test_quota_child_counts_matches_oracle(rows, p, branch, hard_cap, carry, seed):
+    """Tied surpluses and tiebreaks, available below the cap; each row of a
+    2-D call equals the 1-D call on that row."""
+    r = np.random.default_rng(seed)
+    surplus = r.choice([-1.0, -0.25, 0.0, 0.5], size=(rows, p))
+    available = r.integers(1, 5, size=(rows, p))
+    tiebreak = r.choice([0.0, 0.5, 1.0], size=(rows, p))
+    got, got_carry = quota_child_counts(surplus, branch, available, hard_cap,
+                                        tiebreak=tiebreak, carry=carry)
+    assert got.shape == (rows, p)
+    for i in range(rows):
+        one, one_carry = quota_child_counts(surplus[i], branch, available[i], hard_cap,
+                                            tiebreak=tiebreak[i], carry=carry)
+        want, want_carry = _quota_child_counts_oracle(
+            surplus[i], branch, available[i], hard_cap, tiebreak[i], carry)
+        assert one.dtype == want.dtype and np.array_equal(one, want)
+        assert np.array_equal(got[i], want)
+        assert one_carry == got_carry == want_carry
+
+
 # ---------------------------------------------------------------------------
 # circle covering
 # ---------------------------------------------------------------------------
@@ -349,6 +402,47 @@ class TestCircleCovering:
         assert circle_covering_number(angles, level) == want
         assert circle_covering_number(angles, level, halfwidths=0.0) == want
         assert circle_covering_number(angles, level, halfwidths=-0.0) == want
+
+    @staticmethod
+    def _unique_arcs_oracle(angles, level, halfwidths):
+        """circle_covering_number before it marked arcs in a mask: the
+        hit arcs of every interval, then np.unique."""
+        a = np.asarray(angles, dtype=float).reshape(-1)
+        n_arcs = 1 << level
+        two_pi = 2.0 * math.pi
+        h = np.broadcast_to(np.asarray(halfwidths, dtype=float), a.shape)
+        if np.any(h >= math.pi):
+            return n_arcs
+        lo = np.floor((a - h) / two_pi * n_arcs).astype(np.int64)
+        spans = np.floor((a + h) / two_pi * n_arcs).astype(np.int64) - lo
+        lo %= n_arcs
+        occupied = [lo]
+        for k in range(1, int(spans.max()) + 1):
+            sel = lo[spans >= k]
+            if sel.size == 0:
+                break
+            occupied.append((sel + k) % n_arcs)
+        return int(np.unique(np.concatenate(occupied)).size)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(-20.0, 20.0),
+                          st.builds(lambda k, lv: k * (2.0 * math.pi / 2 ** lv),
+                                    st.integers(-70, 70), st.integers(0, MAX_LEVEL))),
+                # halfwidth in arc widths: up to 40, so past pi at levels below 6
+                st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, 40.0)),
+            ),
+            min_size=1, max_size=30,
+        ),
+        st.integers(0, MAX_LEVEL),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_intervals_match_unique_oracle(self, pairs, level):
+        angles = [a for a, _ in pairs]
+        halfwidths = [u * (2.0 * math.pi / 2 ** level) for _, u in pairs]
+        want = self._unique_arcs_oracle(angles, level, halfwidths)
+        assert circle_covering_number(angles, level, halfwidths=halfwidths) == want
 
     def test_equispaced_angles_have_dimension_one(self):
         angles = np.arange(512) * (2.0 * math.pi / 512.0)
@@ -442,6 +536,22 @@ def test_verify_delta_s_set_shared_cells_matches_oracle(seed, spacing):
     pts = grid + rng.uniform(0.0, 0.02 * delta, size=grid.shape)
     ds = DiscreteSet(pts, delta)
     assert count_cells(ds.points, delta) < len(ds)
+    for s in (0.5, 1.5, 2.0):
+        chk = verify_delta_s_set(ds, s, 16.0)
+        want = _verify_delta_s_set_oracle(ds, s, 16.0)
+        assert (chk.passed, chk.worst_ratio, chk.witness, chk.witness_level) == want
+
+
+@pytest.mark.parametrize("pairs", [1, 5000])
+def test_verify_delta_s_set_shared_cells_in_blocks(monkeypatch, pairs):
+    """Balls queried one centre at a time, and 8 centres at a time."""
+    monkeypatch.setattr(covering, "_BALL_PAIRS", pairs)
+    delta = 2.0 ** -4
+    rng = np.random.default_rng(0)
+    ticks = np.arange(-0.3, 0.5, 0.55 * delta)
+    grid = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)
+    ds = DiscreteSet(grid + rng.uniform(0.0, 0.02 * delta, size=grid.shape), delta)
+    assert len(ds) == 576
     for s in (0.5, 1.5, 2.0):
         chk = verify_delta_s_set(ds, s, 16.0)
         want = _verify_delta_s_set_oracle(ds, s, 16.0)

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmtlab.covering import _check_level_window
-from gmtlab.dyadic import MAX_LEVEL, level_of
+from gmtlab.covering import verify_delta_s_set
+from gmtlab.dyadic import MAX_LEVEL, level_of, quota_child_counts, unique_rows
 from gmtlab.errors import (
     AllCollinear,
     CollinearX,
@@ -19,6 +20,8 @@ from gmtlab.errors import (
     ScaleRangeTooNarrow,
 )
 from gmtlab.experiments import (
+    _PENCIL_VERIFY_CAP,
+    X_CONSTANT_EXPONENT,
     ExperimentSpec,
     _clamped_window,
     Target,
@@ -38,6 +41,7 @@ from gmtlab.generators import (
     segment_set,
 )
 from gmtlab.geometry import Point
+from gmtlab.tubes import TubeFamily, verify_tube_set
 
 
 def _collinear_set(n=32):
@@ -246,6 +250,142 @@ class TestFurstenbergCount:
         )
         with pytest.raises(PreconditionError):
             furstenberg_count(0.5, 1.5, 2.0 ** -10, seed=0, x_set=clustered)
+
+
+def _quota_angle_cells_oracle(sigma, levels, rng):
+    """_quota_angle_cells before pencils were built in blocks: one
+    generator, one pencil."""
+    cells = np.zeros(1, dtype=np.int64)
+    surplus = np.zeros(1)
+    carry = 0.0
+    for _ in range(levels):
+        p = cells.shape[0]
+        counts, carry = quota_child_counts(
+            surplus,
+            branch_log2=sigma,
+            available=np.full(p, 2, dtype=np.int64),
+            hard_cap=2,
+            tiebreak=rng.random(p),
+            carry=carry,
+        )
+        ranks = np.argsort(rng.random((p, 2)), axis=1).argsort(axis=1)
+        parent_idx, sub_idx = np.nonzero(ranks < counts[:, None])
+        cells = cells[parent_idx] * 2 + sub_idx
+        surplus = surplus[parent_idx] + np.log2(counts[parent_idx]) - sigma
+    return cells
+
+
+def _line_metric_cells_oracle(fam, scale):
+    """tubes._line_metric_cells when it took a TubeFamily, with the
+    former TubeFamily.anchor_arrays inlined."""
+    ax, ay = (-fam.offsets * np.sin(fam.angles),
+              fam.offsets * np.cos(fam.angles))
+    return np.column_stack((
+        np.floor(fam.angles / scale).astype(np.int64),
+        np.floor(ax / scale).astype(np.int64),
+        np.floor(ay / scale).astype(np.int64),
+    ))
+
+
+def _furstenberg_count_oracle(sigma, s, delta, seed, x_set=None):
+    """furstenberg_count before pencils were built in blocks: one
+    TubeFamily per point."""
+    if not (0.0 < sigma < 1.0):
+        raise PreconditionError(f"sigma {sigma!r} outside (0, 1)")
+    if not (sigma < s < 2.0):
+        raise PreconditionError(f"s {s!r} outside (sigma, 2)")
+    if not (2.0 ** -12 - 1e-15 <= delta <= 2.0 ** -4 + 1e-15):
+        raise PreconditionError(f"delta {delta!r} outside [2^-12, 2^-4]")
+    lv = level_of(delta)
+    warnings: list = []
+    if x_set is None:
+        x_set = gen_random_delta_s_set(s, delta, seed)
+        target_c = delta ** -X_CONSTANT_EXPONENT
+        if 16.0 > target_c:
+            warnings.append(
+                f"generator regularity constant 16 exceeds the target "
+                f"delta^-{X_CONSTANT_EXPONENT:g} = {target_c:.2f} at this scale"
+            )
+    else:
+        chk = verify_delta_s_set(x_set, s, 16.0)
+        if not chk.passed:
+            raise PreconditionError(
+                f"supplied point set is not ({delta:g}, {s:g})-regular at "
+                f"constant 16 (worst ratio {chk.worst_ratio:.2f})"
+            )
+    step = math.pi * 2.0 ** -lv
+    all_cells = []
+    pencil_sizes = []
+    verified_any = False
+    for i, (px, py) in enumerate(x_set.points):
+        rng = np.random.default_rng((seed, i))
+        cells = _quota_angle_cells_oracle(sigma, lv, rng)
+        angles = (cells.astype(float) + 0.5) * step
+        offsets = -px * np.sin(angles) + py * np.cos(angles)
+        fam = TubeFamily(angles, offsets, width=delta,
+                         direction_net_step=step, scale=delta,
+                         label=f"pencil {i}")
+        pencil_sizes.append(len(fam))
+        if len(fam) <= _PENCIL_VERIFY_CAP and not verified_any:
+            chk = verify_tube_set(fam, sigma, 16.0)
+            verified_any = True
+            if not chk.passed:
+                warnings.append(
+                    f"pencil {i} misses the direction-regularity target "
+                    f"(worst ratio {chk.worst_ratio:.2f} > 16)"
+                )
+        all_cells.append(_line_metric_cells_oracle(fam, delta))
+    count = int(unique_rows(np.concatenate(all_cells, axis=0)).shape[0])
+    wolff_floor = delta ** (-2.0 * sigma)
+    return {
+        "count": count,
+        "wolff_floor": wolff_floor,
+        "ratio": count / wolff_floor,
+        "n_points": len(x_set),
+        "mean_pencil_size": float(np.mean(pencil_sizes)),
+        "warnings": warnings,
+    }
+
+
+def _assert_same_outcome(*args, **kwargs):
+    """furstenberg_count and its oracle return the same dict, value types
+    included, or raise the same error."""
+    outcomes = []
+    for fn in (furstenberg_count, _furstenberg_count_oracle):
+        try:
+            out = fn(*args, **kwargs)
+            outcomes.append((out, {k: type(v) for k, v in out.items()}))
+        except PreconditionError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+
+
+class TestFurstenbergBlocks:
+    """Pencils built in blocks against the retired per-point loop."""
+
+    @given(
+        sigma=st.floats(0.05, 0.95),
+        level=st.integers(4, 10),
+        u=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2 ** 31 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_generated_and_supplied_sets(self, sigma, level, u, seed):
+        delta = 2.0 ** -level
+        # at most about 2^9 points, or 2^(0.97 * 10) at the finest level
+        s = sigma + u * (max(sigma + 0.02, min(1.99, 9.0 / level)) - sigma)
+        _assert_same_outcome(sigma, s, delta, seed)
+        x_set = gen_random_delta_s_set(s, delta, seed + 1)
+        _assert_same_outcome(sigma, s, delta, seed, x_set=x_set)
+
+    @pytest.mark.parametrize("sigma, seed", [(0.3, 4), (0.93, 5)])
+    def test_several_blocks_and_a_partial_one(self, sigma, seed):
+        """At delta = 2^-10 a block holds 256 points; this set has 406."""
+        delta = 2.0 ** -10
+        x_set = gen_random_delta_s_set(0.95, delta, 6)
+        assert len(x_set) == 406
+        assert furstenberg_count(sigma, 0.95, delta, seed, x_set=x_set)["n_points"] == 406
+        _assert_same_outcome(sigma, 0.95, delta, seed, x_set=x_set)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def _ball_masses_tree_oracle(m, radii):
     return out
 
 
-@pytest.mark.parametrize("block", [1, 7, 256])
+@pytest.mark.parametrize("block", [1, 7, 64, 256])
 def test_ball_masses_tree_blocks_match_oracle(monkeypatch, block):
     ds = gen_random_delta_s_set(1.2, 2.0 ** -7, seed=4)
     w = np.random.default_rng(4).random(len(ds))

@@ -14,7 +14,7 @@ from gmtlab.errors import (
     SeparationViolated,
 )
 from gmtlab.generators import DiscreteSet, circle_set, gen_grid
-from gmtlab.geometry import Point
+from gmtlab.geometry import Point, line_residuals
 from gmtlab.measures import (
     WeightedMeasure,
     frostman_fit,
@@ -22,9 +22,12 @@ from gmtlab.measures import (
     tube_mass,
 )
 from gmtlab.tubes import (
+    _CONTAIN_TOL,
     FuRenInstance,
     TubeFamily,
+    _anchors,
     _line_metric_cells,
+    _max_dist_to_line,
     bootstrap_schedule,
     containment_multiplicity,
     fu_ren_audit,
@@ -74,7 +77,7 @@ class TestTubeFamily:
 
     def test_anchor_arrays_match_tubes(self):
         fam = uniform_tube_family(0.25)
-        ax, ay = fam.anchor_arrays()
+        ax, ay = _anchors(fam.angles, fam.offsets)
         for i in (0, len(fam) // 2, len(fam) - 1):
             t = fam.tube(i)
             assert t.axis.anchor.x == pytest.approx(ax[i], abs=1e-12)
@@ -130,7 +133,7 @@ class TestContainment:
         r = 2.0 ** -2
         fam = uniform_tube_family(r)
         n_axis, n_fam = 801, len(fam)
-        fx, fy = fam.anchor_arrays()
+        fx, fy = _anchors(fam.angles, fam.offsets)
         nx, ny = -np.sin(fam.angles), np.cos(fam.angles)
         for _ in range(12):
             theta = float(rng.uniform(0.0, math.pi))
@@ -177,6 +180,134 @@ class TestContainment:
                  for a, d in zip(angles, offsets)]
         assert min(mults) >= 1
         assert max(mults) <= 50
+
+
+def _containment_multiplicity_oracle(fam, theta_p, d_p):
+    """containment_multiplicity before the per-family column index: each
+    probe rounds and argsorts every member angle, walks the window's
+    columns one by one and takes np.unique of the candidates."""
+    h = fam.scale / 2.0
+    if abs(d_p) >= 1.0:
+        raise PreconditionError("probe axis misses the open unit disc")
+    chord = 2.0 * math.sqrt(max(1e-300, 1.0 - d_p * d_p))
+    sin_win = min(1.0, fam.width / chord + 1e-9)
+    ang_win = math.asin(sin_win)
+    step = fam.direction_net_step
+    k_star = round(theta_p / step)
+    j_span = int(math.ceil(ang_win / step)) + 1
+    cand_idx = []
+    m_cols = int(round(math.pi / step))
+    col_of = np.round(fam.angles / step).astype(np.int64)
+    order = np.argsort(col_of, kind="stable")
+    col_sorted = col_of[order]
+    for k in range(k_star - j_span, k_star + j_span + 1):
+        km = k % m_cols
+        lo = np.searchsorted(col_sorted, km, side="left")
+        hi = np.searchsorted(col_sorted, km, side="right")
+        if hi > lo:
+            cand_idx.append(order[lo:hi])
+    if not cand_idx:
+        return 0
+    idx = np.unique(np.concatenate(cand_idx))
+    th = fam.angles[idx]
+    mid = d_p * np.array([-math.sin(theta_p), math.cos(theta_p)])
+    mid_gap = line_residuals(mid, th, fam.offsets[idx])[0]
+    idx = idx[mid_gap <= fam.width / 2.0 + 1e-9]
+    if idx.size == 0:
+        return 0
+    dist = _max_dist_to_line(theta_p, d_p, h, fam.angles[idx], fam.offsets[idx])
+    return int((dist <= fam.width / 2.0 + _CONTAIN_TOL).sum())
+
+
+def _probes_with_wrap(fam, count, seed):
+    """Random probes, probes within a column of angle 0 and of pi, and
+    probes along the axes of eight members."""
+    rng = np.random.default_rng(seed)
+    step = fam.direction_net_step
+    near = np.concatenate([[0.0, 1e-15, math.pi, np.nextafter(math.pi, 0.0)],
+                           rng.uniform(0.0, 1.5 * step, 6),
+                           math.pi - rng.uniform(0.0, 1.5 * step, 6)])
+    angles = np.concatenate([rng.uniform(0.0, math.pi, count), near])
+    lim = 1.0 - 2.0 * fam.scale
+    offsets = rng.uniform(-lim, lim, angles.size)
+    on_axis = rng.choice(np.flatnonzero(np.abs(fam.offsets) < lim), 8)
+    return (np.concatenate([angles, fam.angles[on_axis]]),
+            np.concatenate([offsets, fam.offsets[on_axis]]))
+
+
+class TestContainmentIndex:
+    """containment_multiplicity on the per-family column index against the
+    retired per-probe argsort."""
+
+    @staticmethod
+    def _assert_matches(fam, angles, offsets):
+        got = [containment_multiplicity(fam, a, d)
+               for a, d in zip(angles.tolist(), offsets.tolist())]
+        assert got == [_containment_multiplicity_oracle(fam, a, d)
+                       for a, d in zip(angles.tolist(), offsets.tolist())]
+        assert max(got) > 0
+
+    @pytest.mark.parametrize("level", [3, 4, 5, 6])
+    def test_uniform_families(self, level):
+        fam = uniform_tube_family(2.0 ** -level)
+        self._assert_matches(fam, *_probes_with_wrap(fam, 24, level))
+        order, columns, starts = fam._column_index
+        assert order.size == len(fam)
+        assert columns.size == starts.size - 1 <= len(fam)
+
+    def test_shuffled_members_and_column_m_cols(self):
+        base = uniform_tube_family(2.0 ** -4)
+        step = base.direction_net_step
+        m_cols = int(round(math.pi / step))
+        perm = np.random.default_rng(2).permutation(len(base))
+        # one member just below pi rounds to column m_cols: never a candidate
+        angles = np.append(base.angles[perm], math.pi - step / 4.0)
+        offsets = np.append(base.offsets[perm], 0.0)
+        fam = TubeFamily(angles, offsets, width=base.width,
+                         direction_net_step=step, scale=base.scale)
+        assert round(angles[-1] / step) == m_cols
+        self._assert_matches(fam, *_probes_with_wrap(fam, 24, 5))
+        without = TubeFamily(angles[:-1], offsets[:-1], width=base.width,
+                             direction_net_step=step, scale=base.scale)
+        for a in (0.0, math.pi - step / 4.0):
+            assert containment_multiplicity(fam, a, 0.0) == \
+                containment_multiplicity(without, a, 0.0)
+
+    def test_columns_far_outnumber_members(self):
+        rng = np.random.default_rng(7)
+        step = 1e-5
+        m_cols = int(round(math.pi / step))
+        cols = rng.integers(0, m_cols, 40)
+        cols[:10] = rng.integers(0, 20, 10)            # near angle 0
+        cols[10:20] = m_cols - rng.integers(1, 20, 10)  # near angle pi
+        fam = TubeFamily(cols * step, rng.uniform(-0.5, 0.5, 40), width=0.05,
+                         direction_net_step=step, scale=0.025)
+        self._assert_matches(fam, *_probes_with_wrap(fam, 6, 8))
+        assert m_cols > 1000 * len(fam) and fam._column_index[1].size <= len(fam)
+
+    def test_window_wider_than_the_net(self):
+        """Few columns, wide tubes: the window covers every column; members
+        off the net and at negative columns as well."""
+        rng = np.random.default_rng(9)
+        step = math.pi / 4.0
+        angles = np.concatenate([np.arange(4) * step, rng.uniform(-0.5, math.pi, 20)])
+        fam = TubeFamily(angles, rng.uniform(-0.6, 0.6, angles.size), width=0.6,
+                         direction_net_step=step, scale=0.3)
+        self._assert_matches(fam, *_probes_with_wrap(fam, 24, 10))
+
+    def test_step_beyond_two_pi_is_rejected(self):
+        """round(pi / step) = 0 columns; the retired code divided by zero."""
+        fam = TubeFamily(np.zeros(1), np.zeros(1), width=0.5,
+                         direction_net_step=7.0, scale=0.25)
+        with pytest.raises(ZeroDivisionError):
+            _containment_multiplicity_oracle(fam, 0.3, 0.0)
+        with pytest.raises(PreconditionError):
+            containment_multiplicity(fam, 0.3, 0.0)
+
+    def test_empty_family(self):
+        fam = TubeFamily(np.zeros(0), np.zeros(0), width=0.1,
+                         direction_net_step=0.1, scale=0.1)
+        assert containment_multiplicity(fam, 0.3, 0.2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +442,9 @@ def _verify_tube_set_oracle(fam, sigma, c):
     near each member at each level."""
     p = len(fam)
     r = fam.scale
-    cells = _line_metric_cells(fam, r)
+    ax, ay = _anchors(fam.angles, fam.offsets)
+    cells = _line_metric_cells(fam.angles, ax, ay, r)
     total = np.unique(cells, axis=0).shape[0]
-    ax, ay = fam.anchor_arrays()
     ang = fam.angles
     worst = (-1.0, 0, 0)
     for lv in range(level_of(r), -1, -1):
