@@ -2,9 +2,9 @@
 line statistics, tube families, union tube counting, projection
 experiments, and the bootstrap constant schedule.
 
-Every run writes a JSON report envelope (schema-checked) plus CSV
-sidecars into --out.  Exit codes: 0 success, 2 bad input or
-configuration, 3 a computed result failed its own invariant.
+Every run writes a JSON report envelope plus CSV sidecars into --out.
+Exit codes: 0 success, 2 bad input or configuration, 3 a computed result
+failed its own invariant (including a report missing a required key).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import os
 import sys
 import time
 
-import jsonschema
 import numpy as np
 
 from . import io as gio
@@ -51,39 +50,20 @@ from .tubes import (
 
 SCHEMA_VERSION = "2.0.0"
 
-_ENVELOPE_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "command", "config", "timing",
-                 "results", "warnings"],
-    "properties": {
-        "schema_version": {"type": "string"},
-        "command": {"type": "string"},
-        "config": {
-            "type": "object",
-            "required": ["seed", "rng"],
-        },
-        "timing": {
-            "type": "object",
-            "required": ["elapsed_seconds"],
-        },
-        "results": {"type": "object"},
-        "warnings": {"type": "array", "items": {"type": "string"}},
-    },
-}
-
-_RESULT_SCHEMAS = {
-    "generate": {"required": ["n_points", "delta", "points_csv"]},
-    "dimension": {"required": ["slope", "level_range", "counts"]},
-    "incidence": {"required": ["n_points", "n_lines", "incidence_count",
-                               "cs_bound"]},
-    "beck": {"required": ["n_points", "max_collinear", "spanned_line_count",
-                          "dichotomy_verdict"]},
-    "tubes": {"required": ["family_size", "scale", "multiplicity"]},
-    "furstenberg": {"required": ["count", "wolff_floor", "ratio"]},
-    "project": {"required": ["target"]},
-    "ortho": {"required": ["n_exceptional", "measured_dim", "sigma"]},
-    "audit-constants": {"required": ["eta", "kappa", "log2_r0", "log2_r1",
-                                     "log2_r2", "log2_k_prime"]},
+# Keys each command's results must carry; _emit refuses (exit 3) a report
+# missing any of them.
+_REQUIRED_RESULTS = {
+    "generate": ("n_points", "delta", "points_csv"),
+    "dimension": ("slope", "level_range", "counts"),
+    "incidence": ("n_points", "n_lines", "incidence_count", "cs_bound"),
+    "beck": ("n_points", "max_collinear", "spanned_line_count",
+             "dichotomy_verdict"),
+    "tubes": ("family_size", "scale", "multiplicity"),
+    "furstenberg": ("count", "wolff_floor", "ratio"),
+    "project": ("target",),
+    "ortho": ("n_exceptional", "measured_dim", "sigma"),
+    "audit-constants": ("eta", "kappa", "log2_r0", "log2_r1", "log2_r2",
+                        "log2_k_prime"),
 }
 
 
@@ -98,7 +78,12 @@ def _echo_config(args, extra: dict) -> dict:
 
 
 def _emit(args, command: str, config: dict, results: dict,
-          warnings: list, t0: float) -> dict:
+          warnings: list, t0: float) -> None:
+    missing = [k for k in _REQUIRED_RESULTS[command] if k not in results]
+    if missing:
+        raise InvariantViolation(
+            f"{command} report is missing result keys {missing}"
+        )
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -107,17 +92,10 @@ def _emit(args, command: str, config: dict, results: dict,
         "results": results,
         "warnings": [str(w) for w in warnings],
     }
-    envelope = gio.json_safe(envelope)
-    jsonschema.validate(envelope, _ENVELOPE_SCHEMA)
-    jsonschema.validate(
-        envelope["results"],
-        {"type": "object", **_RESULT_SCHEMAS[command]},
-    )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{command}-report.json")
     gio.write_json(path, envelope)
     print(f"{command}: report written to {path}")
-    return envelope
 
 
 def _read_points(args, attr: str = "input"):

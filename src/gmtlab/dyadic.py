@@ -1,13 +1,14 @@
 """Shared dyadic-grid utilities: cell indexing, distinct integer rows and
 quota branching.
 
-The quota-branching helper drives both the random set generator and the
-Frostman-style subset extraction: every parent square keeps between
-floor(2^s) and ceil(2^s) children, and the fractional part of 2^s is
-realized by handing the extra child to the parents whose lineage is
-currently furthest below its size target (surplus diffusion).  This
-keeps each subtree's leaf count within a bounded factor of its
-expectation, which the covering checks rely on.
+The quota-branching helper drives the random quota trees (the random set
+generator and the Furstenberg direction pencils) and the Frostman-style
+subset extraction: every parent square keeps between floor(2^s) and
+ceil(2^s) children, and the fractional part of 2^s is realized by
+handing the extra child to the parents whose lineage is currently
+furthest below its size target (surplus diffusion).  This keeps each
+subtree's leaf count within a bounded factor of its expectation, which
+the covering checks rely on.
 """
 
 from __future__ import annotations
@@ -109,3 +110,47 @@ def quota_child_counts(
         np.put_along_axis(take, order, np.arange(p) < n_take, axis=-1)
         counts = counts + take
     return counts, new_carry
+
+
+def quota_tree(branch_log2: float, levels: int, rngs: list,
+               dim: int) -> np.ndarray:
+    """Leaves of random quota trees, one tree per generator.
+
+    Each tree starts from the unit cube of dimension `dim` and descends
+    `levels` dyadic levels; every cell keeps children among its 2^dim
+    subcells under the quota rule with branching 2^branch_log2. Per
+    level, each generator draws its parents' tiebreaks and then one rank
+    key per (parent, subcell); the kept subcells are the lowest-ranked.
+    Returns integer cells of shape (len(rngs), n, dim), every tree with
+    the same n, since the quota total depends only on the row size and
+    the carry. Subcell k sits at the bits of k, lowest bit first: (0,0),
+    (1,0), (0,1), (1,1) in the plane.
+    """
+    n_sub = 2 ** dim
+    sub = (np.arange(n_sub)[:, None] >> np.arange(dim)) & 1
+    hard_cap = max(1, math.ceil(2.0 ** branch_log2 - 1e-12))
+    b = len(rngs)
+    cells = np.zeros((b, 1, dim), dtype=np.int64)
+    surplus = np.zeros((b, 1))
+    carry = 0.0
+    for _ in range(levels):
+        p = cells.shape[1]
+        tiebreak = np.stack([rng.random(p) for rng in rngs])
+        keys = np.stack([rng.random((p, n_sub)) for rng in rngs])
+        counts, carry = quota_child_counts(
+            surplus,
+            branch_log2=branch_log2,
+            available=np.full((b, p), n_sub, dtype=np.int64),
+            hard_cap=hard_cap,
+            tiebreak=tiebreak,
+            carry=carry,
+        )
+        ranks = np.argsort(keys, axis=2).argsort(axis=2)
+        parent, sub_idx = np.divmod(
+            np.flatnonzero(ranks < counts[:, :, None]), n_sub)
+        cells = (cells.reshape(-1, dim)[parent] * 2
+                 + sub[sub_idx]).reshape(b, -1, dim)
+        counts = counts.reshape(-1)[parent]
+        surplus = (surplus.reshape(-1)[parent] + np.log2(counts)
+                   - branch_log2).reshape(b, -1)
+    return cells

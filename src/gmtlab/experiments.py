@@ -19,7 +19,7 @@ from .covering import (
     fit_log2_slope,
     verify_delta_s_set,
 )
-from .dyadic import MAX_LEVEL, level_of, quota_child_counts, unique_rows
+from .dyadic import MAX_LEVEL, level_of, quota_tree, unique_rows
 from .errors import (
     AllCollinear,
     AllMassAtCenter,
@@ -286,34 +286,6 @@ def erdos_beck_profile(x: DiscreteSet, t: float) -> dict:
     return out
 
 
-def _quota_angle_cells(sigma: float, levels: int, rngs: list) -> np.ndarray:
-    """1-d dyadic quota construction, one row per generator: cells of
-    [0,1) whose count grows like 2^(sigma * level), branching at most 2
-    per parent. Every row has the same size, since the quota total
-    depends only on the row size and the carry."""
-    cells = np.zeros((len(rngs), 1), dtype=np.int64)
-    surplus = np.zeros(cells.shape)
-    carry = 0.0
-    for _ in range(levels):
-        b, p = cells.shape
-        tiebreak = np.stack([rng.random(p) for rng in rngs])
-        keys = np.stack([rng.random((p, 2)) for rng in rngs])
-        counts, carry = quota_child_counts(
-            surplus,
-            branch_log2=sigma,
-            available=np.full((b, p), 2, dtype=np.int64),
-            hard_cap=2,
-            tiebreak=tiebreak,
-            carry=carry,
-        )
-        ranks = np.argsort(keys, axis=2).argsort(axis=2)
-        row, parent_idx, sub_idx = np.nonzero(ranks < counts[:, :, None])
-        cells = (cells[row, parent_idx] * 2 + sub_idx).reshape(b, -1)
-        surplus = (surplus[row, parent_idx] + np.log2(counts[row, parent_idx])
-                   - sigma).reshape(b, -1)
-    return cells
-
-
 def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
                       x_set: Optional[DiscreteSet] = None) -> dict:
     """Union covering number, in the line metric, of random direction
@@ -353,7 +325,7 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
     for b0 in range(0, len(pts), block):
         rngs = [np.random.default_rng((seed, i))
                 for i in range(b0, min(len(pts), b0 + block))]
-        angles = (_quota_angle_cells(sigma, lv, rngs).astype(float) + 0.5) * step
+        angles = (quota_tree(sigma, lv, rngs, dim=1)[..., 0] + 0.5) * step
         xy = pts[b0:b0 + len(rngs)]
         offsets = -xy[:, :1] * np.sin(angles) + xy[:, 1:] * np.cos(angles)
         if b0 == 0 and angles.shape[1] <= _PENCIL_VERIFY_CAP:

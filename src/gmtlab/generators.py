@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import is_dyadic, quota_child_counts, unique_rows
+from .dyadic import is_dyadic, quota_tree, unique_rows
 from .errors import (
     EmptyInput,
     InvariantViolation,
@@ -27,8 +27,6 @@ from .errors import (
 BOX_RADIUS = 2.0
 MAX_POINTS = 2 ** 24
 RNG_ALGORITHM = "numpy-pcg64"
-
-_SUBCELLS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.int64)
 
 
 @dataclass
@@ -224,26 +222,7 @@ def gen_random_delta_s_set(s: float, delta: float, seed: int) -> DiscreteSet:
     if 2.0 ** (s * levels) > MAX_POINTS:
         raise TooManyPoints(f"target size 2^{s * levels:.1f} exceeds the 2^24 cap")
     rng = np.random.default_rng(seed)
-
-    cells = np.zeros((1, 2), dtype=np.int64)
-    surplus = np.zeros(1)
-    hard_cap = int(math.ceil(2.0 ** s - 1e-12))
-    carry = 0.0
-    for _ in range(levels):
-        p = cells.shape[0]
-        counts, carry = quota_child_counts(
-            surplus,
-            branch_log2=s,
-            available=np.full(p, 4, dtype=np.int64),
-            hard_cap=max(hard_cap, 1),
-            tiebreak=rng.random(p),
-            carry=carry,
-        )
-        ranks = np.argsort(rng.random((p, 4)), axis=1).argsort(axis=1)
-        parent_idx, sub_idx = np.nonzero(ranks < counts[:, None])
-        cells = cells[parent_idx] * 2 + _SUBCELLS[sub_idx]
-        surplus = surplus[parent_idx] + np.log2(counts[parent_idx]) - s
-
+    cells = quota_tree(s, levels, [rng], dim=2)[0]
     pts = cells.astype(float) * delta
     return DiscreteSet(
         pts,

@@ -73,21 +73,23 @@ def _canonical_triples(ints: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.nda
 
 
 def _spanned_exact(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique canonical triples and per-line point counts."""
-    n = ints.shape[0]
-    pieces = []
-    counts_pieces = []
-    ii, jj = np.triu_indices(n, 1)
-    for s in range(0, ii.size, _PAIR_CHUNK):
-        chunk = _canonical_triples(ints, ii[s:s + _PAIR_CHUNK], jj[s:s + _PAIR_CHUNK])
-        uniq, cnt = unique_rows(chunk, return_counts=True)
-        pieces.append(uniq)
-        counts_pieces.append(cnt)
-    allrows = np.concatenate(pieces)
-    allcnt = np.concatenate(counts_pieces)
-    triples, inv = unique_rows(allrows, return_inverse=True)
-    pair_counts = np.zeros(triples.shape[0], dtype=np.int64)
-    np.add.at(pair_counts, inv, allcnt)
+    """Unique canonical triples and per-line point counts. Pairs are keyed
+    in chunks; with more than one chunk, the per-chunk distinct rows are
+    merged and their pair counts summed."""
+    ii, jj = np.triu_indices(ints.shape[0], 1)
+    pieces = [
+        unique_rows(_canonical_triples(ints, ii[s:s + _PAIR_CHUNK],
+                                       jj[s:s + _PAIR_CHUNK]),
+                    return_counts=True)
+        for s in range(0, ii.size, _PAIR_CHUNK)
+    ]
+    if len(pieces) == 1:
+        triples, pair_counts = pieces[0]
+    else:
+        triples, inv = unique_rows(np.concatenate([u for u, _ in pieces]),
+                                   return_inverse=True)
+        pair_counts = np.zeros(triples.shape[0], dtype=np.int64)
+        np.add.at(pair_counts, inv, np.concatenate([c for _, c in pieces]))
     return triples, _points_on_lines(pair_counts)
 
 

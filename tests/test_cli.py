@@ -190,6 +190,19 @@ class TestExitCodes:
                    "--out", str(tmp_path / "x")])
         assert rc == 3
 
+    def test_report_missing_required_key_is_3(self, tmp_path, monkeypatch,
+                                              capsys):
+        import gmtlab.cli as cli
+        monkeypatch.setitem(cli._REQUIRED_RESULTS, "audit-constants",
+                            cli._REQUIRED_RESULTS["audit-constants"]
+                            + ("no_such_key",))
+        out = tmp_path / "x"
+        rc = _run(["audit-constants", "--sigma", "0.5", "--s", "1.0",
+                   "--eps", "0.01", "--out", str(out)])
+        assert rc == 3
+        assert "no_such_key" in capsys.readouterr().err
+        assert not (out / "audit-constants-report.json").exists()
+
     _BAD_FILES = {
         "missing-lines": None,
         "missing-input": None,

@@ -387,6 +387,11 @@ class TestFurstenbergBlocks:
         assert furstenberg_count(sigma, 0.95, delta, seed, x_set=x_set)["n_points"] == 406
         _assert_same_outcome(sigma, 0.95, delta, seed, x_set=x_set)
 
+    def test_tiny_sigma(self):
+        """Below sigma = 1.44e-12 the hard cap is one child per parent, where
+        the retired loop allowed two; the extra child is never granted."""
+        _assert_same_outcome(1e-13, 0.5, 2.0 ** -12, 3)
+
 
 # ---------------------------------------------------------------------------
 # orthogonal projections

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmtlab.covering import verify_delta_s_set
-from gmtlab.dyadic import count_cells
+from gmtlab.dyadic import count_cells, quota_child_counts
 from gmtlab.errors import InvariantViolation, PreconditionError
 from gmtlab.generators import (
     DiscreteSet,
@@ -188,6 +188,43 @@ class TestRandomDeltaS:
     def test_full_density_at_s2(self):
         ds = gen_random_delta_s_set(2.0, 2.0 ** -4, seed=1)
         assert len(ds) == 4 ** 4  # every cell survives the quota walk
+
+
+def _random_delta_s_cells_oracle(s, delta, seed):
+    """gen_random_delta_s_set's quota walk before it moved into
+    dyadic.quota_tree: one 2-D tree, one generator."""
+    subcells = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=np.int64)
+    levels = int(round(math.log2(1.0 / delta)))
+    rng = np.random.default_rng(seed)
+
+    cells = np.zeros((1, 2), dtype=np.int64)
+    surplus = np.zeros(1)
+    hard_cap = int(math.ceil(2.0 ** s - 1e-12))
+    carry = 0.0
+    for _ in range(levels):
+        p = cells.shape[0]
+        counts, carry = quota_child_counts(
+            surplus,
+            branch_log2=s,
+            available=np.full(p, 4, dtype=np.int64),
+            hard_cap=max(hard_cap, 1),
+            tiebreak=rng.random(p),
+            carry=carry,
+        )
+        ranks = np.argsort(rng.random((p, 4)), axis=1).argsort(axis=1)
+        parent_idx, sub_idx = np.nonzero(ranks < counts[:, None])
+        cells = cells[parent_idx] * 2 + subcells[sub_idx]
+        surplus = surplus[parent_idx] + np.log2(counts[parent_idx]) - s
+    return cells
+
+
+@given(st.floats(0.0, 2.0), st.integers(2, 9), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_random_delta_s_set_matches_oracle(s, level, seed):
+    delta = 2.0 ** -level
+    ds = gen_random_delta_s_set(s, delta, seed)
+    want = _random_delta_s_cells_oracle(s, delta, seed).astype(float) * delta
+    assert np.array_equal(ds.points, want)
 
 
 # ---------------------------------------------------------------------------

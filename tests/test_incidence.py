@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmtlab.dyadic import unique_rows
 from gmtlab.errors import AllCollinear, InvariantViolation, PreconditionError, TooFewPoints
 from gmtlab.experiments import line_set_dimension
 from gmtlab.generators import DiscreteSet, gen_grid, gen_planted_collinear
@@ -23,7 +24,9 @@ from gmtlab.incidence import (
     incidence_count,
     rich_lines,
     _canonical_triples,
+    _points_on_lines,
     _rationalize,
+    _spanned_exact,
     _spanned_float,
     spanned_lines,
     weak_dirac_stat,
@@ -171,6 +174,46 @@ def test_spanned_float_matches_dict_loop_oracle(n, seed, grid):
     assert np.array_equal(ang, angoff[:, 0])
     assert np.array_equal(off, angoff[:, 1])
     assert np.array_equal(got_k, k)
+
+
+def _spanned_exact_oracle(ints, chunk):
+    """_spanned_exact before a single chunk skipped the merge: every chunk's
+    distinct rows go through a second unique_rows and an np.add.at."""
+    n = ints.shape[0]
+    pieces = []
+    counts_pieces = []
+    ii, jj = np.triu_indices(n, 1)
+    for s in range(0, ii.size, chunk):
+        part = _canonical_triples(ints, ii[s:s + chunk], jj[s:s + chunk])
+        uniq, cnt = unique_rows(part, return_counts=True)
+        pieces.append(uniq)
+        counts_pieces.append(cnt)
+    allrows = np.concatenate(pieces)
+    allcnt = np.concatenate(counts_pieces)
+    triples, inv = unique_rows(allrows, return_inverse=True)
+    pair_counts = np.zeros(triples.shape[0], dtype=np.int64)
+    np.add.at(pair_counts, inv, allcnt)
+    return triples, _points_on_lines(pair_counts)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spanned_exact_chunking_matches_two_pass_oracle(chunk, seed,
+                                                        monkeypatch):
+    """Lattice sets with many collinear triples: any chunk size gives the
+    single-chunk rows and counts, and so does the retired two-pass code."""
+    import gmtlab.incidence as inc
+
+    rng = np.random.default_rng(seed)
+    grid = np.stack(np.meshgrid(np.arange(9), np.arange(9)), -1).reshape(-1, 2)
+    ints = grid[rng.permutation(grid.shape[0])[:60]]  # 1,770 pairs
+    single = _spanned_exact(ints)
+    monkeypatch.setattr(inc, "_PAIR_CHUNK", chunk)
+    chunked = _spanned_exact(ints)
+    for want in (single, _spanned_exact_oracle(ints, chunk),
+                 _spanned_exact_oracle(ints, 1 << 21)):
+        assert np.array_equal(chunked[0], want[0])
+        assert np.array_equal(chunked[1], want[1])
 
 
 def _from_lines_oracle(lines):
