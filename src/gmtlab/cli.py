@@ -78,12 +78,17 @@ def _echo_config(args, extra: dict) -> dict:
 
 
 def _emit(args, command: str, config: dict, results: dict,
-          warnings: list, t0: float) -> None:
+          warnings: list, t0: float, sidecars=()) -> None:
+    """Check the results, then write each sidecar (write, path, *data) as
+    write(path, *data) and the report, so a refused report writes nothing."""
     missing = [k for k in _REQUIRED_RESULTS[command] if k not in results]
     if missing:
         raise InvariantViolation(
             f"{command} report is missing result keys {missing}"
         )
+    os.makedirs(args.out, exist_ok=True)
+    for write, sidecar, *data in sidecars:
+        write(sidecar, *data)
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -92,7 +97,6 @@ def _emit(args, command: str, config: dict, results: dict,
         "results": results,
         "warnings": [str(w) for w in warnings],
     }
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"{command}-report.json")
     gio.write_json(path, envelope)
     print(f"{command}: report written to {path}")
@@ -124,9 +128,7 @@ def cmd_generate(args) -> int:
         ds = gen_planted_collinear(args.n, args.k, args.seed)
     else:
         raise ConfigInvalid(f"unknown kind {kind!r}")
-    os.makedirs(args.out, exist_ok=True)
     pts_path = os.path.join(args.out, "points.csv")
-    gio.write_points_csv(pts_path, ds)
     config = _echo_config(args, {
         "kind": kind, "delta": args.delta, "s": args.s,
         "n": args.n, "m": args.m, "k": args.k,
@@ -135,7 +137,8 @@ def cmd_generate(args) -> int:
         "n_points": len(ds), "delta": ds.delta, "label": ds.label,
         "points_csv": pts_path, "meta": ds.meta,
     }
-    _emit(args, "generate", config, results, [], t0)
+    _emit(args, "generate", config, results, [], t0,
+          [(gio.write_points_csv, pts_path, ds)])
     return 0
 
 
@@ -143,9 +146,7 @@ def cmd_dimension(args) -> int:
     t0 = time.perf_counter()
     ds = _read_points(args)
     est = box_dimension(ds, args.level_min, args.level_max)
-    os.makedirs(args.out, exist_ok=True)
     lv_path = os.path.join(args.out, "levels.csv")
-    gio.write_levels_csv(lv_path, est.counts)
     config = _echo_config(args, {
         "input": args.input, "level_min": args.level_min,
         "level_max": args.level_max, "delta": ds.delta,
@@ -157,7 +158,8 @@ def cmd_dimension(args) -> int:
         "counts": [[int(l), int(c)] for l, c in est.counts],
         "levels_csv": lv_path,
     }
-    _emit(args, "dimension", config, results, [], t0)
+    _emit(args, "dimension", config, results, [], t0,
+          [(gio.write_levels_csv, lv_path, est.counts)])
     return 0
 
 
@@ -197,9 +199,7 @@ def cmd_tubes(args) -> int:
         containment_multiplicity(fam, angles[i], offsets[i])
         for i in range(args.probes)
     ])
-    os.makedirs(args.out, exist_ok=True)
     tubes_path = os.path.join(args.out, "tubes.csv")
-    gio.write_tubes_csv(tubes_path, fam.angles, fam.offsets, fam.width)
     config = _echo_config(args, {
         "r": args.r, "probes": args.probes,
     })
@@ -214,7 +214,8 @@ def cmd_tubes(args) -> int:
         },
         "tubes_csv": tubes_path,
     }
-    _emit(args, "tubes", config, results, [], t0)
+    _emit(args, "tubes", config, results, [], t0,
+          [(gio.write_tubes_csv, tubes_path, fam.angles, fam.offsets, fam.width)])
     return 0
 
 
@@ -240,6 +241,7 @@ def cmd_project(args) -> int:
         "t": args.t,
     })
     warnings: list = []
+    sidecars = []
     if target in (Target.KAUFMAN11, Target.FALCONER12):
         y_set = gio.read_points_csv(args.y_input) if args.y_input else x_set
         spec = ExperimentSpec(
@@ -247,9 +249,8 @@ def cmd_project(args) -> int:
             scale_levels=(args.level_min, args.level_max), target=target,
         )
         res = radial_dimension_profile(spec)
-        os.makedirs(args.out, exist_ok=True)
         table_path = os.path.join(args.out, "per_x.csv")
-        gio.write_profile_csv(table_path, res.per_x_table)
+        sidecars.append((gio.write_profile_csv, table_path, res.per_x_table))
         results = {"target": target.value, **res.as_json(),
                    "per_x_csv": table_path}
         warnings = results.pop("warnings")
@@ -268,7 +269,7 @@ def cmd_project(args) -> int:
         raise ConfigInvalid(
             f"target {target.value!r} runs through its own command"
         )
-    _emit(args, "project", config, results, warnings, t0)
+    _emit(args, "project", config, results, warnings, t0, sidecars)
     return 0
 
 
@@ -276,15 +277,14 @@ def cmd_ortho(args) -> int:
     t0 = time.perf_counter()
     ds = _read_points(args)
     out = orthogonal_exceptional_profile(ds, args.sigma)
-    os.makedirs(args.out, exist_ok=True)
     dir_path = os.path.join(args.out, "exceptional.csv")
     exc = out.pop("exceptional_directions")
     dims = out.pop("projection_dims")
-    gio.write_angles_csv(dir_path, exc, dims[dims < args.sigma])
     config = _echo_config(args, {"input": args.input, "sigma": args.sigma,
                                  "delta": ds.delta})
     results = {**out, "exceptional_csv": dir_path}
-    _emit(args, "ortho", config, results, [], t0)
+    _emit(args, "ortho", config, results, [], t0,
+          [(gio.write_angles_csv, dir_path, exc, dims[dims < args.sigma])])
     return 0
 
 

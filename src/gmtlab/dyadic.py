@@ -1,5 +1,5 @@
-"""Shared dyadic-grid utilities: cell indexing, distinct integer rows and
-quota branching.
+"""Shared dyadic-grid utilities: cell indexing, distinct integer rows,
+quota branching, and disc sums on integer lattices by FFT.
 
 The quota-branching helper drives the random quota trees (the random set
 generator and the Furstenberg direction pencils) and the Frostman-style
@@ -14,8 +14,11 @@ the covering checks rely on.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
+
+from .errors import InvariantViolation
 
 MAX_LEVEL = 20
 
@@ -96,7 +99,7 @@ def quota_child_counts(
     p = surplus.shape[-1]
     growth = 2.0 ** branch_log2
     base = int(math.floor(growth + 1e-12))
-    frac = growth - base
+    frac = max(0.0, growth - base)  # growth may sit 1e-12 below base
     cap = np.minimum(available, hard_cap)
     counts = np.minimum(np.maximum(base, 1), cap)
     budget = frac * p + carry
@@ -154,3 +157,88 @@ def quota_tree(branch_log2: float, levels: int, rngs: list,
         surplus = (surplus.reshape(-1)[parent] + np.log2(counts)
                    - branch_log2).reshape(b, -1)
     return cells
+
+
+# lattice_disc_sums refuses transform grids with more cells than this
+MAX_FFT_CELLS = 3 * 10 ** 7
+
+
+def fast_len(n: int) -> int:
+    """Smallest 5-smooth integer >= n: a length the FFT transforms fast."""
+    best = 1 << max(0, n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def disc_grid_shape(nodes: np.ndarray, centres: np.ndarray, q: int) -> tuple:
+    """Transform grid of lattice_disc_sums for a disc of lattice radius q:
+    each side of the box over nodes and centres, plus q, rounded up to a
+    fast length."""
+    side = (np.maximum(nodes.max(axis=0), centres.max(axis=0))
+            - np.minimum(nodes.min(axis=0), centres.min(axis=0)) + 1)
+    return tuple(fast_len(int(k) + q) for k in side)
+
+
+def lattice_disc_sums(nodes: np.ndarray, weights: np.ndarray,
+                      centres: np.ndarray, q2: int) -> Optional[np.ndarray]:
+    """Summed weight of the nodes within squared lattice distance q2 of
+    each centre (di^2 + dj^2 <= q2), by one circular FFT convolution.
+
+    nodes and centres are integer rows (i, j); weights has one entry per
+    node. Sides padded to the box side plus q = isqrt(q2) keep the
+    circular wrap-around out of every cell that is read. Float sums carry
+    rounding noise of the transform. None if the grid would exceed
+    MAX_FFT_CELLS.
+    """
+    q = math.isqrt(q2)
+    shape = disc_grid_shape(nodes, centres, q)
+    if shape[0] * shape[1] > MAX_FFT_CELLS:
+        return None
+    lo = np.minimum(nodes.min(axis=0), centres.min(axis=0))
+    at = nodes - lo
+    # the disc is even, so its spectrum is real; rfft2 and irfft2 run one
+    # axis at a time, each input dropped once transformed, so fewer than
+    # three grid-sized arrays are alive at once
+    span = np.arange(-q, q + 1)
+    disc = np.zeros(shape)
+    disc[np.ix_(span % shape[0], span % shape[1])] = (
+        span[:, None] ** 2 + span[None, :] ** 2 <= q2)
+    disc = np.fft.rfft(disc, axis=1)
+    disc = np.fft.fft(disc, axis=0).real.copy()
+    spec = np.bincount(at[:, 0] * shape[1] + at[:, 1], weights,
+                       minlength=shape[0] * shape[1]).reshape(shape)
+    spec = np.fft.rfft(spec, axis=1)
+    spec = np.fft.fft(spec, axis=0)
+    spec *= disc
+    del disc
+    spec = np.fft.ifft(spec, axis=0)
+    sums = np.fft.irfft(spec, shape[1], axis=1)
+    at = centres - lo
+    return sums[at[:, 0], at[:, 1]]
+
+
+def lattice_disc_counts(nodes: np.ndarray, centres: np.ndarray,
+                        q2: int) -> Optional[np.ndarray]:
+    """Number of nodes within squared lattice distance q2 of each centre:
+    lattice_disc_sums with unit weights, rounded to integers. Raises
+    InvariantViolation if a sum is not within 0.25 of an integer; None if
+    the grid would exceed MAX_FFT_CELLS."""
+    sums = lattice_disc_sums(nodes, np.ones(nodes.shape[0]), centres, q2)
+    if sums is None:
+        return None
+    counts = np.rint(sums)
+    if np.max(np.abs(sums - counts)) > 0.25:
+        raise InvariantViolation(
+            f"FFT disc counts strayed {np.max(np.abs(sums - counts)):.3g} "
+            f"from integers (squared radius {q2})"
+        )
+    return counts

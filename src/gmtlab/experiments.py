@@ -154,9 +154,11 @@ def all_collinear(points: np.ndarray, tol: float = _LINE_TOL) -> bool:
 
 
 def direction_intervals(y: DiscreteSet, x: Point) -> tuple[np.ndarray, np.ndarray]:
-    """Angular intervals subtended at x by the set's resolution cells:
-    center angles plus halfwidths asin(delta / distance).  Points closer
-    than twice the resolution are dropped, as in the measure pushforward."""
+    """Angular intervals subtended at x by the set's resolution cells: the
+    directions of the two tangents from x to the disc of radius delta about
+    each point, as lower and upper edges (upper >= lower, within 2 pi).
+    Points closer than twice the resolution are dropped, as in the measure
+    pushforward."""
     d = y.points - np.array([x.x, x.y])
     dist = np.hypot(d[:, 0], d[:, 1])
     keep = dist >= 2.0 * y.delta * (1.0 - 1e-12)
@@ -165,9 +167,14 @@ def direction_intervals(y: DiscreteSet, x: Point) -> tuple[np.ndarray, np.ndarra
             f"every point of the projected set sits within 2 delta of "
             f"({x.x:g}, {x.y:g})"
         )
-    ang = np.mod(np.arctan2(d[keep, 1], d[keep, 0]), 2.0 * math.pi)
-    halfw = np.arcsin(np.minimum(1.0, y.delta / dist[keep]))
-    return ang, halfw
+    dx, dy = d[keep, 0], d[keep, 1]
+    rho = y.delta
+    # d turned by -/+ asin(rho / |d|), scaled by |d|: an edge that is exactly
+    # axis-aligned comes out exactly, where centre -/+ halfwidth would not
+    tangent = np.sqrt(dx * dx + dy * dy - rho * rho)
+    lower = np.arctan2(dy * tangent - dx * rho, dx * tangent + dy * rho)
+    upper = np.arctan2(dy * tangent + dx * rho, dx * tangent - dy * rho)
+    return np.where(upper < lower, lower - 2.0 * math.pi, lower), upper
 
 
 def radial_dimension_profile(spec: ExperimentSpec) -> ExperimentResult:
@@ -206,14 +213,14 @@ def radial_dimension_profile(spec: ExperimentSpec) -> ExperimentResult:
     for idx in farthest_point_indices(spec.x_set.points, spec.x_sample):
         x = Point(*spec.x_set.points[idx])
         try:
-            ang, halfw = direction_intervals(spec.y_set, x)
+            lower, upper = direction_intervals(spec.y_set, x)
         except AllMassAtCenter:
             warnings.append(
                 f"center ({x.x:g}, {x.y:g}) swallows the entire projected set"
             )
             table.append((x, 0.0))
             continue
-        est = circle_box_dimension(ang, lo, hi, halfwidths=halfw)
+        est = circle_box_dimension(lower, lo, hi, upper)
         table.append((x, est.slope))
         if best_est is None or est.slope > best_est.slope:
             best_point = x

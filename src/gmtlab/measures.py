@@ -10,6 +10,12 @@ from typing import Optional
 import numpy as np
 
 from .covering import _check_level_window, fit_log2_slope
+from .dyadic import (
+    MAX_FFT_CELLS,
+    disc_grid_shape,
+    lattice_disc_counts,
+    lattice_disc_sums,
+)
 from .errors import (
     AllMassAtCenter,
     EmptyInput,
@@ -22,8 +28,6 @@ from .geometry import Ball, Point, Tube, line_residuals
 WEIGHT_TOL = 1e-9
 BALL_TOL = 1e-12
 
-# grids larger than this (cells) fall back to the tree-based ball scan
-_MAX_FFT_CELLS = 3 * 10 ** 7
 # supports up to this size use the tree scan unconditionally
 _SMALL_SUPPORT = 4096
 # ball centres per tree query, which bounds the neighbour lists held at once
@@ -187,33 +191,22 @@ def _lattice_pitch(m: WeightedMeasure) -> Optional[float]:
 
 
 def _ball_masses_fft(m: WeightedMeasure, radii) -> Optional[list]:
-    """Per-radius arrays of ball mass at every support point, via convolution
-    of lattice cell masses with a disc stencil. None if the support is not
-    lattice-aligned or the lattice is too large."""
+    """Per-radius arrays of ball mass at every support point, from FFT disc
+    sums over the lattice nodes. A uniform measure takes integer counts
+    times its one weight, so equal balls get equal masses. None if the
+    support is not lattice-aligned or the lattice is too large."""
     h = _lattice_pitch(m)
     if h is None:
         return None
-    idx = np.round(m.support.points / h).astype(np.int64)
-    lo = idx.min(axis=0)
-    idx = idx - lo
-    shape = idx.max(axis=0) + 1
-    qmax = int(math.floor(max(radii) / h * (1.0 + 1e-9)))
-    if (shape[0] + 2 * qmax) * (shape[1] + 2 * qmax) > _MAX_FFT_CELLS:
+    nodes = np.round(m.support.points / h).astype(np.int64)
+    q2s = [int(math.floor((r / h) ** 2 * (1.0 + 1e-9))) for r in radii]
+    rows, cols = disc_grid_shape(nodes, nodes, math.isqrt(max(q2s)))
+    if rows * cols > MAX_FFT_CELLS:
         return None
-    grid = np.zeros((int(shape[0]), int(shape[1])))
-    np.add.at(grid, (idx[:, 0], idx[:, 1]), m.weights)
-    out = []
-    for r in radii:
-        q = int(math.floor(r / h * (1.0 + 1e-9)))
-        span = np.arange(-q, q + 1)
-        kern = (span[:, None] ** 2 + span[None, :] ** 2) <= (r / h) ** 2 * (1.0 + 1e-9)
-        # full linear convolution; the stencil's centre sits at offset q
-        pad = (grid.shape[0] + 2 * q, grid.shape[1] + 2 * q)
-        conv = np.fft.irfft2(
-            np.fft.rfft2(grid, pad) * np.fft.rfft2(kern.astype(np.float64), pad), pad
-        )
-        out.append(np.maximum(conv[idx[:, 0] + q, idx[:, 1] + q], 0.0))
-    return out
+    w = m.weights
+    if np.all(w == w[0]):
+        return [lattice_disc_counts(nodes, nodes, q2) * w[0] for q2 in q2s]
+    return [np.maximum(lattice_disc_sums(nodes, w, nodes, q2), 0.0) for q2 in q2s]
 
 
 def _ball_masses_tree(m: WeightedMeasure, radii) -> list:

@@ -203,6 +203,30 @@ class TestExitCodes:
         assert "no_such_key" in capsys.readouterr().err
         assert not (out / "audit-constants-report.json").exists()
 
+    _SIDECAR_COMMANDS = {
+        "generate": ["generate", "--kind", "grid", "--m", "5"],
+        "dimension": ["dimension", "--input", "{points}",
+                      "--level-min", "0", "--level-max", "3"],
+        "tubes": ["tubes", "--r", str(2.0 ** -3), "--probes", "4"],
+        "project": ["project", "--target", "kaufman11", "--x-input", "{points}",
+                    "--x-sample", "2", "--level-min", "0", "--level-max", "3"],
+        "ortho": ["ortho", "--input", "{points}", "--sigma", "0.5"],
+    }
+
+    @pytest.mark.parametrize("command", list(_SIDECAR_COMMANDS))
+    def test_refused_report_writes_no_sidecar(self, command, gen_dir, tmp_path,
+                                              monkeypatch, capsys):
+        import gmtlab.cli as cli
+        monkeypatch.setitem(cli._REQUIRED_RESULTS, command,
+                            cli._REQUIRED_RESULTS[command] + ("no_such_key",))
+        points = os.path.join(gen_dir, "points.csv")
+        out = tmp_path / "x"
+        args = [a.format(points=points) for a in self._SIDECAR_COMMANDS[command]]
+        rc = _run(args + ["--out", str(out)])
+        assert rc == 3
+        assert "no_such_key" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     _BAD_FILES = {
         "missing-lines": None,
         "missing-input": None,

@@ -7,16 +7,18 @@ constant it is an oracle, not a regression snapshot.
 
 import ast
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gmtlab import covering
+from gmtlab import covering, dyadic
 from gmtlab.covering import (
+    DeltaSCheck,
     box_dimension,
     circle_box_dimension,
     circle_covering_number,
@@ -38,12 +40,14 @@ from gmtlab.dyadic import (
 )
 from gmtlab.errors import (
     EmptyInput,
+    InvariantViolation,
     PreconditionError,
     ScaleRangeTooNarrow,
 )
 from gmtlab.generators import (
     DiscreteSet,
     cantor_middle_thirds,
+    gen_grid,
     gen_ifs,
     gen_random_delta_s_set,
     segment_set,
@@ -139,6 +143,7 @@ def test_cell_indices_negative_coordinates():
     carry=st.floats(0.0, 0.999),
     seed=st.integers(0, 2 ** 31),
 )
+@example(p=1, branch=1.9999999999999998, carry=0.0, seed=0)  # 2^branch just below 4
 @settings(max_examples=80, deadline=None)
 def test_quota_counts_stay_in_range(p, branch, carry, seed):
     r = np.random.default_rng(seed)
@@ -342,19 +347,18 @@ class TestCircleCovering:
         assert circle_covering_number([0.05, 2.0 * math.pi + 0.05], 4) == 1
 
     def test_interval_mode_counts_spanned_arcs(self):
+        h = math.pi / 2.0 - 1e-6
         # centered on an arc boundary, a near-pi-wide interval spans 2 arcs
-        n = circle_covering_number([0.0], 2, halfwidths=[math.pi / 2.0 - 1e-6])
-        assert n == 2
+        assert circle_covering_number([-h], 2, upper=[h]) == 2
         # centered mid-arc it reaches one arc further on each side
-        n = circle_covering_number([math.pi / 4.0], 2,
-                                   halfwidths=[math.pi / 2.0 - 1e-6])
+        n = circle_covering_number([math.pi / 4.0 - h], 2, upper=[math.pi / 4.0 + h])
         assert n == 3
-        # full-circle halfwidth saturates
-        assert circle_covering_number([1.0], 4, halfwidths=[math.pi]) == 16
+        # a full-circle interval saturates
+        assert circle_covering_number([1.0 - math.pi], 4, upper=[1.0 + math.pi]) == 16
 
     def test_interval_mode_rejects_negative_halfwidth(self):
         with pytest.raises(PreconditionError):
-            circle_covering_number([0.0], 2, halfwidths=[-0.1])
+            circle_covering_number([0.1], 2, upper=[0.0])
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -370,13 +374,14 @@ class TestCircleCovering:
         a point 1.5 arc widths on meets arc 1."""
         a = 1e-3
         width = 2.0 * math.pi / 2 ** level
-        n = circle_covering_number([a, 1.5 * width], level,
-                                   halfwidths=[np.nextafter(a, 1.0), 0.0])
+        h = np.nextafter(a, 1.0)
+        n = circle_covering_number([a - h, 1.5 * width], level,
+                                   upper=[a + h, 1.5 * width])
         assert n == 3
 
     @staticmethod
     def _point_arcs_oracle(angles, level):
-        """circle_covering_number's former branch for halfwidths=None."""
+        """circle_covering_number's former branch for point angles."""
         a = np.asarray(angles, dtype=float).reshape(-1)
         n_arcs = 1 << level
         two_pi = 2.0 * math.pi
@@ -400,8 +405,7 @@ class TestCircleCovering:
     def test_point_angles_are_zero_halfwidth_intervals(self, angles, level):
         want = self._point_arcs_oracle(angles, level)
         assert circle_covering_number(angles, level) == want
-        assert circle_covering_number(angles, level, halfwidths=0.0) == want
-        assert circle_covering_number(angles, level, halfwidths=-0.0) == want
+        assert circle_covering_number(angles, level, upper=angles) == want
 
     @staticmethod
     def _unique_arcs_oracle(angles, level, halfwidths):
@@ -442,7 +446,9 @@ class TestCircleCovering:
         angles = [a for a, _ in pairs]
         halfwidths = [u * (2.0 * math.pi / 2 ** level) for _, u in pairs]
         want = self._unique_arcs_oracle(angles, level, halfwidths)
-        assert circle_covering_number(angles, level, halfwidths=halfwidths) == want
+        lower = [a - h for a, h in zip(angles, halfwidths)]
+        upper = [a + h for a, h in zip(angles, halfwidths)]
+        assert circle_covering_number(lower, level, upper=upper) == want
 
     def test_equispaced_angles_have_dimension_one(self):
         angles = np.arange(512) * (2.0 * math.pi / 512.0)
@@ -556,6 +562,184 @@ def test_verify_delta_s_set_shared_cells_in_blocks(monkeypatch, pairs):
         chk = verify_delta_s_set(ds, s, 16.0)
         want = _verify_delta_s_set_oracle(ds, s, 16.0)
         assert (chk.passed, chk.worst_ratio, chk.witness, chk.witness_level) == want
+
+
+def _verify_delta_s_set_tree_oracle(p, s, c):
+    """verify_delta_s_set before FFT disc counts: every level by k-d tree
+    ball queries."""
+    from scipy.spatial import cKDTree
+
+    if not (0.0 <= s <= 2.0):
+        raise PreconditionError(f"s {s!r} outside [0, 2]")
+    if c <= 0.0:
+        raise PreconditionError("constant must be positive")
+    pts = p.points
+    delta = p.delta
+    n_delta = count_cells(pts, delta)
+    point_per_cell = n_delta == pts.shape[0]
+    if not point_per_cell:
+        # points share delta-cells: count distinct cells inside each ball
+        _, cell_ids = unique_rows(cell_indices(pts, delta), return_inverse=True)
+        block = max(1, covering._BALL_PAIRS // pts.shape[0])
+    tree = cKDTree(pts)
+    worst = -math.inf
+    witness = Point(float(pts[0, 0]), float(pts[0, 1]))
+    witness_level = 0
+    top = level_of(delta)
+    for lv in range(0, top + 1):
+        r = 2.0 ** -lv
+        sq = unique_rows(cell_indices(pts, r)).astype(float)
+        centers = np.concatenate([pts, (sq + 0.5) * r], axis=0)
+        if point_per_cell:
+            counts = tree.query_ball_point(centers, r, return_length=True).astype(float)
+        else:
+            counts = np.concatenate([
+                covering._distinct_cells_per_ball(
+                    tree.query_ball_point(centers[b0:b0 + block], r, return_sorted=False),
+                    cell_ids, n_delta)
+                for b0 in range(0, centers.shape[0], block)
+            ]).astype(float)
+        ratios = counts / (r ** s * n_delta)
+        imax = int(np.argmax(ratios))
+        if ratios[imax] > worst:
+            worst = float(ratios[imax])
+            witness = Point(float(centers[imax, 0]), float(centers[imax, 1]))
+            witness_level = lv
+    return DeltaSCheck(worst <= c + 1e-9, worst, witness, witness_level, c, s)
+
+
+def _check_against_tree_oracle(ds, s):
+    """verify_delta_s_set under its own FFT/tree rule and with the FFT on
+    every level whose centres are lattice nodes, both equal to the oracle."""
+    want = _verify_delta_s_set_tree_oracle(ds, s, 16.0)
+    assert verify_delta_s_set(ds, s, 16.0) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "_FFT_CELLS_PER_CENTRE", math.inf)
+        assert verify_delta_s_set(ds, s, 16.0) == want
+
+
+@st.composite
+def _lattice_sets(draw):
+    """Points on the 2^-k lattice in [-1, 1]^2: random nodes, full grids,
+    or the edges of a box."""
+    k = draw(st.integers(2, 6))
+    half = 2 ** k
+    coord = st.integers(-half, half)
+    kind = draw(st.sampled_from(["nodes", "grid", "box-edges"]))
+    if kind == "nodes":
+        nodes = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=150,
+                              unique=True))
+    else:
+        i0, j0 = draw(coord), draw(coord)
+        i1 = draw(st.integers(i0, min(half, i0 + 24)))
+        j1 = draw(st.integers(j0, min(half, j0 + 24)))
+        nodes = [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)
+                 if kind == "grid" or i in (i0, i1) or j in (j0, j1)]
+    return DiscreteSet(np.array(nodes, dtype=float) * 2.0 ** -k, 2.0 ** -k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_lattice_sets(), st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+def test_verify_delta_s_set_matches_tree_oracle_on_lattice_sets(ds, s):
+    _check_against_tree_oracle(ds, s)
+
+
+def test_verify_delta_s_set_counts_disc_boundary_nodes():
+    """A full grid holds, for every square centre c and lattice radius q,
+    the nodes c -/+ (q, 0) and c -/+ (0, q), exactly on the ball's edge."""
+    ds = gen_grid(33)
+    nodes = np.rint(ds.points / ds.delta).astype(np.int64)
+    assert nodes.min() == 0 and nodes.max() == 32
+    _check_against_tree_oracle(ds, 2.0)
+    counts = dyadic.lattice_disc_counts(nodes, np.array([[8, 8]]), 64)
+    assert counts[0] == np.sum(np.sum((nodes - 8) ** 2, axis=1) <= 64)
+
+
+def _spread_sets():
+    """The four sets of the benchmark's spread workload at seed 1."""
+    return [gen_random_delta_s_set(1.5, 2.0 ** -9,
+                                   random.Random(f"spread:1:{i}").randrange(1 << 31))
+            for i in range(4)]
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_verify_delta_s_set_matches_tree_oracle_on_spread_sets(i):
+    ds = _spread_sets()[i]
+    assert verify_delta_s_set(ds, 1.5, 16.0) == _verify_delta_s_set_tree_oracle(ds, 1.5, 16.0)
+    ext = frostman_extract(ds, 1.5, 2.0 ** -7)
+    assert verify_delta_s_set(ext, 1.5, 16.0) == _verify_delta_s_set_tree_oracle(ext, 1.5, 16.0)
+
+
+@pytest.mark.parametrize("s, level", [(2.0, 7), (1.8, 8)])
+def test_verify_delta_s_set_matches_tree_oracle_on_dense_sets(s, level):
+    ds = gen_random_delta_s_set(s, 2.0 ** -level, 0)
+    assert verify_delta_s_set(ds, s, 16.0) == _verify_delta_s_set_tree_oracle(ds, s, 16.0)
+
+
+def test_verify_delta_s_set_refuses_non_integral_fft_counts(monkeypatch):
+    true_sums = dyadic.lattice_disc_sums
+
+    def perturbed(*args):
+        sums = true_sums(*args)
+        sums[0] += 0.3
+        return sums
+
+    monkeypatch.setattr(dyadic, "lattice_disc_sums", perturbed)
+    with pytest.raises(InvariantViolation, match="integers"):
+        verify_delta_s_set(_spread_sets()[0], 1.5, 16.0)
+
+
+def _next_prime(n):
+    n = max(n, 2)
+    while any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("length", [None, lambda n: n, _next_prime])
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=1,
+             max_size=80),
+    st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=1,
+             max_size=40),
+    st.integers(0, 2000),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_lattice_disc_sums_match_brute_force(length, nodes, centres, q2, seed):
+    """Transform sides rounded up to a fast length, left at the box side
+    plus q (no slack at all), and rounded up to a prime."""
+    nodes = np.array(nodes, dtype=np.int64)
+    centres = np.array(centres, dtype=np.int64)
+    weights = np.random.default_rng(seed).random(nodes.shape[0])
+    inside = ((centres[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2) <= q2
+    with pytest.MonkeyPatch.context() as mp:
+        if length is not None:
+            mp.setattr(dyadic, "fast_len", length)
+        sums = dyadic.lattice_disc_sums(nodes, weights, centres, q2)
+        counts = dyadic.lattice_disc_counts(nodes, centres, q2)
+    assert np.allclose(sums, inside @ weights, rtol=0.0, atol=1e-9)
+    assert np.array_equal(counts, inside.sum(axis=1))
+
+
+def test_fast_len_is_the_next_5_smooth_length():
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    for n in range(1, 2500):
+        f = dyadic.fast_len(n)
+        assert f >= n and smooth(f)
+        assert not any(smooth(k) for k in range(n, f))
+
+
+def test_lattice_disc_sums_refuses_large_grids(monkeypatch):
+    nodes = np.array([[0, 0], [99, 99]])
+    monkeypatch.setattr(dyadic, "MAX_FFT_CELLS", 100 * 100)
+    assert dyadic.lattice_disc_sums(nodes, np.ones(2), nodes, 1) is None
+    assert dyadic.lattice_disc_counts(nodes, nodes, 1) is None
 
 
 def test_frostman_extract_subset_and_floor(rand_half_set):

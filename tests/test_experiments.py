@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmtlab.covering import _check_level_window
-from gmtlab.covering import verify_delta_s_set
+from gmtlab.covering import circle_covering_number, verify_delta_s_set
 from gmtlab.dyadic import MAX_LEVEL, level_of, quota_child_counts, unique_rows
 from gmtlab.errors import (
     AllCollinear,
@@ -92,16 +92,45 @@ class TestHelpers:
         assert idx[0] == 0
 
     def test_direction_intervals_drop_near_center(self, grid5):
-        angles, halfw = direction_intervals(grid5, Point(0.0, 0.0))
+        lower, upper = direction_intervals(grid5, Point(0.0, 0.0))
         # the corner point itself (distance 0) is dropped
-        assert angles.size < len(grid5)
+        assert lower.size < len(grid5)
+        halfw = (upper - lower) / 2.0
         assert np.all(halfw > 0.0)
         assert np.all(halfw <= math.pi / 2.0 + 1e-12)
 
     def test_direction_intervals_widths_shrink_with_distance(self, grid5):
-        angles, halfw = direction_intervals(grid5, Point(-2.0, 0.5))
+        lower, upper = direction_intervals(grid5, Point(-2.0, 0.5))
         # all points at distance >= 1.5: halfwidth <= asin(delta / 1.5)
+        halfw = (upper - lower) / 2.0
         assert halfw.max() <= math.asin(min(1.0, grid5.delta / 1.5)) + 1e-12
+
+    def test_direction_intervals_match_centre_and_halfwidth(self):
+        """The tangent edges are the former centre -/+ asin(delta / |d|),
+        up to rounding, and exact where a lower tangent is horizontal:
+        points 26 and 38 lie one delta above the centre's line, so only
+        the arcs from 0 up to their upper edges are met, never arc
+        2^L - 1, which centre - halfwidth = -1.4e-17 reached."""
+        y = gen_random_delta_s_set(1.5, 2.0 ** -7, 3)
+        x = Point(0.1328125, 0.0)
+        lower, upper = direction_intervals(y, x)
+        d = y.points - np.array([x.x, x.y])
+        dist = np.hypot(d[:, 0], d[:, 1])
+        keep = dist >= 2.0 * y.delta * (1.0 - 1e-12)
+        ang = np.mod(np.arctan2(d[keep, 1], d[keep, 0]), 2.0 * math.pi)
+        halfw = np.arcsin(np.minimum(1.0, y.delta / dist[keep]))
+        turn = lambda v: np.mod(v + math.pi, 2.0 * math.pi) - math.pi
+        assert np.max(np.abs(turn(lower - (ang - halfw)))) <= 1e-15
+        assert np.max(np.abs(turn(upper - (ang + halfw)))) <= 1e-15
+        assert np.all((upper >= lower) & (upper - lower < math.pi))
+        idx = [26, 38]
+        assert np.array_equal(y.points[keep][idx, 1], [y.delta, y.delta])
+        assert lower[26] == 0.0 and lower[38] == 0.0
+        for level in range(0, 21):
+            arcs = 2 ** level
+            top = int(math.floor(upper[idx].max() / (2.0 * math.pi) * arcs))
+            assert circle_covering_number(lower[idx], level, upper=upper[idx]) == (
+                min(top + 1, arcs))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmtlab import measures
+from gmtlab import dyadic, measures
 from gmtlab.covering import fit_log2_slope
+from gmtlab.dyadic import MAX_FFT_CELLS
 from gmtlab.errors import (
     AllMassAtCenter,
     EmptyInput,
@@ -151,7 +152,7 @@ def _ball_masses_fft_oracle(m, radii):
     idx = idx - lo
     shape = idx.max(axis=0) + 1
     qmax = int(math.floor(max(radii) / h * (1.0 + 1e-9)))
-    if (shape[0] + 2 * qmax) * (shape[1] + 2 * qmax) > measures._MAX_FFT_CELLS:
+    if (shape[0] + 2 * qmax) * (shape[1] + 2 * qmax) > MAX_FFT_CELLS:
         return None
     grid = np.zeros((int(shape[0]), int(shape[1])))
     np.add.at(grid, (idx[:, 0], idx[:, 1]), m.weights)
@@ -211,6 +212,21 @@ def test_ball_masses_fft_matches_tree(make):
 # ---------------------------------------------------------------------------
 # frostman fits
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("length", [lambda n: n, lambda n: n + 7,
+                                    lambda n, fast=dyadic.fast_len: 2 * fast(n)])
+def test_frostman_fit_uniform_witness_ignores_transform_length(monkeypatch, length):
+    """A uniform measure's FFT masses are integer counts times one weight,
+    so centres with equal balls tie exactly and np.argmax takes the first,
+    whatever the transform length (float sums let rounding noise choose)."""
+    m = WeightedMeasure.uniform(gen_random_delta_s_set(2.0, 2.0 ** -7, 0))
+    assert len(m) > measures._SMALL_SUPPORT
+    want = frostman_fit(m, 1, 7)
+    monkeypatch.setattr(dyadic, "fast_len", length)
+    assert frostman_fit(m, 1, 7) == want
+    masses = ball_masses_at_support(m, [2.0 ** -6])[0]
+    assert np.array_equal(masses * len(m), np.rint(masses * len(m)))
 
 
 def test_frostman_fit_full_grid():
