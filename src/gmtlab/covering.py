@@ -132,26 +132,20 @@ def box_dimension(obj, level_min: int, level_max: int,
     return DimensionEstimate(slope, intercept, (level_min, level_max), r2, tuple(counts))
 
 
-def circle_covering_number(angles, level: int, upper=None) -> int:
-    """Occupied arcs after level dyadic halvings of the full circle
-    (2^level arcs, each of width 2 pi 2^-level).
-
-    With upper given, angle i is the lower edge of the closed interval
-    [angles_i, upper_i], taken counterclockwise, and every arc the
-    interval meets counts as occupied.
-    """
-    if not (0 <= level <= MAX_LEVEL):
-        raise PreconditionError(f"level {level!r} outside [0, {MAX_LEVEL}]")
+def _occupied_arcs(angles, upper, level: int) -> np.ndarray:
+    """Mask of the 2^level dyadic arcs that the angles meet or, with upper
+    given, that the closed intervals [angles_i, upper_i] meet, taken
+    counterclockwise."""
     a = np.asarray(angles, dtype=float).reshape(-1)
     if a.size == 0:
         raise EmptyInput("circle_covering_number needs at least one angle")
-    n_arcs = 1 << level
-    two_pi = 2.0 * math.pi
     u = a if upper is None else np.broadcast_to(np.asarray(upper, dtype=float), a.shape)
     if np.any(u < a):
         raise PreconditionError("interval upper edges must not lie below their lower edges")
+    n_arcs = 1 << level
+    two_pi = 2.0 * math.pi
     if np.any(u - a >= two_pi):
-        return n_arcs
+        return np.ones(n_arcs, dtype=bool)
     lo = np.floor(a / two_pi * n_arcs).astype(np.int64)
     spans = np.floor(u / two_pi * n_arcs).astype(np.int64) - lo
     lo %= n_arcs
@@ -163,23 +157,43 @@ def circle_covering_number(angles, level: int, upper=None) -> int:
     stops = np.concatenate([np.minimum(end, n_arcs), end[wrap] - n_arcs])
     depth = np.cumsum(np.bincount(starts, minlength=n_arcs + 1)
                       - np.bincount(stops, minlength=n_arcs + 1))
-    return int(np.count_nonzero(depth[:n_arcs]))
+    return depth[:n_arcs] > 0
+
+
+def circle_covering_number(angles, level: int, upper=None) -> int:
+    """Occupied arcs after level dyadic halvings of the full circle
+    (2^level arcs, each of width 2 pi 2^-level).
+
+    With upper given, angle i is the lower edge of the closed interval
+    [angles_i, upper_i], taken counterclockwise, and every arc the
+    interval meets counts as occupied.
+    """
+    if not (0 <= level <= MAX_LEVEL):
+        raise PreconditionError(f"level {level!r} outside [0, {MAX_LEVEL}]")
+    return int(np.count_nonzero(_occupied_arcs(angles, upper, level)))
 
 
 def circle_box_dimension(angles, level_min: int, level_max: int,
                          upper=None) -> DimensionEstimate:
     """Box-counting dimension of an angle set, or of the closed intervals
-    [angles_i, upper_i], using dyadic arcs."""
+    [angles_i, upper_i], using dyadic arcs.
+
+    The arcs are marked once at level_max. Arc j at level L - 1 is the
+    union of arcs 2j and 2j + 1 at level L, and a / (2 pi) * 2^L is exactly
+    twice its level L - 1 value, so halving the mask pairwise gives each
+    coarser level's occupied arcs exactly.
+    """
     _check_level_window(level_min, level_max, None)
+    occ = _occupied_arcs(angles, upper, level_max)
+    counts = [int(np.count_nonzero(occ))]
+    for _ in range(level_max - level_min):
+        occ = occ[0::2] | occ[1::2]
+        counts.append(int(np.count_nonzero(occ)))
+    counts.reverse()
     levels = np.arange(level_min, level_max + 1, dtype=float)
-    values = np.array(
-        [circle_covering_number(angles, lv, upper)
-         for lv in range(level_min, level_max + 1)],
-        dtype=float,
-    )
-    slope, intercept, r2 = fit_log2_slope(levels, values)
-    counts = tuple(zip(range(level_min, level_max + 1), values.astype(int).tolist()))
-    return DimensionEstimate(slope, intercept, (level_min, level_max), r2, counts)
+    slope, intercept, r2 = fit_log2_slope(levels, np.array(counts, dtype=float))
+    return DimensionEstimate(slope, intercept, (level_min, level_max), r2,
+                             tuple(zip(range(level_min, level_max + 1), counts)))
 
 
 def hausdorff_content(a, s: float) -> float:

@@ -28,10 +28,15 @@ from .geometry import Ball, Point, Tube, line_residuals
 WEIGHT_TOL = 1e-9
 BALL_TOL = 1e-12
 
-# supports up to this size use the tree scan unconditionally
+# supports up to this size take the x-sorted sweep unconditionally; larger
+# ones take it only when they are off-lattice or their FFT grid is too large
 _SMALL_SUPPORT = 4096
-# ball centres per tree query, which bounds the neighbour lists held at once
+# ball centres per block of the sweep, which bounds the (centre, candidate)
+# distances held at once to _TREE_BLOCK times the support size
 _TREE_BLOCK = 64
+# the sweep sums its balls in batches of at most about this many
+# (ball, member) pairs, which bounds the member weights gathered at once
+_BALL_PAIRS = 1 << 20
 
 
 @dataclass
@@ -209,25 +214,83 @@ def _ball_masses_fft(m: WeightedMeasure, radii) -> Optional[list]:
     return [np.maximum(lattice_disc_sums(nodes, w, nodes, q2), 0.0) for q2 in q2s]
 
 
-def _ball_masses_tree(m: WeightedMeasure, radii) -> list:
-    from scipy.spatial import cKDTree
+def _ball_masses_sweep(m: WeightedMeasure, radii) -> list:
+    """Per-radius arrays of closed-ball mass at every support point, from a
+    sweep over the points sorted by x.
 
+    A ball's members are the points with dx*dx + dy*dy <= (r + BALL_TOL)**2,
+    the test a k-d tree makes for the Euclidean norm. Its mass is
+    ndarray.sum over the members' weights in ascending index order: balls
+    with c members are gathered into one C-contiguous (balls, c) array and
+    summed along rows, which gives each ball the same pairwise sum as
+    w[members].sum(), bit for bit.
+    """
     pts = m.support.points
-    tree = cKDTree(pts)
+    n = pts.shape[0]
     w = m.weights
-    out = []
-    for r in radii:
-        masses = np.empty(pts.shape[0])
-        for s in range(0, pts.shape[0], _TREE_BLOCK):
-            hoods = tree.query_ball_point(pts[s:s + _TREE_BLOCK], r + BALL_TOL)
-            masses[s:s + _TREE_BLOCK] = [w[ix].sum() for ix in hoods]
-        out.append(masses)
-    return out
+    uniform = bool(np.all(w == w[0]))
+    order = np.argsort(pts[:, 0], kind="stable")
+    xs = pts[order, 0]
+    # the candidates of a block lie within reach of its x-range; the slack
+    # covers rounding in the window edges, and extra candidates cost only time
+    reach = max(radii, default=0.0) + BALL_TOL
+    pad = reach * (1.0 + 2.0 ** -20) + 4.0 * float(np.spacing(np.abs(xs).max()))
+    bounds = [(r + BALL_TOL) * (r + BALL_TOL) for r in radii]
+    out = np.empty((len(radii), n))
+    flat = out.reshape(-1)
+    # a uniform measure's ball mass depends only on its member count
+    mass_of_count = np.full(n + 1, np.nan) if uniform else None
+    pending, held = [], 0
+    for s in range(0, n, _TREE_BLOCK):
+        centres = order[s:s + _TREE_BLOCK]
+        lo = np.searchsorted(xs, xs[s] - pad, "left")
+        hi = np.searchsorted(xs, xs[s + centres.size - 1] + pad, "right")
+        cand = np.sort(order[lo:hi])
+        dx = pts[cand, 0] - pts[centres, 0, None]
+        dy = pts[cand, 1] - pts[centres, 1, None]
+        d2 = dx * dx + dy * dy
+        wc = w[cand]
+        for k, bound in enumerate(bounds):
+            inside = d2 <= bound
+            counts = np.count_nonzero(inside, axis=1)
+            if uniform:
+                for c in np.unique(counts[np.isnan(mass_of_count[counts])]).tolist():
+                    mass_of_count[c] = np.full(c, w[0]).sum()
+                flat[k * n + centres] = mass_of_count[counts]
+                continue
+            members = wc[np.nonzero(inside)[1]]
+            pending.append((k * n + centres, counts, members))
+            held += members.size
+            if held >= _BALL_PAIRS:
+                _flush_ball_sums(flat, pending)
+                pending, held = [], 0
+    if pending:
+        _flush_ball_sums(flat, pending)
+    return list(out)
+
+
+def _flush_ball_sums(flat: np.ndarray, pending: list) -> None:
+    """Write each pending ball's member-weight sum to flat[target], summing
+    the balls of one member count together as the rows of one array."""
+    targets = np.concatenate([t for t, _, _ in pending])
+    counts = np.concatenate([c for _, c, _ in pending])
+    members = np.concatenate([mw for _, _, mw in pending])
+    starts = np.cumsum(counts) - counts
+    by_count = np.argsort(counts, kind="stable")
+    cuts = np.flatnonzero(np.diff(counts[by_count])) + 1
+    for balls in np.split(by_count, cuts):
+        c = int(counts[balls[0]])
+        rows = members[starts[balls, None] + np.arange(c)]
+        flat[targets[balls]] = rows.sum(axis=1)
 
 
 def ball_masses_at_support(m: WeightedMeasure, radii) -> list:
     """For each radius, the array of closed-ball masses centered at every
-    support point."""
+    support point.
+
+    A lattice support of more than _SMALL_SUPPORT points takes FFT disc
+    sums; every other support takes the x-sorted sweep, whose masses equal
+    a k-d tree query's summed by ndarray.sum, bit for bit."""
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise PreconditionError("radii must be positive")
@@ -235,7 +298,7 @@ def ball_masses_at_support(m: WeightedMeasure, radii) -> list:
         res = _ball_masses_fft(m, radii)
         if res is not None:
             return res
-    return _ball_masses_tree(m, radii)
+    return _ball_masses_sweep(m, radii)
 
 
 def frostman_fit(m: WeightedMeasure, level_min: int, level_max: int) -> FrostmanFit:

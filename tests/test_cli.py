@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +289,46 @@ class TestReruns:
             r.pop("timing")
             r["config"].pop("out")
         assert ra == rb
+
+    def test_reports_match_across_blas_thread_counts(self, tmp_path):
+        """The README's kaufman11 projection and ortho commands, each run in
+        a fresh process with one and with two BLAS threads: reports equal
+        apart from timing, CSVs byte-identical."""
+        fc = str(tmp_path / "fc")
+        assert _run(["generate", "--kind", "fourcorner", "--delta", "0.00390625",
+                     "--out", fc]) == 0
+        points = os.path.join(fc, "points.csv")
+        commands = {
+            "project": ["--target", "kaufman11", "--x-input", points, "--x-sample", "32",
+                        "--level-min", "0", "--level-max", "8"],
+            "ortho": ["--input", points, "--sigma", "0.8"],
+        }
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                        env.get("PYTHONPATH")) if p)
+        for command, args in commands.items():
+            runs = []
+            for threads in ("1", "2"):
+                # the same relative --out, so the sidecar paths in the
+                # reports agree
+                cwd = tmp_path / f"{command}-{threads}"
+                cwd.mkdir()
+                proc = subprocess.run(
+                    [sys.executable, "-m", "gmtlab.cli", command, *args, "--out", "out"],
+                    capture_output=True, text=True, timeout=300, cwd=cwd,
+                    env={**env, "OPENBLAS_NUM_THREADS": threads},
+                )
+                assert proc.returncode == 0, proc.stderr
+                out = str(cwd / "out")
+                rep = _report(out, command)
+                rep.pop("timing")
+                csvs = {name: open(os.path.join(out, name), "rb").read()
+                        for name in sorted(os.listdir(out)) if name.endswith(".csv")}
+                runs.append((rep, csvs))
+            (rep1, csv1), (rep2, csv2) = runs
+            assert csv1 and csv1 == csv2
+            assert rep1 == rep2
 
     def test_different_seed_changes_results(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -281,11 +281,13 @@ def test_fit_log2_slope_columns_match_ortho_oracle(lo, n_levels, seed):
 def _quota_child_counts_oracle(surplus, branch_log2, available, hard_cap,
                                tiebreak, carry=0.0):
     """quota_child_counts before it worked along the last axis: a lexsort
-    over the eligible parents of one population."""
+    over the eligible parents of one population. The fraction is clamped at
+    0 as in quota_child_counts since it stopped returning a negative carry
+    for 2^branch just below an integer."""
     p = surplus.shape[0]
     growth = 2.0 ** branch_log2
     base = int(math.floor(growth + 1e-12))
-    frac = growth - base
+    frac = max(0.0, growth - base)
     cap = np.minimum(available, hard_cap)
     counts = np.minimum(np.maximum(base, 1), cap)
     budget = frac * p + carry
@@ -309,6 +311,7 @@ def _quota_child_counts_oracle(surplus, branch_log2, available, hard_cap,
     carry=st.floats(0.0, 0.999),
     seed=st.integers(0, 2 ** 31),
 )
+@example(rows=1, p=1, branch=1.9999999999999998, hard_cap=1, carry=0.0, seed=0)
 @settings(max_examples=200, deadline=None)
 def test_quota_child_counts_matches_oracle(rows, p, branch, hard_cap, carry, seed):
     """Tied surpluses and tiebreaks, available below the cap; each row of a
@@ -449,6 +452,58 @@ class TestCircleCovering:
         lower = [a - h for a, h in zip(angles, halfwidths)]
         upper = [a + h for a, h in zip(angles, halfwidths)]
         assert circle_covering_number(lower, level, upper=upper) == want
+
+    @staticmethod
+    def _per_level_box_dimension_oracle(angles, level_min, level_max, upper=None):
+        """circle_box_dimension before the one-pass cascade: one
+        circle_covering_number per level."""
+        covering._check_level_window(level_min, level_max, None)
+        levels = np.arange(level_min, level_max + 1, dtype=float)
+        values = np.array(
+            [circle_covering_number(angles, lv, upper)
+             for lv in range(level_min, level_max + 1)],
+            dtype=float,
+        )
+        slope, intercept, r2 = fit_log2_slope(levels, values)
+        counts = tuple(zip(range(level_min, level_max + 1), values.astype(int).tolist()))
+        return covering.DimensionEstimate(slope, intercept, (level_min, level_max), r2, counts)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(-20.0, 20.0),
+                          st.builds(lambda k, lv: k * (2.0 * math.pi / 2 ** lv),
+                                    st.integers(-70, 70), st.integers(0, MAX_LEVEL))),
+                # halfwidth in arc widths of a random level, or at least pi
+                st.one_of(st.just(0.0), st.floats(0.0, 1e-3),
+                          st.builds(lambda u, lv: u * (2.0 * math.pi / 2 ** lv),
+                                    st.floats(0.0, 40.0), st.integers(0, MAX_LEVEL)),
+                          st.floats(math.pi, 4.0)),
+            ),
+            min_size=1, max_size=30,
+        ),
+        st.integers(0, MAX_LEVEL - 3).flatmap(
+            lambda lo: st.tuples(st.just(lo), st.integers(lo + 3, MAX_LEVEL))),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_box_dimension_matches_per_level_oracle(self, pairs, window, points):
+        """Point mode, and intervals that wrap past 0, start below 0 or
+        span the whole circle, over windows up to level 20."""
+        level_min, level_max = window
+        if points:
+            angles, upper = [a for a, _ in pairs], None
+        else:
+            angles = [a - h for a, h in pairs]
+            upper = [a + h for a, h in pairs]
+        want = self._per_level_box_dimension_oracle(angles, level_min, level_max, upper)
+        assert circle_box_dimension(angles, level_min, level_max, upper) == want
+
+    def test_box_dimension_of_a_full_circle_interval(self):
+        est = circle_box_dimension([0.5, -1.0], 2, 9, upper=[0.5, 2.0 * math.pi - 1.0])
+        assert est.counts == tuple((lv, 2 ** lv) for lv in range(2, 10))
+        assert est == self._per_level_box_dimension_oracle(
+            [0.5, -1.0], 2, 9, [0.5, 2.0 * math.pi - 1.0])
 
     def test_equispaced_angles_have_dimension_one(self):
         angles = np.arange(512) * (2.0 * math.pi / 512.0)

@@ -1,6 +1,8 @@
 """Import hygiene: the package loads numpy only; scipy is imported inside
-the functions that build a k-d tree, and nowhere else.  The CLI checks its
-reports in plain Python, so no validator package is loaded either."""
+the functions that build a k-d tree, and nowhere else.  Ball masses take no
+k-d tree, so Frostman fits and radial profiles run without scipy.  The CLI
+checks its reports in plain Python, so no validator package is loaded
+either."""
 
 import ast
 import os
@@ -26,6 +28,32 @@ def test_cli_import_loads_no_scipy():
     # scipy, a JSON-schema validator and its helpers (referencing, rpds,
     # attrs) would all show up here
     assert proc.stdout.strip() == "['gmtlab', 'numpy']"
+
+
+def test_ball_masses_and_radial_profile_load_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PKG.parent), env.get("PYTHONPATH")) if p)
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import gmtlab as gm",
+        "from gmtlab import measures",
+        "ds = gm.gen_random_delta_s_set(1.5, 2.0 ** -7, 0)",
+        "assert len(ds) <= measures._SMALL_SUPPORT",
+        "w = np.random.default_rng(0).random(len(ds))",
+        "m = gm.WeightedMeasure(ds, w / w.sum())",
+        "gm.frostman_fit(m, 1, 6)",
+        "gm.mass_shell_decompose(m, 0.125, 2.0, 64.0)",
+        "x = gm.gen_random_delta_s_set(0.4, 2.0 ** -10, 1)",
+        "y = gm.gen_random_delta_s_set(1.5, 2.0 ** -8, 2)",
+        "gm.radial_dimension_profile(gm.ExperimentSpec(x, y, x_sample=4))",
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _scipy_imports(tree):

@@ -1,7 +1,10 @@
 """Weighted measures: ball and tube masses, Frostman fits, Riesz-type
 energies, radial pushforwards, and shell decompositions."""
 
+import importlib
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,6 +143,160 @@ def test_ball_masses_tree_blocks_match_oracle(monkeypatch, block):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _ball_masses_blocked_tree_oracle(m, radii, block=64):
+    """_ball_masses_tree before the x-sorted sweep, with its block size as
+    a parameter: cKDTree queries of block centres at a time, and one
+    Python sum over each ball's members."""
+    from scipy.spatial import cKDTree
+
+    pts = m.support.points
+    tree = cKDTree(pts)
+    w = m.weights
+    out = []
+    for r in radii:
+        masses = np.empty(pts.shape[0])
+        for s in range(0, pts.shape[0], block):
+            hoods = tree.query_ball_point(pts[s:s + block], r + measures.BALL_TOL)
+            masses[s:s + block] = [w[ix].sum() for ix in hoods]
+        out.append(masses)
+    return out
+
+
+def _assert_sweep_matches_tree(m, radii):
+    got = measures._ball_masses_sweep(m, radii)
+    want = _ball_masses_blocked_tree_oracle(m, radii)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@st.composite
+def _sweep_supports(draw):
+    """Lattice sets (radii are lattice distances, some Pythagorean, so
+    other points lie exactly r from a centre), off-lattice sets, and sets
+    whose points share a few x-coordinates."""
+    kind = draw(st.sampled_from(["lattice", "grid", "off-lattice", "shared-x"]))
+    if kind in ("lattice", "grid"):
+        h = 2.0 ** -draw(st.integers(4, 6))
+        if kind == "grid":
+            k = draw(st.integers(1, 11))
+            nodes = [(i, j) for i in range(k) for j in range(k)]
+        else:
+            nodes = draw(st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+                                  min_size=1, max_size=150, unique=True))
+        pts = np.array(nodes, dtype=float) * h
+        # 3^2 + 4^2 = 5^2, 5^2 + 12^2 = 13^2, 6^2 + 8^2 = 10^2; a radius
+        # q h - BALL_TOL widens back to q h, so the bound is exactly q^2 h^2
+        qs = draw(st.lists(st.sampled_from([1, 2, 3, 5, 10, 13, 40]), min_size=1, max_size=5))
+        shave = draw(st.sampled_from([0.0, measures.BALL_TOL]))
+        radii = [q * h - shave for q in qs]
+        delta = h
+    else:
+        coord = st.floats(-1.3, 1.3, allow_nan=False)
+        if kind == "shared-x":
+            xs = draw(st.lists(coord, min_size=1, max_size=3))
+            coord_x = st.sampled_from(xs)
+        else:
+            coord_x = coord
+        pts = np.array(draw(st.lists(st.tuples(coord_x, coord), min_size=1, max_size=150)))
+        radii = draw(st.lists(st.one_of(st.floats(1e-3, 4.0),
+                                        st.sampled_from([2.0 ** -3, 0.3, 4.0])),
+                              min_size=1, max_size=5))
+        delta = 1e-3
+    return DiscreteSet(pts, delta, check=False), radii
+
+
+@given(
+    _sweep_supports(),
+    st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)),
+    st.sampled_from([1, 7, 64]),
+    st.sampled_from([1, 5000, measures._BALL_PAIRS]),
+)
+@settings(max_examples=200, deadline=None)
+def test_ball_masses_sweep_matches_blocked_tree(case, weight_seed, block, pairs):
+    """Uniform (weight_seed None) and weighted measures, the weights over
+    nine orders of magnitude so that the summation order shows; radii
+    unsorted, repeated and larger than the set."""
+    ds, radii = case
+    if weight_seed is None:
+        m = WeightedMeasure.uniform(ds)
+    else:
+        rng = np.random.default_rng(weight_seed)
+        w = rng.random(len(ds)) * 10.0 ** rng.integers(-6, 3, len(ds))
+        w[rng.random(len(ds)) < 0.1] = 0.0
+        if w.sum() == 0.0:
+            w[0] = 1.0
+        m = WeightedMeasure(ds, w / w.sum())
+    with mock.patch.object(measures, "_TREE_BLOCK", block), \
+            mock.patch.object(measures, "_BALL_PAIRS", pairs):
+        _assert_sweep_matches_tree(m, radii)
+
+
+@pytest.mark.parametrize("pairs", [1, 5000])
+def test_ball_masses_sweep_matches_blocked_tree_on_a_weighted_set(monkeypatch, pairs):
+    """1,000 off-lattice points, each ball at radius 1 holding hundreds of
+    weights, so the flushed batches hold many member counts."""
+    rng = np.random.default_rng(7)
+    ds = DiscreteSet(rng.random((1000, 2)), 1e-6, check=False)
+    w = rng.random(1000)
+    m = WeightedMeasure(ds, w / w.sum())
+    monkeypatch.setattr(measures, "_BALL_PAIRS", pairs)
+    _assert_sweep_matches_tree(m, [2.0 ** -lv for lv in range(0, 9)])
+
+
+@pytest.mark.parametrize("shave", [0.0, measures.BALL_TOL])
+def test_ball_masses_sweep_on_lattice_distances(shave):
+    """An 11 x 11 grid of the 2^-4 lattice holds pairs 5 h and 10 h apart
+    (3-4-5 and 6-8-10 triangles); with q h - BALL_TOL as the radius the
+    widened bound is exactly their squared distance."""
+    h = 2.0 ** -4
+    nodes = np.array([(i, j) for i in range(11) for j in range(11)], dtype=float)
+    ds = DiscreteSet(nodes * h, h, check=False)
+    radii = [q * h - shave for q in (1, 5, 10, 13)]
+    _assert_sweep_matches_tree(WeightedMeasure.uniform(ds), radii)
+    _assert_sweep_matches_tree(_random_weights(ds, 3), radii)
+
+
+def test_ball_masses_sweep_memory_follows_the_pair_budget(monkeypatch):
+    """At radius 2 every ball of 1,000 points holds all of them, a million
+    (ball, member) pairs in all; a budget of 5,000 pairs keeps the gathered
+    weights to a few blocks' worth."""
+    import tracemalloc
+
+    rng = np.random.default_rng(8)
+    ds = DiscreteSet(rng.random((1000, 2)), 1e-6, check=False)
+    w = rng.random(1000)
+    m = WeightedMeasure(ds, w / w.sum())
+    monkeypatch.setattr(measures, "_BALL_PAIRS", 5000)
+    tracemalloc.start()
+    try:
+        measures._ball_masses_sweep(m, [2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 3.5 MB measured; 31.6 MB with every pair held until the end
+    assert peak < 8 * 2 ** 20
+
+
+def test_ball_masses_sweep_of_no_radii():
+    assert measures._ball_masses_sweep(WeightedMeasure.uniform(gen_grid(3)), []) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ball_masses_match_blocked_tree_on_radial_circle_measures(monkeypatch, seed):
+    """The circle measures whose Frostman fit the radial benchmark times."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    wl = importlib.import_module("workloads").RadialWorkload(seed)
+    radii = [2.0 ** -lv for lv in range(wl.z_levels[0], wl.z_levels[1] + 1)]
+    for i in range(wl.pool):
+        item = wl.make_item(i)
+        circle = radial_pushforward(item["z"], item["centre"]).as_circle_measure()
+        assert len(circle) <= measures._SMALL_SUPPORT
+        got = ball_masses_at_support(circle, radii)
+        for g, w in zip(got, _ball_masses_blocked_tree_oracle(circle, radii)):
+            assert np.array_equal(g, w)
+
+
 def _ball_masses_fft_oracle(m, radii):
     """_ball_masses_fft before numpy.fft: scipy's fftconvolve per radius."""
     from scipy.signal import fftconvolve
@@ -203,7 +360,7 @@ def test_ball_masses_fft_matches_tree(make):
     radii = [2.0 ** -lv for lv in range(2, 7)]
     fft = measures._ball_masses_fft(m, radii)
     assert fft is not None
-    for got, want in zip(fft, measures._ball_masses_tree(m, radii)):
+    for got, want in zip(fft, measures._ball_masses_sweep(m, radii)):
         assert np.max(np.abs(got - want)) <= 1e-12
     for got, want in zip(fft, _ball_masses_fft_oracle(m, radii)):
         assert np.max(np.abs(got - want)) <= 1e-12
