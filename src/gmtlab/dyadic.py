@@ -72,6 +72,19 @@ def count_cells(points: np.ndarray, side: float) -> int:
     return int(unique_rows(cell_indices(points, side)).shape[0])
 
 
+def quota_budget(branch_log2: float, p: int,
+                 carry: float) -> tuple[int, int, float]:
+    """The quota rule's budget for p parents: the whole children each
+    parent is owed (floor of 2^branch_log2), the extra children to hand
+    out among them, and the carry left for the next level."""
+    growth = 2.0 ** branch_log2
+    base = int(math.floor(growth + 1e-12))
+    frac = max(0.0, growth - base)  # growth may sit 1e-12 below base
+    budget = frac * p + carry
+    extra = int(math.floor(budget + 1e-9))
+    return base, extra, budget - extra
+
+
 def quota_child_counts(
     surplus: np.ndarray,
     branch_log2: float,
@@ -97,14 +110,9 @@ def quota_child_counts(
     gets the same extra children a 1-D call on it would.
     """
     p = surplus.shape[-1]
-    growth = 2.0 ** branch_log2
-    base = int(math.floor(growth + 1e-12))
-    frac = max(0.0, growth - base)  # growth may sit 1e-12 below base
+    base, extra, new_carry = quota_budget(branch_log2, p, carry)
     cap = np.minimum(available, hard_cap)
     counts = np.minimum(np.maximum(base, 1), cap)
-    budget = frac * p + carry
-    extra = int(math.floor(budget + 1e-9))
-    new_carry = budget - extra
     if extra > 0:
         eligible = counts < cap
         order = np.lexsort((tiebreak, surplus, ~eligible), axis=-1)
@@ -115,31 +123,56 @@ def quota_child_counts(
     return counts, new_carry
 
 
+def quota_row_sizes(branch_log2: float, levels: int, cap: int) -> list:
+    """Parents per tree at each level of quota_tree's walk, from 1 at
+    level 0, when every parent may keep up to `cap` children. The sizes
+    depend only on the branching, the cap and the carry."""
+    sizes = []
+    p, carry = 1, 0.0
+    for _ in range(levels):
+        sizes.append(p)
+        base, extra, carry = quota_budget(branch_log2, p, carry)
+        kept = min(max(base, 1), cap)
+        p = p * kept + (min(extra, p) if kept < cap else 0)
+    return sizes
+
+
 def quota_tree(branch_log2: float, levels: int, rngs: list,
                dim: int) -> np.ndarray:
     """Leaves of random quota trees, one tree per generator.
 
     Each tree starts from the unit cube of dimension `dim` and descends
     `levels` dyadic levels; every cell keeps children among its 2^dim
-    subcells under the quota rule with branching 2^branch_log2. Per
-    level, each generator draws its parents' tiebreaks and then one rank
-    key per (parent, subcell); the kept subcells are the lowest-ranked.
-    Returns integer cells of shape (len(rngs), n, dim), every tree with
-    the same n, since the quota total depends only on the row size and
-    the carry. Subcell k sits at the bits of k, lowest bit first: (0,0),
-    (1,0), (0,1), (1,1) in the plane.
+    subcells under the quota rule with branching 2^branch_log2; the kept
+    subcells are the lowest-ranked by a random key. Returns integer cells
+    of shape (len(rngs), n, dim), every tree with the same n, since the
+    quota total depends only on the row size and the carry. Subcell k
+    sits at the bits of k, lowest bit first: (0,0), (1,0), (0,1), (1,1)
+    in the plane.
+
+    Draws: each generator makes one `random` call of
+    (1 + 2^dim) * sum(p_l) doubles, p_l the row sizes of
+    quota_row_sizes(branch_log2, levels, min(2^dim, hard cap)). Level
+    l reads, in stream order, its p_l parents' tiebreaks and then p_l
+    rows of 2^dim subcell keys, the same numbers a call of random(p_l)
+    followed by random((p_l, 2^dim)) per level would give.
     """
     n_sub = 2 ** dim
     sub = (np.arange(n_sub)[:, None] >> np.arange(dim)) & 1
     hard_cap = max(1, math.ceil(2.0 ** branch_log2 - 1e-12))
+    sizes = quota_row_sizes(branch_log2, levels, min(n_sub, hard_cap))
     b = len(rngs)
+    draws = np.empty((b, (1 + n_sub) * sum(sizes)))
+    for k, rng in enumerate(rngs):
+        rng.random(out=draws[k])
     cells = np.zeros((b, 1, dim), dtype=np.int64)
     surplus = np.zeros((b, 1))
     carry = 0.0
-    for _ in range(levels):
-        p = cells.shape[1]
-        tiebreak = np.stack([rng.random(p) for rng in rngs])
-        keys = np.stack([rng.random((p, n_sub)) for rng in rngs])
+    at = 0
+    for p in sizes:
+        tiebreak = draws[:, at:at + p]
+        keys = draws[:, at + p:at + (1 + n_sub) * p].reshape(b, p, n_sub)
+        at += (1 + n_sub) * p
         counts, carry = quota_child_counts(
             surplus,
             branch_log2=branch_log2,

@@ -37,7 +37,8 @@ from .tubes import TubeFamily, _anchors, _line_metric_cells, verify_tube_set
 _LINE_TOL = 1e-9
 # constant-target exponent for the generated set in furstenberg_count
 X_CONSTANT_EXPONENT = 0.05
-# pencils larger than this skip the quadratic separated-set verification
+# pencils larger than this skip the quadratic separated-set verification,
+# with a warning
 _PENCIL_VERIFY_CAP = 256
 
 
@@ -301,6 +302,7 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
     Reports the count against the classical floor delta^(-2 sigma); the
     asymptotic gain beyond that floor is swamped by constants at desk
     scale, so only the floor ratio is reported, never asserted sharp.
+    A supplied x_set must be at resolution delta.
     """
     if not (0.0 < sigma < 1.0):
         raise PreconditionError(f"sigma {sigma!r} outside (0, 1)")
@@ -319,6 +321,11 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
                 f"delta^-{X_CONSTANT_EXPONENT:g} = {target_c:.2f} at this scale"
             )
     else:
+        if abs(x_set.delta - delta) > 1e-15:
+            raise PreconditionError(
+                f"supplied point set has resolution {x_set.delta:g}, not "
+                f"delta = {delta:g}"
+            )
         chk = verify_delta_s_set(x_set, s, 16.0)
         if not chk.passed:
             raise PreconditionError(
@@ -330,12 +337,18 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
     block = max(1, (1 << 18) >> lv)
     all_cells = []
     for b0 in range(0, len(pts), block):
-        rngs = [np.random.default_rng((seed, i))
+        rngs = [np.random.Generator(np.random.PCG64((seed, i)))
                 for i in range(b0, min(len(pts), b0 + block))]
         angles = (quota_tree(sigma, lv, rngs, dim=1)[..., 0] + 0.5) * step
         xy = pts[b0:b0 + len(rngs)]
         offsets = -xy[:, :1] * np.sin(angles) + xy[:, 1:] * np.cos(angles)
-        if b0 == 0 and angles.shape[1] <= _PENCIL_VERIFY_CAP:
+        if b0 == 0 and angles.shape[1] > _PENCIL_VERIFY_CAP:
+            warnings.append(
+                f"pencil 0 has {angles.shape[1]} tubes, over the verification "
+                f"cap {_PENCIL_VERIFY_CAP}; its direction regularity is not "
+                f"checked"
+            )
+        elif b0 == 0:
             pencil = TubeFamily(angles[0], offsets[0], width=delta,
                                 direction_net_step=step, scale=delta,
                                 label="pencil 0")

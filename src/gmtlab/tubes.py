@@ -433,21 +433,27 @@ def verify_tube_set(fam: TubeFamily, sigma: float, c: float) -> TubeSetCheck:
                                  return_inverse=True)
     total = uniq.shape[0]
     ang = fam.angles
-    worst = (-1.0, 0, 0)
-    for lv in range(level_of(r), -1, -1):
-        rho = 2.0 ** -lv
-        bound = c * rho ** sigma * total
-        for i in range(p):
-            dth = np.abs(ang - ang[i])
-            dth = np.minimum(dth, math.pi - dth)
-            dist = dth + np.hypot(ax - ax[i], ay - ay[i])
-            near = dist <= rho + 1e-12
-            cnt = np.unique(cell_ids[near]).size
-            ratio = cnt / (rho ** sigma * total)
-            if ratio > worst[0]:
-                worst = (ratio, i, lv)
-    return TubeSetCheck(worst[0] <= c * (1.0 + 1e-9), sigma, c,
-                        worst[0], worst[1], worst[2])
+    # levels finest first; ball radius rho = 2^-lv, members within rho + 1e-12
+    top = level_of(r)
+    reach = np.array([2.0 ** -lv + 1e-12 for lv in range(top, -1, -1)])
+    norm = np.array([(2.0 ** -lv) ** sigma * total for lv in range(top, -1, -1)])
+    cnt = np.empty((reach.size, p), dtype=np.int64)
+    for i in range(p):
+        dth = np.abs(ang - ang[i])
+        dth = np.minimum(dth, math.pi - dth)
+        dist = dth + np.hypot(ax - ax[i], ay - ay[i])
+        order = np.argsort(dist, kind="stable")
+        # distinct cells among the k nearest members, for every k
+        first = np.zeros(p, dtype=np.int64)
+        first[np.unique(cell_ids[order], return_index=True)[1]] = 1
+        n_near = np.searchsorted(dist[order], reach, side="right")
+        cnt[:, i] = np.cumsum(first)[n_near - 1]
+    ratios = cnt / norm[:, None]
+    # the first maximum, finest level first and lowest index, as a scan
+    # keeping only strictly larger ratios would pick
+    k, i = divmod(int(np.argmax(ratios)), p)
+    worst = float(ratios[k, i])
+    return TubeSetCheck(worst <= c * (1.0 + 1e-9), sigma, c, worst, i, top - k)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gmtlab import covering, dyadic
@@ -36,6 +36,8 @@ from gmtlab.dyadic import (
     is_dyadic,
     level_of,
     quota_child_counts,
+    quota_row_sizes,
+    quota_tree,
     unique_rows,
 )
 from gmtlab.errors import (
@@ -331,6 +333,86 @@ def test_quota_child_counts_matches_oracle(rows, p, branch, hard_cap, carry, see
         assert one.dtype == want.dtype and np.array_equal(one, want)
         assert np.array_equal(got[i], want)
         assert one_carry == got_carry == want_carry
+
+
+def _quota_tree_oracle(branch_log2, levels, rngs, dim):
+    """quota_tree before each generator drew its whole walk in one call:
+    per level, a list comprehension over the generators for the
+    tiebreaks and another for the rank keys."""
+    n_sub = 2 ** dim
+    sub = (np.arange(n_sub)[:, None] >> np.arange(dim)) & 1
+    hard_cap = max(1, math.ceil(2.0 ** branch_log2 - 1e-12))
+    b = len(rngs)
+    cells = np.zeros((b, 1, dim), dtype=np.int64)
+    surplus = np.zeros((b, 1))
+    carry = 0.0
+    for _ in range(levels):
+        p = cells.shape[1]
+        tiebreak = np.stack([rng.random(p) for rng in rngs])
+        keys = np.stack([rng.random((p, n_sub)) for rng in rngs])
+        counts, carry = quota_child_counts(
+            surplus,
+            branch_log2=branch_log2,
+            available=np.full((b, p), n_sub, dtype=np.int64),
+            hard_cap=hard_cap,
+            tiebreak=tiebreak,
+            carry=carry,
+        )
+        ranks = np.argsort(keys, axis=2).argsort(axis=2)
+        parent, sub_idx = np.divmod(
+            np.flatnonzero(ranks < counts[:, :, None]), n_sub)
+        cells = (cells.reshape(-1, dim)[parent] * 2
+                 + sub[sub_idx]).reshape(b, -1, dim)
+        counts = counts.reshape(-1)[parent]
+        surplus = (surplus.reshape(-1)[parent] + np.log2(counts)
+                   - branch_log2).reshape(b, -1)
+    return cells
+
+
+class _RecordingRng:
+    """A generator that logs the size of every random() call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def random(self, size=None, out=None):
+        self.calls.append(out.shape if out is not None else size)
+        return self.rng.random(size, out=out)
+
+
+@given(
+    dim=st.integers(1, 2),
+    u=st.floats(0.0, 1.0),
+    n_gen=st.integers(1, 5),
+    levels=st.integers(0, 12),
+    seed=st.integers(0, 2 ** 31),
+)
+@example(dim=1, u=0.0, n_gen=3, levels=12, seed=0)
+@example(dim=1, u=1.0, n_gen=2, levels=12, seed=1)
+@example(dim=2, u=0.5, n_gen=4, levels=7, seed=2)  # branch 1
+@example(dim=2, u=1.0, n_gen=2, levels=7, seed=3)  # branch 2
+@example(dim=2, u=5e-14, n_gen=5, levels=12, seed=4)  # branch 1e-13, hard cap 1
+@example(dim=2, u=0.9999999999999999, n_gen=1, levels=7, seed=5)  # 2^branch just below 4
+@example(dim=1, u=5e-14, n_gen=2, levels=12, seed=6)
+@settings(max_examples=150, deadline=None)
+def test_quota_tree_matches_oracle(dim, u, n_gen, levels, seed):
+    """Leaves equal the per-level walk's; each generator draws its walk in
+    one call of (1 + 2^dim) * sum(row sizes) doubles and ends at the same
+    stream position; quota_row_sizes gives the row sizes the walk took."""
+    branch = u * dim
+    assume(branch * levels <= 15.0)
+    got_rngs = [_RecordingRng((seed, i)) for i in range(n_gen)]
+    want_rngs = [_RecordingRng((seed, i)) for i in range(n_gen)]
+    got = quota_tree(branch, levels, got_rngs, dim)
+    want = _quota_tree_oracle(branch, levels, want_rngs, dim)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [r.random() for r in got_rngs] == [r.random() for r in want_rngs]
+    walked = want_rngs[0].calls[:-1:2]
+    assert want_rngs[0].calls[1:-1:2] == [(p, 2 ** dim) for p in walked]
+    hard_cap = max(1, math.ceil(2.0 ** branch - 1e-12))
+    assert quota_row_sizes(branch, levels, min(2 ** dim, hard_cap)) == walked
+    assert all(r.calls[:-1] == [((1 + 2 ** dim) * sum(walked),)] for r in got_rngs)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,23 @@ class TestFurstenbergCount:
         with pytest.raises(PreconditionError):
             furstenberg_count(0.5, 1.5, 2.0 ** -10, seed=0, x_set=clustered)
 
+    def test_supplied_x_set_at_another_resolution_is_refused(self):
+        x_set = gen_random_delta_s_set(1.0, 2.0 ** -8, 3)
+        with pytest.raises(PreconditionError, match="resolution"):
+            furstenberg_count(0.5, 1.0, 2.0 ** -6, seed=0, x_set=x_set)
+
+    def test_unverified_pencil_is_reported(self):
+        """Pencils of 2^(0.9 * 10) ~ 300 tubes are over the cap of 256."""
+        out = furstenberg_count(0.9, 1.0, 2.0 ** -10, seed=1)
+        assert out["mean_pencil_size"] > _PENCIL_VERIFY_CAP
+        assert out["warnings"][-1] == (
+            f"pencil 0 has {int(out['mean_pencil_size'])} tubes, over the "
+            f"verification cap {_PENCIL_VERIFY_CAP}; its direction "
+            f"regularity is not checked"
+        )
+        small = furstenberg_count(0.5, 1.0, 2.0 ** -10, seed=1)
+        assert not any("verification cap" in w for w in small["warnings"])
+
 
 def _quota_angle_cells_oracle(sigma, levels, rng):
     """_quota_angle_cells before pencils were built in blocks: one
@@ -355,6 +372,12 @@ def _furstenberg_count_oracle(sigma, s, delta, seed, x_set=None):
                          direction_net_step=step, scale=delta,
                          label=f"pencil {i}")
         pencil_sizes.append(len(fam))
+        if i == 0 and len(fam) > _PENCIL_VERIFY_CAP:
+            warnings.append(
+                f"pencil 0 has {len(fam)} tubes, over the verification "
+                f"cap {_PENCIL_VERIFY_CAP}; its direction regularity is not "
+                f"checked"
+            )
         if len(fam) <= _PENCIL_VERIFY_CAP and not verified_any:
             chk = verify_tube_set(fam, sigma, 16.0)
             verified_any = True

@@ -469,7 +469,34 @@ def _random_family(seed, n, dl):
     return TubeFamily(angs, offs, width=2 * dl, direction_net_step=step, scale=dl)
 
 
+def _boundary_family():
+    """Tubes mostly at angle 0, where the line-metric distance to the tube
+    at offset 0 is the offset: some sit exactly at rho + 1e-12 for a
+    dyadic rho, some one ulp beyond, and several share a cell."""
+    dl = 2.0 ** -4
+    offs = [0.0, 0.0, 0.001, -0.001, 0.03]
+    for lv in range(5):
+        edge = 2.0 ** -lv + 1e-12
+        offs += [edge, -edge, edge, float(np.nextafter(edge, 2.0))]
+    angs = np.zeros(len(offs))
+    angs[-3:] = dl
+    return TubeFamily(angs, np.array(offs), width=2 * dl,
+                      direction_net_step=dl, scale=dl)
+
+
+def _tied_family():
+    """Three parallel tubes 2^-4 apart. At sigma = 0 every ball that holds
+    all three cells ties at ratio 1: at the finest level only the middle
+    tube's does, one level up the first tube's too. The finest level is
+    scanned first, so the middle tube is the witness."""
+    dl = 2.0 ** -4
+    return TubeFamily(np.zeros(3), np.arange(3) * dl, width=2 * dl,
+                      direction_net_step=dl, scale=dl)
+
+
 @pytest.mark.parametrize("make", [
+    _boundary_family,
+    _tied_family,
     lambda: uniform_tube_family(2.0 ** -2),
     lambda: TubeFamily(np.full(64, 0.1), np.full(64, 0.2), width=2.0 ** -5,
                        direction_net_step=2.0 ** -6, scale=2.0 ** -6),
@@ -478,10 +505,15 @@ def _random_family(seed, n, dl):
 ])
 def test_verify_tube_set_matches_oracle(make):
     fam = make()
-    for sigma in (0.5, 1.0, 2.0):
+    for sigma in (0.0, 0.5, 1.0, 2.0):
         chk = verify_tube_set(fam, sigma, 4.0)
         got = (chk.passed, chk.worst_ratio, chk.worst_index, chk.worst_level)
         assert got == _verify_tube_set_oracle(fam, sigma, 4.0)
+
+
+def test_verify_tube_set_tie_goes_to_finest_level():
+    chk = verify_tube_set(_tied_family(), 0.0, 4.0)
+    assert (chk.worst_ratio, chk.worst_index, chk.worst_level) == (1.0, 1, 4)
 
 
 # ---------------------------------------------------------------------------
