@@ -244,8 +244,8 @@ def gen_planted_collinear(n: int, k: int, seed: int) -> DiscreteSet:
     in exact arithmetic; drawing repeats until the maximum collinearity
     equals n-k exactly.
     """
-    # incidence imports this module, so the line keying is imported here
-    from .incidence import _spanned_exact
+    # incidence imports this module, so the line count is imported here
+    from .incidence import _lines_by_size
 
     if not (4 <= n <= 2 ** 12):
         raise PreconditionError(f"n {n!r} outside [4, 4096]")
@@ -270,7 +270,7 @@ def gen_planted_collinear(n: int, k: int, seed: int) -> DiscreteSet:
         ipts = np.concatenate([on_line, off], axis=0)
         if unique_rows(ipts).shape[0] != n:
             continue
-        if int(_spanned_exact(ipts)[1].max()) == m:
+        if np.flatnonzero(_lines_by_size(ipts))[-1] == m:
             pts = ipts.astype(float) / grid
             return DiscreteSet(
                 pts,

@@ -22,11 +22,17 @@ from .generators import DiscreteSet
 from .geometry import LINE_EQ_TOL, Line, Point, line_residuals
 
 # largest common denominator for the exact integer path
-_DENOM_CAP = 1 << 21
+_DENOM_BITS = 21
+_DENOM_CAP = 1 << _DENOM_BITS
 # largest integer coordinate magnitude accepted on the exact path
 _COORD_CAP = 1 << 23
-# pair enumeration chunk (rows of the triple table per block)
+# pair enumeration chunk (pairs keyed per block)
 _PAIR_CHUNK = 1 << 21
+# a direction key packs the anchor's offset within its block above the
+# reduced direction, whose components differ by at most 2^24 under the
+# coordinate cap: dx in [0, 2^24] takes 25 bits and dy + 2^24 in [0, 2^25]
+# takes 26, so 12 bits of anchor keep the key below 2^63
+_ANCHOR_BITS = 12
 
 
 def _rationalize(points: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
@@ -37,23 +43,103 @@ def _rationalize(points: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
     enough that downstream int64 arithmetic cannot overflow.
     """
     vals = np.unique(points)
-    fracs = []
-    den = 1
-    for v in vals.tolist():
-        f = Fraction(v).limit_denominator(_DENOM_CAP)
-        if float(f) != v:
-            return None
-        fracs.append(f)
-        den = den * f.denominator // math.gcd(den, f.denominator)
-        if den > _DENOM_CAP:
-            return None
-    lut = np.array([f.numerator * (den // f.denominator) for f in fracs],
-                   dtype=np.int64)
+    scaled = vals * _DENOM_CAP
+    if np.all(np.abs(vals) <= _COORD_CAP) and np.array_equal(scaled, np.floor(scaled)):
+        # every value is m / 2^21 exactly, so its reduced denominator is
+        # 2^(21 - trailing zeros of m) and the common one is set by the
+        # fewest trailing zeros, which the bitwise or of all m shares
+        m = scaled.astype(np.int64)
+        low = int(np.bitwise_or.reduce(m))
+        shift = min((low & -low).bit_length() - 1, _DENOM_BITS) if low else _DENOM_BITS
+        den = _DENOM_CAP >> shift
+        lut = m >> shift
+    else:
+        fracs = []
+        den = 1
+        for v in vals.tolist():
+            f = Fraction(v).limit_denominator(_DENOM_CAP)
+            if float(f) != v:
+                return None
+            fracs.append(f)
+            den = den * f.denominator // math.gcd(den, f.denominator)
+            if den > _DENOM_CAP:
+                return None
+        lut = np.array([f.numerator * (den // f.denominator) for f in fracs],
+                       dtype=np.int64)
     if lut.size and np.max(np.abs(lut)) > _COORD_CAP:
         return None
     pos = np.searchsorted(vals, points.ravel())
     ints = lut[pos].reshape(points.shape)
     return ints, den
+
+
+def _row_blocks(counts: np.ndarray, limit: int, max_rows: int):
+    """Consecutive row ranges [a, b) of at most max_rows rows whose counts
+    sum to at most limit; a row whose count alone exceeds it is a block."""
+    cum = np.concatenate(([0], np.cumsum(counts)))
+    a = 0
+    while a < counts.size:
+        b = int(np.searchsorted(cum, cum[a] + limit, side="right")) - 1
+        b = min(max(b, a + 1), a + max_rows, counts.size)
+        yield a, b
+        a = b
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row of each entry, and its place within the row, when row r holds
+    counts[r] entries."""
+    rows = np.repeat(np.arange(counts.size), counts)
+    return rows, np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _direction_groups(ints: np.ndarray, every_partner: bool = False):
+    """Per-anchor direction groups of integer points, one block of anchors
+    at a time.
+
+    Each pair (i, j) with j > i (with every_partner, each j != i) gets its
+    gcd-reduced direction, signed so that dx > 0, or dx = 0 and dy > 0; a
+    coincident pair keeps the zero direction. The anchor's offset in its
+    block and the direction pack into one int64 key, so one 1-D sort per
+    block brings each group together: a run of m equal keys is the m
+    partners of i on one line through it. Yields (anchor, size) arrays,
+    one entry per group.
+    """
+    n = ints.shape[0]
+    per_anchor = np.full(n, n - 1) if every_partner else np.arange(n - 1, -1, -1)
+    for a, b in _row_blocks(per_anchor, _PAIR_CHUNK, 1 << _ANCHOR_BITS):
+        rel, t = _expand(per_anchor[a:b])
+        i = rel + a
+        j = t + (t >= i) if every_partner else i + 1 + t
+        dx = ints[j, 0] - ints[i, 0]
+        dy = ints[j, 1] - ints[i, 1]
+        g = np.maximum(np.gcd(dx, dy), 1)
+        g = np.where((dx < 0) | ((dx == 0) & (dy < 0)), -g, g)
+        dx //= g
+        dy //= g
+        keys = (rel << 51) | (dx << 26) | (dy + (1 << 24))
+        keys.sort()
+        start = np.flatnonzero(np.diff(keys, prepend=-1))
+        yield a + (keys[start] >> 51), np.diff(np.append(start, keys.size))
+
+
+def _lines_by_size(ints: np.ndarray) -> np.ndarray:
+    """Entry k is the number of lines through exactly k of the distinct
+    integer points, for k = 0, ..., n.
+
+    Taken from each of its points but the last, a line with k points gives
+    one direction group of each size 1, ..., k - 1. So with G(r) groups of
+    size r, G(k - 1) - G(k) lines hold exactly k points, and G is
+    non-increasing.
+    """
+    n = ints.shape[0]
+    groups = np.zeros(n + 1, dtype=np.int64)
+    for _, size in _direction_groups(ints):
+        groups += np.bincount(size, minlength=n + 1)
+    lines = np.zeros(n + 1, dtype=np.int64)
+    lines[2:] = groups[1:-1] - groups[2:]
+    if np.any(lines < 0):
+        raise InvariantViolation("direction group counts increase with group size")
+    return lines
 
 
 def _canonical_triples(ints: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -159,7 +245,12 @@ class LineSet:
     @classmethod
     def from_lines(cls, lines) -> "LineSet":
         """Keep each line unless it lies within LINE_EQ_TOL of an earlier
-        kept one in the metric of geometry.line_distance."""
+        kept one in the metric of geometry.line_distance.
+
+        That distance is at least the angle gap mod pi, so only lines within
+        the tolerance in angle are compared: a window over the sorted angles
+        and over a copy shifted by pi, which covers the wrap at 0 ~ pi.
+        """
         lines = list(lines)
         for ln in lines:
             if not isinstance(ln, Line):
@@ -167,17 +258,32 @@ class LineSet:
         ang = np.array([ln.angle for ln in lines], dtype=float)
         ax = np.array([ln.anchor.x for ln in lines], dtype=float)
         ay = np.array([ln.anchor.y for ln in lines], dtype=float)
-        kept: list = []
-        for i, ln in enumerate(lines):
-            # the kept lines occupy the first len(kept) slots of the arrays
-            k = len(kept)
-            d = np.abs(ang[:k] - ang[i])
-            d = np.minimum(d, math.pi - d) + np.hypot(ax[:k] - ax[i], ay[:k] - ay[i])
-            if np.all(d > LINE_EQ_TOL):
-                ang[k], ax[k], ay[k] = ang[i], ax[i], ay[i]
-                kept.append(ln)
-        off = np.array([ln.offset() for ln in kept])
-        return cls(angles=ang[:len(kept)].copy(), offsets=off)
+        # an exact repeat of an earlier line is never kept and blocks none
+        first = np.sort(unique_rows(np.column_stack((ang, ax, ay)), return_index=True)[1])
+        order = first[np.argsort(ang[first], kind="stable")]
+        srt = ang[order]
+        # the window reaches 2 * tol so that rounding cannot hide a pair
+        stop = np.searchsorted(np.concatenate((srt, srt + math.pi)),
+                               srt + 2 * LINE_EQ_TOL, side="right")
+        span = stop - np.arange(1, srt.size + 1)
+        near = [np.zeros((0, 2), dtype=np.intp)]
+        for a, b in _row_blocks(span, _PAIR_CHUNK, srt.size):
+            u, t = _expand(span[a:b])
+            u += a
+            i, j = order[u], order[(u + 1 + t) % srt.size]
+            d = np.abs(ang[i] - ang[j])
+            d = np.minimum(d, math.pi - d) + np.hypot(ax[i] - ax[j], ay[i] - ay[j])
+            hit = ~(d > LINE_EQ_TOL)
+            near.append(np.column_stack((np.maximum(i[hit], j[hit]),
+                                         np.minimum(i[hit], j[hit]))))
+        kept = np.zeros(len(lines), dtype=bool)
+        kept[first] = True
+        # first seen wins: a line goes when an earlier kept one is near it
+        for later, earlier in unique_rows(np.concatenate(near)).tolist():
+            if kept[earlier]:
+                kept[later] = False
+        off = np.array([ln.offset() for ln, keep in zip(lines, kept) if keep])
+        return cls(angles=ang[kept], offsets=off)
 
 
 @dataclass(frozen=True)
@@ -372,26 +478,33 @@ def beck_analyze(p: DiscreteSet, c_threshold: float = 64.0) -> BeckReport:
 
     Dyadic bracket r holds the pairs whose spanning line has between r and
     2r - 1 points; a line with exactly 2r lands in the next bracket up.
+    Only the number of lines of each size is read: on lattice input it
+    comes from per-anchor direction groups, with no line keys.
     """
     n = len(p)
     if n < 3:
         raise TooFewPoints("dichotomy analysis needs at least three points")
     if c_threshold < 2.0:
         raise PreconditionError(f"c_threshold {c_threshold!r} below 2")
-    lines = spanned_lines(p)
-    k = lines.point_counts
-    max_collinear = int(k.max())
-    spanned_count = len(lines)
-    pair_counts = k * (k - 1) // 2
+    rat = _rationalize(p.points)
+    if rat is None:
+        lines_with = np.bincount(_spanned_float(p.points)[2], minlength=n + 1)
+    elif unique_rows(rat[0]).shape[0] < n:
+        raise InvariantViolation("coincident points do not span a line")
+    else:
+        lines_with = _lines_by_size(rat[0])
+    max_collinear = int(np.flatnonzero(lines_with)[-1])
+    spanned_count = int(lines_with.sum())
+    k = np.arange(n + 1)
+    pairs_on = lines_with * (k * (k - 1) // 2)
     profile = {}
     total_pairs = 0
     r = 2
     while r <= n:
-        in_bracket = (k >= r) & (k < 2 * r)
-        t_r = int(pair_counts[in_bracket].sum())
+        t_r = int(pairs_on[r:2 * r].sum())
         profile[r] = t_r
         total_pairs += t_r
-        l_r = int((k >= r).sum())
+        l_r = int(lines_with[r:].sum())
         if t_r > 2 * r * r * l_r:
             raise InvariantViolation(
                 f"bracket r={r}: {t_r} connected pairs exceed 2 r^2 |L_r|"
@@ -420,7 +533,11 @@ def beck_analyze(p: DiscreteSet, c_threshold: float = 64.0) -> BeckReport:
 
 
 def weak_dirac_stat(p: DiscreteSet) -> tuple[Point, int]:
-    """The point lying on the most spanned lines, ties by lowest index."""
+    """The point lying on the most spanned lines, ties by lowest index.
+
+    The lines through point i are its distinct directions to the other
+    points; coincident points add the zero direction.
+    """
     n = len(p)
     if n < 3:
         raise TooFewPoints("the incidence maximum needs at least three points")
@@ -429,12 +546,10 @@ def weak_dirac_stat(p: DiscreteSet) -> tuple[Point, int]:
         raise PreconditionError(
             "per-point line counting requires lattice-representable input"
         )
-    ints, _ = rat
-    ii, jj = np.triu_indices(n, 1)
-    _, line_ids = unique_rows(_canonical_triples(ints, ii, jj), return_inverse=True)
-    if not line_ids.any():
+    per_point = np.zeros(n, dtype=np.int64)
+    for anchor, _ in _direction_groups(rat[0], every_partner=True):
+        per_point += np.bincount(anchor, minlength=n)
+    if per_point.max() == 1:
         raise AllCollinear("every point lies on a single line")
-    rows = np.column_stack((np.concatenate((ii, jj)), np.tile(line_ids, 2)))
-    per_point = np.bincount(unique_rows(rows)[:, 0], minlength=n)
     best = int(np.argmax(per_point))
     return Point(*p.points[best]), int(per_point[best])

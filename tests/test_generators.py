@@ -23,7 +23,7 @@ from gmtlab.generators import (
     gen_random_delta_s_set,
     segment_set,
 )
-from gmtlab.incidence import _spanned_exact
+from gmtlab.incidence import _lines_by_size, _spanned_exact
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ class TestPlanted:
 
 def _max_collinear_oracle(ipts: np.ndarray) -> int:
     """The planted generator's former private collinearity count, kept as
-    the reference for the incidence keying it now uses."""
+    the reference for the incidence line counts it now uses."""
     n = ipts.shape[0]
     iu, ju = np.triu_indices(n, k=1)
     p, q = ipts[iu], ipts[ju]
@@ -280,7 +280,9 @@ def _max_collinear_oracle(ipts: np.ndarray) -> int:
 @settings(max_examples=100, deadline=None)
 def test_max_collinear_matches_oracle_on_lattice_sets(pts):
     ipts = np.array(pts, dtype=np.int64)
-    assert int(_spanned_exact(ipts)[1].max()) == _max_collinear_oracle(ipts)
+    want = _max_collinear_oracle(ipts)
+    assert int(_spanned_exact(ipts)[1].max()) == want
+    assert np.flatnonzero(_lines_by_size(ipts))[-1] == want
 
 
 @pytest.mark.parametrize("n,k,seed", [(64, 16, 2), (40, 38, 5), (128, 0, 3)])

@@ -7,10 +7,11 @@ asserted, so a counting regression cannot hide behind the constant.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmtlab.dyadic import unique_rows
@@ -18,12 +19,17 @@ from gmtlab.errors import AllCollinear, InvariantViolation, PreconditionError, T
 from gmtlab.experiments import line_set_dimension
 from gmtlab.generators import DiscreteSet, gen_grid, gen_planted_collinear
 from gmtlab.geometry import LINE_EQ_TOL, Line, Point, line_distance
+import gmtlab.incidence as inc
 from gmtlab.incidence import (
+    BeckReport,
     LineSet,
     beck_analyze,
     incidence_count,
     rich_lines,
     _canonical_triples,
+    _COORD_CAP,
+    _DENOM_CAP,
+    _lines_by_size,
     _points_on_lines,
     _rationalize,
     _spanned_exact,
@@ -202,8 +208,6 @@ def test_spanned_exact_chunking_matches_two_pass_oracle(chunk, seed,
                                                         monkeypatch):
     """Lattice sets with many collinear triples: any chunk size gives the
     single-chunk rows and counts, and so does the retired two-pass code."""
-    import gmtlab.incidence as inc
-
     rng = np.random.default_rng(seed)
     grid = np.stack(np.meshgrid(np.arange(9), np.arange(9)), -1).reshape(-1, 2)
     ints = grid[rng.permutation(grid.shape[0])[:60]]  # 1,770 pairs
@@ -214,6 +218,89 @@ def test_spanned_exact_chunking_matches_two_pass_oracle(chunk, seed,
                  _spanned_exact_oracle(ints, 1 << 21)):
         assert np.array_equal(chunked[0], want[0])
         assert np.array_equal(chunked[1], want[1])
+
+
+def _rationalize_oracle(points):
+    """_rationalize's Fraction loop over every distinct value, the only
+    path before dyadic values were settled in numpy."""
+    vals = np.unique(points)
+    fracs = []
+    den = 1
+    for v in vals.tolist():
+        f = Fraction(v).limit_denominator(_DENOM_CAP)
+        if float(f) != v:
+            return None
+        fracs.append(f)
+        den = den * f.denominator // math.gcd(den, f.denominator)
+        if den > _DENOM_CAP:
+            return None
+    lut = np.array([f.numerator * (den // f.denominator) for f in fracs],
+                   dtype=np.int64)
+    if lut.size and np.max(np.abs(lut)) > _COORD_CAP:
+        return None
+    pos = np.searchsorted(vals, points.ravel())
+    ints = lut[pos].reshape(points.shape)
+    return ints, den
+
+
+def _assert_rationalize_matches(points):
+    want = _rationalize_oracle(points)
+    got = _rationalize(points)
+    if want is None:
+        assert got is None
+        return
+    assert got[1] == want[1] and type(got[1]) is int
+    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+
+
+@given(m=st.lists(st.integers(-(1 << 24), 1 << 24), min_size=1, max_size=40),
+       e=st.integers(0, 22), shape=st.sampled_from([(-1,), (-1, 2)]))
+@settings(max_examples=150, deadline=None)
+def test_rationalize_dyadic_matches_fraction_loop(m, e, shape):
+    """Values m / 2^e: the numpy path gives the loop's ints and denominator
+    for e up to 21, and the loop refuses e = 22 when m is odd."""
+    vals = np.array(m, dtype=float) / 2.0 ** e
+    pts = np.resize(vals, (2 * vals.size,)).reshape(shape)
+    _assert_rationalize_matches(pts)
+
+
+@pytest.mark.parametrize("vals,den", [
+    ([0.0], 1),
+    ([-0.0, 0.0, 0.0], 1),
+    ([0.375], 8),
+    ([-3.0, 0.5, -0.25, 7.0], 4),
+    ([1.0 / _DENOM_CAP, 0.5], _DENOM_CAP),
+    ([float(_COORD_CAP), -float(_COORD_CAP)], 1),
+    ([(_COORD_CAP - 1) / _DENOM_CAP], _DENOM_CAP),
+])
+def test_rationalize_dyadic_skips_the_fraction_loop(vals, den, monkeypatch):
+    """Dyadic input within the caps never builds a Fraction."""
+    pts = np.array(vals).reshape(-1, 1)
+    want = _rationalize_oracle(pts)
+    monkeypatch.setattr(inc, "Fraction", None)
+    got = _rationalize(pts)
+    assert got[1] == want[1] == den
+    assert np.array_equal(got[0], want[0])
+
+
+@pytest.mark.parametrize("vals,den", [
+    ([0.1, 0.5], 10),                       # decimal: the loop, den 10 * 2^e
+    ([0.1, 0.25, 0.5], 20),
+    ([0.3, -0.125, 3.0], 40),
+    ([1.0 / (1 << 22)], None),              # denominator 2^22: refused
+    ([1.0 / (1 << 22), 0.5], None),
+    ([1.0 / 3.0, 0.5], 6),
+    ([1.0 / math.pi], None),                # no small fraction
+    ([float(_COORD_CAP + 1)], None),        # just over the coordinate cap
+    ([float(_COORD_CAP), 0.5], None),       # over the cap once scaled
+    ([_COORD_CAP / 2 + 0.25], None),
+    ([-float(_COORD_CAP) - 0.5], None),
+])
+def test_rationalize_other_input_matches_fraction_loop(vals, den):
+    pts = np.array(vals).reshape(-1, 1)
+    _assert_rationalize_matches(pts)
+    got = _rationalize(pts)
+    assert (got is None) if den is None else (got[1] == den)
 
 
 def _from_lines_oracle(lines):
@@ -246,6 +333,18 @@ def test_from_lines_matches_pairwise_oracle(params, jitter):
     got = LineSet.from_lines(lines)
     assert np.array_equal(got.angles, [ln.angle for ln in want])
     assert np.array_equal(got.offsets, [ln.offset() for ln in want])
+
+
+@pytest.mark.parametrize("gap", [6e-10, 9.9e-10, 1e-9, 1.01e-9, 1.9e-9])
+@pytest.mark.parametrize("base", [0.0, 1.0, math.pi - 3e-10])
+def test_from_lines_angle_gap_near_the_tolerance(gap, base):
+    """Lines through the origin differ by their angle gap alone, so the
+    angle window must reach the full tolerance, across the wrap too."""
+    angles = [base + gap * i for i in range(4)] + [base + gap / 2]
+    lines = [Line.from_angle_offset(t, 0.0) for t in angles]
+    want = _from_lines_oracle(lines)
+    got = LineSet.from_lines(lines)
+    assert np.array_equal(got.angles, [ln.angle for ln in want])
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +464,151 @@ class TestBeckAnalyze:
             beck_analyze(grid3, c_threshold=1.0)
 
 
+def _beck_analyze_oracle(p, c_threshold=64.0):
+    """beck_analyze before per-anchor direction groups: every spanned line
+    keyed by its triple through spanned_lines."""
+    n = len(p)
+    if n < 3:
+        raise TooFewPoints("dichotomy analysis needs at least three points")
+    if c_threshold < 2.0:
+        raise PreconditionError(f"c_threshold {c_threshold!r} below 2")
+    lines = spanned_lines(p)
+    k = lines.point_counts
+    max_collinear = int(k.max())
+    spanned_count = len(lines)
+    pair_counts = k * (k - 1) // 2
+    profile = {}
+    total_pairs = 0
+    r = 2
+    while r <= n:
+        in_bracket = (k >= r) & (k < 2 * r)
+        t_r = int(pair_counts[in_bracket].sum())
+        profile[r] = t_r
+        total_pairs += t_r
+        l_r = int((k >= r).sum())
+        if t_r > 2 * r * r * l_r:
+            raise InvariantViolation(
+                f"bracket r={r}: {t_r} connected pairs exceed 2 r^2 |L_r|"
+            )
+        r *= 2
+    if total_pairs != n * (n - 1) // 2:
+        raise InvariantViolation(
+            f"connected pairs sum to {total_pairs}, expected {n * (n - 1) // 2}"
+        )
+    rich = max_collinear >= n / c_threshold
+    many = spanned_count >= n * n / (c_threshold * c_threshold)
+    if rich and many:
+        verdict = "Both"
+    elif rich:
+        verdict = "RichLine"
+    elif many:
+        verdict = "ManyLines"
+    else:
+        raise InvariantViolation(
+            "neither dichotomy branch holds; the threshold argument excludes this"
+        )
+    k_planted = n - max_collinear
+    ratio = spanned_count / (n * k_planted) if k_planted >= 1 else None
+    return BeckReport(n, max_collinear, spanned_count, profile, verdict,
+                      ratio, c_threshold)
+
+
+@st.composite
+def _lattice_points(draw, lo=-60, hi=60):
+    """Distinct integer points in [lo, hi]^2, at least three: a scatter,
+    planted lines with arbitrary steps, collinear runs and a grid block."""
+    coord = st.integers(lo, hi)
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=20))
+    for run in range(draw(st.integers(0, 4))):
+        x0, y0 = draw(coord), draw(coord)
+        dx, dy = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+        if run % 2:   # a collinear run: consecutive steps
+            steps = range(draw(st.integers(2, 12)))
+        else:         # a planted line: scattered steps
+            steps = draw(st.lists(st.integers(-12, 12), min_size=2, max_size=12))
+        pts += [(x0 + t * dx, y0 + t * dy) for t in steps]
+    side = draw(st.integers(0, 7))
+    gx, gy, step = draw(coord), draw(coord), draw(st.integers(1, 3))
+    pts += [(gx + step * u, gy + step * v) for u in range(side) for v in range(side)]
+    pts = [(x, y) for x, y in pts if lo <= x <= hi and lo <= y <= hi]
+    pts = list(dict.fromkeys(pts + [(lo, lo), (hi, hi), (lo, hi)]))
+    order = draw(st.permutations(range(len(pts))))
+    return np.array([pts[i] for i in order], dtype=np.int64)
+
+
+def _k_multiset(lines_with):
+    return np.repeat(np.arange(lines_with.size), lines_with)
+
+
+@given(ints=_lattice_points())
+@settings(max_examples=120, deadline=None)
+def test_line_sizes_match_spanned_exact(ints):
+    """The direction-group line sizes are the k multiset of the triple
+    keying, also with anchor blocks of one pair and of seven pairs, which
+    put groups next to block boundaries."""
+    want = np.sort(_spanned_exact(ints)[1])
+    for chunk in (None, 1, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(inc, "_PAIR_CHUNK", chunk)
+            got = _lines_by_size(ints)
+        assert got[:2].sum() == 0 and got.size == ints.shape[0] + 1
+        assert np.array_equal(_k_multiset(got), want)
+
+
+_EDGE = (-_COORD_CAP, -_COORD_CAP + 1, -1, 0, 1, _COORD_CAP - 1, _COORD_CAP)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_EDGE), st.sampled_from(_EDGE)),
+                min_size=2, max_size=30, unique=True))
+@example([(0, -_COORD_CAP), (1, _COORD_CAP), (-1, _COORD_CAP),
+          (-_COORD_CAP, -_COORD_CAP), (_COORD_CAP, _COORD_CAP - 1)])
+@settings(max_examples=80, deadline=None)
+def test_line_sizes_at_the_coordinate_cap(pts):
+    """Reduced directions up to (2^24, 2^24 - 1), (1, +-2^24) and (0, 1)
+    fill the 25 + 26 direction bits of a key without a carry; the example
+    sees (1, 2^24) and (1, -2^24) from one anchor."""
+    ints = np.array(pts, dtype=np.int64)
+    want = np.sort(_spanned_exact(ints)[1])
+    assert np.array_equal(_k_multiset(_lines_by_size(ints)), want)
+
+
+@given(ints=_lattice_points(), c=st.sampled_from([2.0, 8.0, 64.0]))
+@settings(max_examples=80, deadline=None)
+def test_beck_analyze_matches_spanned_lines_oracle(ints, c):
+    ds = DiscreteSet(ints / 64.0, 2.0 ** -6, check=False)
+    try:
+        want = _beck_analyze_oracle(ds, c)
+    except InvariantViolation:
+        with pytest.raises(InvariantViolation):
+            beck_analyze(ds, c)
+        return
+    assert beck_analyze(ds, c) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_planted_collinear(512, 16, seed=1),
+    lambda: gen_grid(24),
+    lambda: DiscreteSet(gen_grid(9).points / math.pi, 2.0 ** -8),  # float path
+])
+def test_beck_analyze_matches_oracle_on_named_sets(make):
+    ds = make()
+    assert beck_analyze(ds) == _beck_analyze_oracle(ds)
+
+
+def test_beck_reads_no_line_keys(monkeypatch, grid3, grid5):
+    """The dichotomy, the planted generator's maximum and the weak Dirac
+    count never build line triples."""
+    def refuse(*args):
+        raise AssertionError("line triples built")
+
+    monkeypatch.setattr(inc, "_spanned_exact", refuse)
+    monkeypatch.setattr(inc, "_canonical_triples", refuse)
+    assert beck_analyze(grid5).max_collinear == 5
+    assert gen_planted_collinear(64, 16, seed=2).label == "planted-64-16"
+    assert weak_dirac_stat(grid3)[1] == 6
+
+
 # ---------------------------------------------------------------------------
 # weak dirac statistic
 # ---------------------------------------------------------------------------
@@ -399,16 +643,47 @@ def _weak_dirac_oracle(p):
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
-                min_size=3, max_size=30, unique=True))
-def test_weak_dirac_matches_oracle(ipts):
+                min_size=3, max_size=30, unique=True),
+       st.sampled_from([None, 7, 40]))
+def test_weak_dirac_matches_oracle(ipts, chunk):
+    """Also with blocks of one anchor, and of several for small sets."""
     ds = DiscreteSet(np.array(ipts, dtype=float) / 8.0, 0.125)
-    try:
-        want = _weak_dirac_oracle(ds)
-    except AllCollinear:
-        with pytest.raises(AllCollinear):
-            weak_dirac_stat(ds)
-        return
-    assert weak_dirac_stat(ds) == want
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(inc, "_PAIR_CHUNK", chunk)
+        try:
+            want = _weak_dirac_oracle(ds)
+        except AllCollinear:
+            with pytest.raises(AllCollinear):
+                weak_dirac_stat(ds)
+            return
+        assert weak_dirac_stat(ds) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                min_size=2, max_size=20))
+@example([(0, 0), (0, 0), (1, 0)])
+@example([(1, 1), (1, 1)])
+def test_coincident_points(ipts):
+    """Repeated points reach the counts only unchecked. The dichotomy
+    refuses them (the triple keying refused most such sets by a pair count
+    that is no binomial coefficient, and misreported a few, such as three
+    copies of one point and one other point, as two 3-point lines). The
+    weak Dirac count gives the former (point, count): coincident points
+    add the zero direction, which is never divided by its gcd 0."""
+    ipts = ipts + [ipts[0]]
+    ds = DiscreteSet(np.array(ipts, dtype=float) / 8.0, 0.125, check=False)
+    with np.errstate(all="raise"):
+        with pytest.raises(InvariantViolation, match="coincident"):
+            beck_analyze(ds)
+        try:
+            want = _weak_dirac_oracle(ds)
+        except AllCollinear:
+            with pytest.raises(AllCollinear):
+                weak_dirac_stat(ds)
+            return
+        assert weak_dirac_stat(ds) == want
 
 
 def test_weak_dirac_rejects_collinear():
