@@ -18,10 +18,6 @@ class InvariantViolation(GmtlabError, RuntimeError):
     """A computed result failed a structural self-check."""
 
 
-class VerticalLine(PreconditionError):
-    """Slope/intercept form requested for a vertical line."""
-
-
 class DegeneratePair(PreconditionError):
     """Two points too close together to span a line."""
 

@@ -55,10 +55,10 @@ class DiscreteSet:
             raise PreconditionError("points contain non-finite coordinates")
         if not (0.0 < self.delta <= 1.0):
             raise PreconditionError(f"delta {self.delta!r} outside (0, 1]")
-        radii = np.hypot(pts[:, 0], pts[:, 1])
-        if radii.max() > BOX_RADIUS + 1e-9:
+        radius = float(np.hypot(pts[:, 0], pts[:, 1]).max())
+        if radius > BOX_RADIUS + 1e-9:
             raise PreconditionError(
-                f"point at radius {radii.max():.6f} outside the working ball B(0, 2)"
+                f"point at radius {radius:.6f} outside the working ball B(0, 2)"
             )
         pts.setflags(write=False)
         self.points = pts
@@ -67,11 +67,17 @@ class DiscreteSet:
 
     def _assert_separated(self) -> None:
         pts, delta = self.points, self.delta
-        scaled = pts / delta
-        snapped = np.round(scaled)
-        if np.abs(scaled - snapped).max() < 1e-6:
+        # one float temporary besides the nodes: the distance to the
+        # nearest node is taken in place and dropped before the int cast
+        off = pts / delta
+        snapped = np.rint(off)
+        off -= snapped
+        aligned = np.abs(off, out=off).max() < 1e-6
+        del off
+        if aligned:
             # grid-aligned: distinct nodes are automatically delta-separated
             nodes = snapped.astype(np.int64)
+            del snapped
             if unique_rows(nodes).shape[0] == pts.shape[0]:
                 return
             raise InvariantViolation("duplicate grid-snapped points")
@@ -85,10 +91,6 @@ class DiscreteSet:
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
-
-    def subset(self, indices: np.ndarray) -> "DiscreteSet":
-        return DiscreteSet(self.points[np.asarray(indices)], self.delta,
-                           self.label, dict(self.meta))
 
 
 def as_points(obj) -> np.ndarray:
@@ -115,24 +117,6 @@ class IfsSystem:
         for ratio, _rot, _t in self.maps:
             if not (0.0 < ratio < 1.0):
                 raise PreconditionError(f"contraction ratio {ratio!r} outside (0, 1)")
-
-    def similarity_dimension(self) -> float:
-        """Solve sum(ratio_i^s) = 1 for s by bisection."""
-        ratios = np.array([m[0] for m in self.maps], dtype=float)
-
-        def f(s: float) -> float:
-            return float(np.sum(ratios ** s)) - 1.0
-
-        if f(0.0) <= 0.0:
-            return 0.0
-        lo, hi = 0.0, 4.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
 
 def cantor_middle_thirds() -> IfsSystem:

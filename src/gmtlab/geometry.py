@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePair, InvariantViolation, VerticalLine
+from .errors import DegeneratePair, InvariantViolation
 
 # Tolerance for treating two lines as equal (canonical-chart distance).
 LINE_EQ_TOL = 1e-9
 # Points closer than this cannot span a line.
 PAIR_TOL = 1e-12
-# |cos angle| below this means the line is vertical for slope purposes.
-VERTICAL_TOL = 1e-12
 
 
 def _require_finite(name: str, *values: float) -> None:
@@ -102,15 +100,6 @@ class Line:
         return Line(t, Point(offset * nx, offset * ny))
 
     @staticmethod
-    def from_slope_intercept(slope: float, intercept: float) -> "Line":
-        """Line y = slope*x + intercept."""
-        _require_finite("slope/intercept", slope, intercept)
-        theta = math.atan(slope)  # in (-pi/2, pi/2)
-        # signed offset of y = mx + b along n = (-sin, cos) is b*cos(theta);
-        # from_angle_offset flips the offset when it reduces theta mod pi
-        return Line.from_angle_offset(theta, intercept * math.cos(theta))
-
-    @staticmethod
     def through(p: Point, q: Point) -> "Line":
         """The unique line through two distinct points.
 
@@ -145,16 +134,6 @@ class Line:
         nx, ny = self.normal()
         return self.anchor.x * nx + self.anchor.y * ny
 
-    def is_vertical(self) -> bool:
-        return abs(math.cos(self.angle)) < VERTICAL_TOL
-
-    def slope_intercept(self) -> tuple[float, float]:
-        """(slope, intercept) view; vertical lines have neither."""
-        if self.is_vertical():
-            raise VerticalLine("vertical line has no slope/intercept form")
-        slope = math.tan(self.angle)
-        return slope, self.anchor.y - slope * self.anchor.x
-
     def distance_to_point(self, p: Point) -> float:
         nx, ny = self.normal()
         return abs((p.x - self.anchor.x) * nx + (p.y - self.anchor.y) * ny)
@@ -182,17 +161,6 @@ def line_residuals(points, angles, offsets) -> np.ndarray:
     return np.abs(res, out=res)
 
 
-def dualize_point(p: Point) -> Line:
-    """Point (m, b) goes to the line y = m*x + b."""
-    return Line.from_slope_intercept(p.x, p.y)
-
-
-def dualize_line(line: Line) -> Point:
-    """Line y = c*x + d goes to the point (-c, d); vertical lines have no dual."""
-    slope, intercept = line.slope_intercept()  # raises VerticalLine
-    return Point(-slope, intercept)
-
-
 @dataclass(frozen=True)
 class Tube:
     """Closed width/2-neighborhood of a line."""
@@ -207,12 +175,6 @@ class Tube:
 
     def contains(self, p: Point) -> bool:
         return self.axis.distance_to_point(p) <= self.width / 2.0
-
-    def inflate(self, rho: float) -> "Tube":
-        """The rho-neighborhood of this tube (width grows by 2*rho)."""
-        if rho < 0.0:
-            raise InvariantViolation("inflation radius must be nonnegative")
-        return Tube(self.axis, self.width + 2.0 * rho)
 
 
 @dataclass(frozen=True)

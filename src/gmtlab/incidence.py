@@ -35,6 +35,20 @@ _PAIR_CHUNK = 1 << 21
 _ANCHOR_BITS = 12
 
 
+def _pack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One int64 key per (u, v) with u in [0, 2^24] and |v| <= 2^24, in
+    51 bits that order as the pairs do. Both inputs are overwritten."""
+    u <<= 26
+    v += 1 << 24
+    u |= v
+    return u
+
+
+def _unpack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) back from the low 51 bits of keys."""
+    return (keys >> 26) & ((1 << 25) - 1), (keys & ((1 << 26) - 1)) - (1 << 24)
+
+
 def _rationalize(points: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
     """Integer coordinates on a common lattice, or None.
 
@@ -101,25 +115,38 @@ def _direction_groups(ints: np.ndarray, every_partner: bool = False):
     coincident pair keeps the zero direction. The anchor's offset in its
     block and the direction pack into one int64 key, so one 1-D sort per
     block brings each group together: a run of m equal keys is the m
-    partners of i on one line through it. Yields (anchor, size) arrays,
-    one entry per group.
+    partners of i on one line through it. Yields (anchor, size, dx, dy)
+    arrays, one entry per group, with the direction read back from the
+    run's key.
     """
     n = ints.shape[0]
     per_anchor = np.full(n, n - 1) if every_partner else np.arange(n - 1, -1, -1)
     for a, b in _row_blocks(per_anchor, _PAIR_CHUNK, 1 << _ANCHOR_BITS):
-        rel, t = _expand(per_anchor[a:b])
-        i = rel + a
+        # every pair temporary is dropped or reused as soon as it is spent
+        keys, t = _expand(per_anchor[a:b])
+        i = keys + a
         j = t + (t >= i) if every_partner else i + 1 + t
-        dx = ints[j, 0] - ints[i, 0]
-        dy = ints[j, 1] - ints[i, 1]
-        g = np.maximum(np.gcd(dx, dy), 1)
-        g = np.where((dx < 0) | ((dx == 0) & (dy < 0)), -g, g)
+        del t
+        dx = ints[j, 0]
+        dx -= ints[i, 0]
+        dy = ints[j, 1]
+        dy -= ints[i, 1]
+        del i, j
+        g = np.gcd(dx, dy)
+        np.maximum(g, 1, out=g)
+        np.negative(g, out=g, where=(dx < 0) | ((dx == 0) & (dy < 0)))
         dx //= g
         dy //= g
-        keys = (rel << 51) | (dx << 26) | (dy + (1 << 24))
+        del g
+        keys <<= 51
+        keys |= _pack(dx, dy)
+        del dx, dy
         keys.sort()
         start = np.flatnonzero(np.diff(keys, prepend=-1))
-        yield a + (keys[start] >> 51), np.diff(np.append(start, keys.size))
+        heads = keys[start]
+        size = np.diff(np.append(start, keys.size))
+        del keys, start
+        yield (a + (heads >> 51), size, *_unpack(heads))
 
 
 def _lines_by_size(ints: np.ndarray) -> np.ndarray:
@@ -133,7 +160,7 @@ def _lines_by_size(ints: np.ndarray) -> np.ndarray:
     """
     n = ints.shape[0]
     groups = np.zeros(n + 1, dtype=np.int64)
-    for _, size in _direction_groups(ints):
+    for _, size, _, _ in _direction_groups(ints):
         groups += np.bincount(size, minlength=n + 1)
     lines = np.zeros(n + 1, dtype=np.int64)
     lines[2:] = groups[1:-1] - groups[2:]
@@ -142,41 +169,43 @@ def _lines_by_size(ints: np.ndarray) -> np.ndarray:
     return lines
 
 
-def _canonical_triples(ints: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """gcd-reduced sign-normalized (a, b, c) with a*x + b*y = c through
-    integer points i and j."""
-    a = ints[j, 1] - ints[i, 1]
-    b = ints[i, 0] - ints[j, 0]
-    c = a * ints[i, 0] + b * ints[i, 1]
-    g = np.gcd(np.gcd(np.abs(a), np.abs(b)), np.abs(c))
-    g = np.maximum(g, 1)
-    a //= g
-    b //= g
-    c //= g
-    flip = (a < 0) | ((a == 0) & (b < 0))
-    sign = np.where(flip, -1, 1)
-    return np.column_stack((a * sign, b * sign, c * sign))
+def _group_lines(ints: np.ndarray) -> np.ndarray:
+    """The line of every direction group, as rows (packed (a, b), c).
+
+    Group (i, (dx, dy)) lies on a*x + b*y = c with (a, b) = s * (dy, -dx),
+    where s = 1 if dy > 0 and -1 otherwise, so that a > 0, or a = 0 and
+    b > 0; c = a*x_i + b*y_i. gcd(dx, dy) = 1, so the triple is reduced.
+    """
+    n = ints.shape[0]
+    # one column per group, at most one group per pair
+    rows = np.empty((2, n * (n - 1) // 2), dtype=np.int64)
+    filled = 0
+    for anchor, _, dx, dy in _direction_groups(ints):
+        ab, c = rows[:, filled:filled + anchor.size]
+        b = np.negative(dx, out=dx, where=dy > 0)
+        a = np.abs(dy, out=dy)
+        np.multiply(a, ints[anchor, 0], out=c)
+        c += b * ints[anchor, 1]
+        ab[:] = _pack(a, b)
+        filled += anchor.size
+    return rows[:, :filled].T
 
 
 def _spanned_exact(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unique canonical triples and per-line point counts. Pairs are keyed
-    in chunks; with more than one chunk, the per-chunk distinct rows are
-    merged and their pair counts summed."""
-    ii, jj = np.triu_indices(ints.shape[0], 1)
-    pieces = [
-        unique_rows(_canonical_triples(ints, ii[s:s + _PAIR_CHUNK],
-                                       jj[s:s + _PAIR_CHUNK]),
-                    return_counts=True)
-        for s in range(0, ii.size, _PAIR_CHUNK)
-    ]
-    if len(pieces) == 1:
-        triples, pair_counts = pieces[0]
-    else:
-        triples, inv = unique_rows(np.concatenate([u for u, _ in pieces]),
-                                   return_inverse=True)
-        pair_counts = np.zeros(triples.shape[0], dtype=np.int64)
-        np.add.at(pair_counts, inv, np.concatenate([c for _, c in pieces]))
-    return triples, _points_on_lines(pair_counts)
+    """Canonical triples of the lines through the distinct integer points,
+    in lexicographic order, and the points on each line.
+
+    A line with k points holds k - 1 direction groups, so one sort of the
+    groups' lines gives each line and k. The lines' k(k - 1)/2 must sum to
+    the number of pairs: a line split in two falls short of it, and two
+    lines merged exceed it.
+    """
+    n = ints.shape[0]
+    lines, per_line = unique_rows(_group_lines(ints), return_counts=True)
+    k = per_line + 1
+    if int((k * per_line // 2).sum()) != n * (n - 1) // 2:
+        raise InvariantViolation("a spanned line was split or merged")
+    return np.column_stack((*_unpack(lines[:, 0]), lines[:, 1])), k
 
 
 def _points_on_lines(pair_counts: np.ndarray) -> np.ndarray:
@@ -367,10 +396,18 @@ def _spanned_float(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return theta[first], d[first], _points_on_lines(cnt)
 
 
+def _refuse_coincident(p: DiscreteSet) -> None:
+    """Coincident points reach the line counts only unchecked; they span no
+    line, and a pair of them would be counted as one."""
+    if unique_rows(p.points).shape[0] < len(p):
+        raise InvariantViolation("coincident points do not span a line")
+
+
 def spanned_lines(p: DiscreteSet) -> LineSet:
     """Every line through at least two points of the set, deduplicated."""
     if len(p) < 2:
         raise TooFewPoints("spanning lines needs at least two points")
+    _refuse_coincident(p)
     rat = _rationalize(p.points)
     if rat is not None:
         ints, den = rat
@@ -486,11 +523,10 @@ def beck_analyze(p: DiscreteSet, c_threshold: float = 64.0) -> BeckReport:
         raise TooFewPoints("dichotomy analysis needs at least three points")
     if c_threshold < 2.0:
         raise PreconditionError(f"c_threshold {c_threshold!r} below 2")
+    _refuse_coincident(p)
     rat = _rationalize(p.points)
     if rat is None:
         lines_with = np.bincount(_spanned_float(p.points)[2], minlength=n + 1)
-    elif unique_rows(rat[0]).shape[0] < n:
-        raise InvariantViolation("coincident points do not span a line")
     else:
         lines_with = _lines_by_size(rat[0])
     max_collinear = int(np.flatnonzero(lines_with)[-1])
@@ -547,7 +583,7 @@ def weak_dirac_stat(p: DiscreteSet) -> tuple[Point, int]:
             "per-point line counting requires lattice-representable input"
         )
     per_point = np.zeros(n, dtype=np.int64)
-    for anchor, _ in _direction_groups(rat[0], every_partner=True):
+    for anchor, _, _, _ in _direction_groups(rat[0], every_partner=True):
         per_point += np.bincount(anchor, minlength=n)
     if per_point.max() == 1:
         raise AllCollinear("every point lies on a single line")

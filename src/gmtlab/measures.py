@@ -45,7 +45,6 @@ class WeightedMeasure:
 
     support: DiscreteSet
     weights: np.ndarray
-    require_probability: bool = True
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64)).reshape(-1)
@@ -57,7 +56,7 @@ class WeightedMeasure:
             raise PreconditionError("weights must be finite")
         if np.any(w < 0):
             raise PreconditionError("weights must be nonnegative")
-        if self.require_probability and abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
+        if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
             raise PreconditionError(f"weights sum to {w.sum()!r}, expected 1")
         self.weights = w
 
@@ -68,26 +67,6 @@ class WeightedMeasure:
 
     def __len__(self) -> int:
         return len(self.support)
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    def restrict(self, indices, renormalize: bool = True) -> "WeightedMeasure":
-        """Restriction to a subset of support indices."""
-        idx = np.asarray(indices)
-        if idx.dtype == bool:
-            idx = np.nonzero(idx)[0]
-        if idx.size == 0:
-            raise EmptyInput("restriction to empty index set")
-        sub = self.support.subset(idx)
-        w = self.weights[idx]
-        if renormalize:
-            total = float(w.sum())
-            if total <= 0:
-                raise EmptyInput("restriction carries no mass")
-            return WeightedMeasure(sub, w / total)
-        return WeightedMeasure(sub, w, require_probability=False)
 
 
 @dataclass(frozen=True)
@@ -115,9 +94,6 @@ class MassShells:
     constant: float
     exponent: float
     tail_index: Optional[int] = None
-
-    def occupied(self) -> list:
-        return sorted(self.shells.keys())
 
     def as_json(self) -> dict:
         return {

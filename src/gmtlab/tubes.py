@@ -487,44 +487,6 @@ class FuRenInstance:
     def r(self) -> float:
         return self.p_x.delta
 
-    def to_json(self) -> dict:
-        return {
-            "s": self.s, "t": self.t, "sigma": self.sigma,
-            "zeta": self.zeta, "eta": self.eta,
-            "delta": self.p_x.delta,
-            "p_x": self.p_x.points.tolist(),
-            "p_y": self.p_y.points.tolist(),
-            "tube_map": {
-                str(i): {
-                    "angles": fam.angles.tolist(),
-                    "offsets": fam.offsets.tolist(),
-                    "width": fam.width,
-                    "direction_net_step": fam.direction_net_step,
-                    "scale": fam.scale,
-                }
-                for i, fam in self.tube_map.items()
-            },
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FuRenInstance":
-        delta = payload["delta"]
-        p_x = DiscreteSet(np.array(payload["p_x"], dtype=float).reshape(-1, 2),
-                          delta, check=False)
-        p_y = DiscreteSet(np.array(payload["p_y"], dtype=float).reshape(-1, 2),
-                          delta, check=False)
-        tube_map = {
-            int(i): TubeFamily(
-                np.array(spec["angles"]), np.array(spec["offsets"]),
-                width=spec["width"],
-                direction_net_step=spec["direction_net_step"],
-                scale=spec["scale"],
-            )
-            for i, spec in payload["tube_map"].items()
-        }
-        return cls(p_x, p_y, tube_map, payload["s"], payload["t"],
-                   payload["sigma"], payload["zeta"], payload["eta"])
-
 
 def fu_ren_audit(inst: FuRenInstance) -> dict:
     """Audit the tube-count hypotheses and report whether the claimed

@@ -57,14 +57,36 @@ class TestDiscreteSet:
         with pytest.raises(InvariantViolation):
             DiscreteSet(pts, 0.25)
 
+    def test_grid_aligned_check_memory(self):
+        """The 1024 x 1024 node grid at delta = 2^-10 holds 16 MiB of
+        points; checking its separation keeps one float temporary beside
+        the int64 nodes (it peaked at 105 MiB with four alive at once)."""
+        import tracemalloc
+
+        g = np.arange(1024) * 2.0 ** -10
+        pts = np.stack(np.meshgrid(g, g), -1).reshape(-1, 2)
+        tracemalloc.start()
+        try:
+            DiscreteSet(pts, 2.0 ** -10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2 ** 20
+
+    def test_off_grid_by_more_than_the_snap_tolerance(self):
+        """A point 2e-6 nodes off the grid takes the separation query, one
+        1e-7 off is snapped to its node and counts as a duplicate."""
+        delta = 2.0 ** -4
+        near = np.array([[0.0, 0.0], [1e-7 * delta, 0.0]])
+        with pytest.raises(InvariantViolation, match="duplicate grid-snapped"):
+            DiscreteSet(near, delta)
+        off = np.array([[0.0, 0.0], [2e-6 * delta, 0.0]])
+        with pytest.raises(InvariantViolation, match="minimum separation"):
+            DiscreteSet(off, delta)
+
     def test_points_are_read_only(self, grid3):
         with pytest.raises(ValueError):
             grid3.points[0, 0] = 99.0
-
-    def test_subset(self, grid5):
-        sub = grid5.subset([0, 3, 7])
-        assert len(sub) == 3
-        assert sub.delta == grid5.delta
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +95,6 @@ class TestDiscreteSet:
 
 
 class TestIfs:
-    def test_cantor_similarity_dimension(self):
-        sys = cantor_middle_thirds()
-        assert sys.similarity_dimension() == pytest.approx(
-            math.log(2.0) / math.log(3.0)
-        )
-
-    def test_four_corner_similarity_dimension(self):
-        assert four_corner_product().similarity_dimension() == pytest.approx(1.0)
-
     def test_gen_ifs_sizes(self, cantor6, fourcorner4):
         assert len(cantor6) == 2 ** 6
         assert len(fourcorner4) == 4 ** 4

@@ -1,4 +1,4 @@
-"""Line chart conventions, duality, and the primitive shapes.
+"""Line chart conventions and the primitive shapes.
 
 These tests pin the canonical parametrization: angle in [0, pi), anchor
 perpendicular to the direction, offset measured along the +90-degree
@@ -13,15 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmtlab.errors import DegeneratePair, InvariantViolation, VerticalLine
+from gmtlab.errors import DegeneratePair, InvariantViolation
 from gmtlab.geometry import (
     LINE_EQ_TOL,
     Ball,
     Line,
     Point,
     Tube,
-    dualize_line,
-    dualize_point,
     line_distance,
     line_residuals,
     lines_equal,
@@ -45,7 +43,7 @@ class TestLineChart:
         (angle, offset) pairs relies on.
         """
         ln = Line.from_angle_offset(math.pi / 2.0, 0.5)
-        assert ln.is_vertical()
+        assert ln.angle == math.pi / 2
         assert ln.anchor.x == pytest.approx(-0.5, abs=1e-15)
         assert ln.anchor.y == pytest.approx(0.0, abs=1e-15)
         assert ln.distance_to_point(Point(-0.5, 3.7)) < 1e-12
@@ -72,16 +70,6 @@ class TestLineChart:
     def test_anchor_perpendicularity_is_enforced(self):
         with pytest.raises(InvariantViolation):
             Line(0.0, Point(1.0, 1.0))  # anchor not on the normal axis
-
-    def test_slope_intercept_roundtrip(self):
-        ln = Line.from_slope_intercept(2.0, -1.0)
-        m, b = ln.slope_intercept()
-        assert m == pytest.approx(2.0)
-        assert b == pytest.approx(-1.0)
-
-    def test_vertical_has_no_slope(self):
-        with pytest.raises(VerticalLine):
-            Line.from_angle_offset(math.pi / 2.0, 0.1).slope_intercept()
 
     def test_distance_to_point(self):
         # the x-axis, probed at (3, 4)
@@ -137,30 +125,6 @@ class TestLineMetric:
 
 
 # ---------------------------------------------------------------------------
-# duality
-# ---------------------------------------------------------------------------
-
-
-class TestDuality:
-    @given(m=st.floats(-50.0, 50.0), b=st.floats(-50.0, 50.0))
-    @settings(max_examples=80, deadline=None)
-    def test_point_line_roundtrip(self, m, b):
-        p = Point(m, b)
-        q = dualize_line(dualize_point(p))
-        # dualize_point(m, b) is y = m x + b, whose dual is (-m, b)
-        assert q.x == pytest.approx(-m, abs=1e-6, rel=1e-6)
-        assert q.y == pytest.approx(b, abs=1e-6, rel=1e-6)
-
-    @given(px=unit_coord, py=unit_coord, qx=unit_coord, qy=unit_coord)
-    @settings(max_examples=60, deadline=None)
-    def test_incidence_is_preserved(self, px, py, qx, qy):
-        """p on dual(q) exactly when q on dual(p): b = px*qx + ... symmetry."""
-        p, q = Point(px, py), Point(qx, qy)
-        d_pq = dualize_point(p).distance_to_point(Point(qx, qx * px + py))
-        assert d_pq < 1e-9  # (qx, px*qx + py) lies on y = px*x + py
-
-
-# ---------------------------------------------------------------------------
 # rigid motion sanity
 # ---------------------------------------------------------------------------
 
@@ -195,12 +159,6 @@ class TestShapes:
             Tube(Line.from_angle_offset(0.0, 0.0), 0.0)
         with pytest.raises(InvariantViolation):
             Tube(Line.from_angle_offset(0.0, 0.0), 4.5)
-
-    def test_inflate(self):
-        t = Tube(Line.from_angle_offset(0.0, 0.0), 0.5).inflate(0.1)
-        assert t.width == pytest.approx(0.7)
-        with pytest.raises(InvariantViolation):
-            t.inflate(-0.01)
 
     def test_ball(self):
         b = Ball(Point(0.5, 0.5), 0.25)

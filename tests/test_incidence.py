@@ -26,7 +26,6 @@ from gmtlab.incidence import (
     beck_analyze,
     incidence_count,
     rich_lines,
-    _canonical_triples,
     _COORD_CAP,
     _DENOM_CAP,
     _lines_by_size,
@@ -180,6 +179,22 @@ def test_spanned_float_matches_dict_loop_oracle(n, seed, grid):
     assert np.array_equal(ang, angoff[:, 0])
     assert np.array_equal(off, angoff[:, 1])
     assert np.array_equal(got_k, k)
+
+
+def _canonical_triples(ints: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """gcd-reduced sign-normalized (a, b, c) with a*x + b*y = c through
+    integer points i and j."""
+    a = ints[j, 1] - ints[i, 1]
+    b = ints[i, 0] - ints[j, 0]
+    c = a * ints[i, 0] + b * ints[i, 1]
+    g = np.gcd(np.gcd(np.abs(a), np.abs(b)), np.abs(c))
+    g = np.maximum(g, 1)
+    a //= g
+    b //= g
+    c //= g
+    flip = (a < 0) | ((a == 0) & (b < 0))
+    sign = np.where(flip, -1, 1)
+    return np.column_stack((a * sign, b * sign, c * sign))
 
 
 def _spanned_exact_oracle(ints, chunk):
@@ -466,16 +481,19 @@ class TestBeckAnalyze:
 
 def _beck_analyze_oracle(p, c_threshold=64.0):
     """beck_analyze before per-anchor direction groups: every spanned line
-    keyed by its triple through spanned_lines."""
+    keyed by its pair triples (spanned_lines on non-lattice input)."""
     n = len(p)
     if n < 3:
         raise TooFewPoints("dichotomy analysis needs at least three points")
     if c_threshold < 2.0:
         raise PreconditionError(f"c_threshold {c_threshold!r} below 2")
-    lines = spanned_lines(p)
-    k = lines.point_counts
+    rat = _rationalize(p.points)
+    if rat is None:
+        k = spanned_lines(p).point_counts
+    else:
+        k = _spanned_exact_oracle(rat[0], 1 << 21)[1]
     max_collinear = int(k.max())
-    spanned_count = len(lines)
+    spanned_count = k.size
     pair_counts = k * (k - 1) // 2
     profile = {}
     total_pairs = 0
@@ -543,10 +561,10 @@ def _k_multiset(lines_with):
 @given(ints=_lattice_points())
 @settings(max_examples=120, deadline=None)
 def test_line_sizes_match_spanned_exact(ints):
-    """The direction-group line sizes are the k multiset of the triple
-    keying, also with anchor blocks of one pair and of seven pairs, which
-    put groups next to block boundaries."""
-    want = np.sort(_spanned_exact(ints)[1])
+    """The direction-group line sizes are the k multiset of the retired
+    pair-triple keying, also with anchor blocks of one pair and of seven
+    pairs, which put groups next to block boundaries."""
+    want = np.sort(_spanned_exact_oracle(ints, 1 << 21)[1])
     for chunk in (None, 1, 7):
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:
@@ -556,6 +574,17 @@ def test_line_sizes_match_spanned_exact(ints):
         assert np.array_equal(_k_multiset(got), want)
 
 
+def _assert_spanned_exact_matches_oracle(ints):
+    want = _spanned_exact_oracle(ints, 1 << 21)
+    for chunk in (None, 1, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(inc, "_PAIR_CHUNK", chunk)
+            got = _spanned_exact(ints)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+
 _EDGE = (-_COORD_CAP, -_COORD_CAP + 1, -1, 0, 1, _COORD_CAP - 1, _COORD_CAP)
 
 
@@ -563,14 +592,29 @@ _EDGE = (-_COORD_CAP, -_COORD_CAP + 1, -1, 0, 1, _COORD_CAP - 1, _COORD_CAP)
                 min_size=2, max_size=30, unique=True))
 @example([(0, -_COORD_CAP), (1, _COORD_CAP), (-1, _COORD_CAP),
           (-_COORD_CAP, -_COORD_CAP), (_COORD_CAP, _COORD_CAP - 1)])
+@example([(-_COORD_CAP, 0), (0, 0), (_COORD_CAP, 0), (0, 1)])
 @settings(max_examples=80, deadline=None)
 def test_line_sizes_at_the_coordinate_cap(pts):
     """Reduced directions up to (2^24, 2^24 - 1), (1, +-2^24) and (0, 1)
-    fill the 25 + 26 direction bits of a key without a carry; the example
-    sees (1, 2^24) and (1, -2^24) from one anchor."""
+    fill the 25 + 26 direction bits of a key without a carry; the first
+    example sees (1, 2^24) and (1, -2^24) from one anchor. The spanned
+    triples are the pair-triple oracle's, with c within int64 and
+    horizontal lines (dy = 0, the second example) signed as a = 0, b > 0."""
     ints = np.array(pts, dtype=np.int64)
-    want = np.sort(_spanned_exact(ints)[1])
+    want = np.sort(_spanned_exact_oracle(ints, 1 << 21)[1])
     assert np.array_equal(_k_multiset(_lines_by_size(ints)), want)
+    _assert_spanned_exact_matches_oracle(ints)
+
+
+@given(ints=_lattice_points(), shift=st.sampled_from([0, -100, _COORD_CAP - 60]))
+@settings(max_examples=120, deadline=None)
+def test_spanned_exact_matches_pair_triple_oracle(ints, shift):
+    """Triples from the direction groups are the retired pair triples, row
+    for row and in the same order, with the same point counts: planted
+    lines, collinear runs and grid blocks, moved to negative coordinates
+    and up to the coordinate cap, in anchor blocks of one and seven pairs
+    and of the default size."""
+    _assert_spanned_exact_matches_oracle(ints + shift)
 
 
 @given(ints=_lattice_points(), c=st.sampled_from([2.0, 8.0, 64.0]))
@@ -603,7 +647,6 @@ def test_beck_reads_no_line_keys(monkeypatch, grid3, grid5):
         raise AssertionError("line triples built")
 
     monkeypatch.setattr(inc, "_spanned_exact", refuse)
-    monkeypatch.setattr(inc, "_canonical_triples", refuse)
     assert beck_analyze(grid5).max_collinear == 5
     assert gen_planted_collinear(64, 16, seed=2).label == "planted-64-16"
     assert weak_dirac_stat(grid3)[1] == 6
@@ -666,17 +709,20 @@ def test_weak_dirac_matches_oracle(ipts, chunk):
 @example([(0, 0), (0, 0), (1, 0)])
 @example([(1, 1), (1, 1)])
 def test_coincident_points(ipts):
-    """Repeated points reach the counts only unchecked. The dichotomy
-    refuses them (the triple keying refused most such sets by a pair count
-    that is no binomial coefficient, and misreported a few, such as three
-    copies of one point and one other point, as two 3-point lines). The
-    weak Dirac count gives the former (point, count): coincident points
-    add the zero direction, which is never divided by its gcd 0."""
+    """Repeated points reach the counts only unchecked. The dichotomy and
+    the spanned lines refuse them (the triple keying refused most such sets
+    by a pair count that is no binomial coefficient, and misreported a few,
+    such as three copies of one point and one other point, as two 3-point
+    lines). The weak Dirac count gives the former (point, count):
+    coincident points add the zero direction, which is never divided by
+    its gcd 0."""
     ipts = ipts + [ipts[0]]
     ds = DiscreteSet(np.array(ipts, dtype=float) / 8.0, 0.125, check=False)
     with np.errstate(all="raise"):
         with pytest.raises(InvariantViolation, match="coincident"):
             beck_analyze(ds)
+        with pytest.raises(InvariantViolation, match="coincident"):
+            spanned_lines(ds)
         try:
             want = _weak_dirac_oracle(ds)
         except AllCollinear:
@@ -684,6 +730,23 @@ def test_coincident_points(ipts):
                 weak_dirac_stat(ds)
             return
         assert weak_dirac_stat(ds) == want
+
+
+@pytest.mark.parametrize("pts", [
+    [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.5, 0.25)],
+    [(0.0, 0.0), (0.0, 0.0), (0.5, 0.25), (0.25, 0.75)],
+])
+@pytest.mark.parametrize("scale", [1.0, 1.0 / math.pi])
+def test_spanned_lines_refuses_coincident_points(pts, scale):
+    """Three copies of one point and one other point were two 3-point
+    lines, one of them the NaN-offset (0, 0, 0), and 8 incidences; two
+    copies and two other points raised on a pair count. Lattice (scale 1)
+    and float input are both refused, and so are the line counts built on
+    spanned_lines."""
+    ds = DiscreteSet(np.array(pts) * scale, 0.25, check=False)
+    for count in (spanned_lines, lambda p: rich_lines(p, 2), line_set_dimension):
+        with pytest.raises(InvariantViolation, match="coincident points do not span"):
+            count(ds)
 
 
 def test_weak_dirac_rejects_collinear():

@@ -65,15 +65,6 @@ class TestWeightedMeasure:
         with pytest.raises(PreconditionError):
             WeightedMeasure(grid3, np.full(9, 0.2))
 
-    def test_restrict_renormalizes(self, grid3_uniform):
-        r = grid3_uniform.restrict([0, 1, 2])
-        assert r.weights.sum() == pytest.approx(1.0)
-        assert np.count_nonzero(r.weights) == 3
-
-    def test_restrict_without_renormalize_keeps_submass(self, grid3_uniform):
-        r = grid3_uniform.restrict([0, 1, 2], renormalize=False)
-        assert r.weights.sum() == pytest.approx(3.0 / 9.0)
-
 
 # ---------------------------------------------------------------------------
 # ball and tube masses

@@ -545,11 +545,6 @@ class TestFuRenInstance:
         assert rep["implied_bound"] == pytest.approx(0.9)
         assert rep["consistent"]
 
-    def test_json_roundtrip(self):
-        inst = _example_instance()
-        clone = FuRenInstance.from_json(inst.to_json())
-        assert fu_ren_audit(clone) == fu_ren_audit(inst)
-
     def test_tube_must_contain_its_point(self):
         r = 2.0 ** -4
         base = gen_grid(5)
