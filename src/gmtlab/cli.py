@@ -261,14 +261,10 @@ def cmd_project(args) -> int:
             "level_range": list(est.level_range),
             "counts": [[int(l), int(c)] for l, c in est.counts],
         }
-    elif target is Target.ERDOSBECK:
+    else:
         out = erdos_beck_profile(x_set, args.t)
         warnings = out.pop("warnings")
         results = {"target": target.value, **out}
-    else:
-        raise ConfigInvalid(
-            f"target {target.value!r} runs through its own command"
-        )
     _emit(args, "project", config, results, warnings, t0, sidecars)
     return 0
 

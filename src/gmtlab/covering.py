@@ -22,6 +22,7 @@ from .dyadic import (
     disc_grid_shape,
     is_dyadic,
     lattice_disc_counts,
+    lattice_nodes,
     level_of,
     quota_child_counts,
     unique_rows,
@@ -273,11 +274,8 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     delta = p.delta
     n_delta = count_cells(pts, delta)
     point_per_cell = n_delta == pts.shape[0]
-    nodes = None
-    if point_per_cell and is_dyadic(delta):
-        ints = np.rint(pts / delta)
-        if np.array_equal(ints * delta, pts):
-            nodes = ints.astype(np.int64)
+    nodes = (lattice_nodes(pts, delta)
+             if point_per_cell and is_dyadic(delta) else None)
     if not point_per_cell:
         # points share delta-cells: count distinct cells inside each ball
         _, cell_ids = unique_rows(cell_indices(pts, delta), return_inverse=True)

@@ -1,5 +1,6 @@
-"""Shared dyadic-grid utilities: cell indexing, distinct integer rows,
-quota branching, and disc sums on integer lattices by FFT.
+"""Shared dyadic-grid utilities: cell indexing, exact lattice nodes,
+distinct integer rows, quota branching, and disc sums on integer
+lattices by FFT.
 
 The quota-branching helper drives the random quota trees (the random set
 generator and the Furstenberg direction pencils) and the Frostman-style
@@ -65,6 +66,15 @@ def unique_rows(rows: np.ndarray, return_index: bool = False,
     if return_counts:
         out.append(np.diff(np.append(np.flatnonzero(new), order.size)))
     return tuple(out)
+
+
+def lattice_nodes(points: np.ndarray, pitch: float) -> Optional[np.ndarray]:
+    """Integer nodes of the points on the origin-anchored lattice of the
+    given pitch, if nodes * pitch == points holds exactly; None otherwise."""
+    nodes = np.rint(points / pitch)
+    if not np.array_equal(nodes * pitch, points):
+        return None
+    return nodes.astype(np.int64)
 
 
 def count_cells(points: np.ndarray, side: float) -> int:

@@ -49,8 +49,6 @@ class Target(enum.Enum):
     FALCONER12 = "falconer12"
     BECKCOR13 = "beckcor13"
     ERDOSBECK = "erdosbeck"
-    FURSTENBERG27 = "furstenberg27"
-    ORTHOKAUFMANC = "orthokaufmanc"
 
     @classmethod
     def parse(cls, name: str) -> "Target":

@@ -146,10 +146,6 @@ def line_distance(l1: Line, l2: Line) -> float:
     return d + l1.anchor.distance_to(l2.anchor)
 
 
-def lines_equal(l1: Line, l2: Line, tol: float = LINE_EQ_TOL) -> bool:
-    return line_distance(l1, l2) < tol
-
-
 def line_residuals(points, angles, offsets) -> np.ndarray:
     """Distances |x * -sin(angle) + y * cos(angle) - offset| from n points
     to m lines given in the angle/offset chart, as an (n, m) array."""
@@ -173,9 +169,6 @@ class Tube:
         if not (0.0 < self.width <= 4.0):
             raise InvariantViolation(f"tube width {self.width!r} outside (0, 4]")
 
-    def contains(self, p: Point) -> bool:
-        return self.axis.distance_to_point(p) <= self.width / 2.0
-
 
 @dataclass(frozen=True)
 class Ball:
@@ -188,6 +181,3 @@ class Ball:
         _require_finite("Ball", self.radius)
         if self.radius <= 0.0:
             raise InvariantViolation(f"ball radius {self.radius!r} must be positive")
-
-    def contains(self, p: Point) -> bool:
-        return self.center.distance_to(p) <= self.radius

@@ -267,10 +267,6 @@ class LineSet:
             )
         return self.angles, self.offsets
 
-    def line(self, i: int) -> Line:
-        ang, off = self.angle_offset_arrays()
-        return Line.from_angle_offset(float(ang[i]), float(off[i]))
-
     @classmethod
     def from_lines(cls, lines) -> "LineSet":
         """Keep each line unless it lies within LINE_EQ_TOL of an earlier
@@ -572,11 +568,12 @@ def weak_dirac_stat(p: DiscreteSet) -> tuple[Point, int]:
     """The point lying on the most spanned lines, ties by lowest index.
 
     The lines through point i are its distinct directions to the other
-    points; coincident points add the zero direction.
+    points.
     """
     n = len(p)
     if n < 3:
         raise TooFewPoints("the incidence maximum needs at least three points")
+    _refuse_coincident(p)
     rat = _rationalize(p.points)
     if rat is None:
         raise PreconditionError(

@@ -147,9 +147,6 @@ def write_tubes_csv(path: str, angles, offsets, width: float) -> None:
                 for a, o in zip(angles, offsets)))
 
 
-def write_angles_csv(path: str, angles, dims=None) -> None:
-    if dims is None:
-        write_rows(path, ["angle"], ([_fmt(a)] for a in angles))
-    else:
-        write_rows(path, ["angle", "projection_dim"],
-                   ([_fmt(a), _fmt(d)] for a, d in zip(angles, dims)))
+def write_angles_csv(path: str, angles, dims) -> None:
+    write_rows(path, ["angle", "projection_dim"],
+               ([_fmt(a), _fmt(d)] for a, d in zip(angles, dims)))

@@ -15,6 +15,7 @@ from .dyadic import (
     disc_grid_shape,
     lattice_disc_counts,
     lattice_disc_sums,
+    lattice_nodes,
 )
 from .errors import (
     AllMassAtCenter,
@@ -151,37 +152,24 @@ def ball_mass(m: WeightedMeasure, b: Ball) -> float:
     return float(m.weights[d <= b.radius + BALL_TOL].sum())
 
 
-def tube_mass(m: WeightedMeasure, t: Tube, restrict_to=None) -> float:
-    """Mass inside the closed tube, optionally restricted to support indices."""
+def tube_mass(m: WeightedMeasure, t: Tube) -> float:
+    """Mass inside the closed tube."""
     dist = line_residuals(m.support.points, t.axis.angle, t.axis.offset())[:, 0]
-    mask = dist <= t.width / 2.0 + BALL_TOL
-    if restrict_to is not None:
-        keep = np.zeros(len(m), dtype=bool)
-        keep[np.asarray(restrict_to, dtype=np.int64)] = True
-        mask &= keep
-    return float(m.weights[mask].sum())
-
-
-def _lattice_pitch(m: WeightedMeasure) -> Optional[float]:
-    """Pitch of the origin-anchored lattice holding every support point, if any."""
-    h = m.support.delta
-    q = m.support.points / h
-    if np.max(np.abs(q - np.round(q))) < 1e-6:
-        return h
-    return None
+    return float(m.weights[dist <= t.width / 2.0 + BALL_TOL].sum())
 
 
 def _ball_masses_fft(m: WeightedMeasure, radii) -> Optional[list]:
     """Per-radius arrays of ball mass at every support point, from FFT disc
     sums over the lattice nodes. A uniform measure takes integer counts
-    times its one weight, so equal balls get equal masses. None if the
-    support is not lattice-aligned or the lattice is too large."""
-    h = _lattice_pitch(m)
-    if h is None:
+    times its one weight, so equal balls get equal masses. None if some
+    support point is not exactly a node of the delta-lattice, or the
+    lattice is too large."""
+    h = m.support.delta
+    nodes = lattice_nodes(m.support.points, h)
+    if nodes is None:
         return None
-    nodes = np.round(m.support.points / h).astype(np.int64)
     q2s = [int(math.floor((r / h) ** 2 * (1.0 + 1e-9))) for r in radii]
-    rows, cols = disc_grid_shape(nodes, nodes, math.isqrt(max(q2s)))
+    rows, cols = disc_grid_shape(nodes, nodes, math.isqrt(max(q2s, default=0)))
     if rows * cols > MAX_FFT_CELLS:
         return None
     w = m.weights
@@ -264,9 +252,10 @@ def ball_masses_at_support(m: WeightedMeasure, radii) -> list:
     """For each radius, the array of closed-ball masses centered at every
     support point.
 
-    A lattice support of more than _SMALL_SUPPORT points takes FFT disc
-    sums; every other support takes the x-sorted sweep, whose masses equal
-    a k-d tree query's summed by ndarray.sum, bit for bit."""
+    A support of more than _SMALL_SUPPORT points, each exactly a node of
+    the delta-lattice, takes FFT disc sums; every other support takes the
+    x-sorted sweep, whose masses equal a k-d tree query's summed by
+    ndarray.sum, bit for bit."""
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise PreconditionError("radii must be positive")

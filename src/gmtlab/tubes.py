@@ -86,12 +86,6 @@ class TubeFamily:
         j = np.searchsorted(values, hi, side="right")
         return order[starts[i]:starts[j]]
 
-    def tube(self, i: int) -> Tube:
-        return Tube(
-            Line.from_angle_offset(float(self.angles[i]), float(self.offsets[i])),
-            self.width,
-        )
-
 
 def uniform_tube_family(r: float) -> TubeFamily:
     """Width-2r tubes on an angle net finer than r/2, with parallel tubes
@@ -205,7 +199,8 @@ def sample_probe_tubes(r: float, count: int, seed: int) -> tuple[np.ndarray, np.
 
 def heaviest_tube(m: WeightedMeasure, through: Point, width: float,
                   restrict_to=None) -> tuple[Tube, float]:
-    """The heaviest width-net tube through a point.
+    """The heaviest width-net tube through a point, counting only the
+    support points where the bool row restrict_to holds, if given.
 
     Directions run over the uniform net of step = width starting at angle 0;
     ties break toward the smallest angle.
@@ -217,13 +212,7 @@ def heaviest_tube(m: WeightedMeasure, through: Point, width: float,
     n_dir = int(math.ceil(math.pi / width))
     w = m.weights
     if restrict_to is not None:
-        keep = np.zeros(len(m), dtype=bool)
-        rt = np.asarray(restrict_to)
-        if rt.dtype == bool:
-            keep = rt.copy()
-        else:
-            keep[rt.astype(np.int64)] = True
-        w = np.where(keep, w, 0.0)
+        w = np.where(restrict_to, w, 0.0)
     # centred at the through-point, every candidate axis has offset 0
     rel = m.support.points - np.array([through.x, through.y])
     best_mass = -1.0

@@ -34,6 +34,7 @@ from gmtlab.dyadic import (
     cell_indices,
     count_cells,
     is_dyadic,
+    lattice_nodes,
     level_of,
     quota_child_counts,
     quota_row_sizes,
@@ -132,6 +133,28 @@ def test_only_dyadic_dedupes_integer_rows():
 def test_cell_indices_negative_coordinates():
     cells = cell_indices(np.array([[-0.1, 0.1]]), 0.5)
     assert cells.tolist() == [[-1, 0]]
+
+
+def test_lattice_nodes_with_negative_coordinates():
+    pts = np.array([[-0.375, 0.5], [0.0, -1.25], [-2.0, -0.125]])
+    nodes = lattice_nodes(pts, 0.125)
+    assert nodes.dtype == np.int64
+    assert nodes.tolist() == [[-3, 4], [0, -10], [-16, -1]]
+
+
+def test_lattice_nodes_at_a_pitch_that_is_not_dyadic():
+    k = np.array([[0, 1], [-3, 7], [12, -5]])
+    nodes = lattice_nodes(k * 0.1, 0.1)
+    assert nodes is not None and nodes.tolist() == k.tolist()
+
+
+def test_lattice_nodes_refuses_a_point_off_its_node():
+    """1e-7 of the pitch is inside the separation check's snap, but the
+    point is not a node, so it has none."""
+    pitch = 2.0 ** -7
+    pts = np.array([[0.0, 0.0], [pitch * (1 + 1e-7), 0.0], [0.0, pitch]])
+    assert lattice_nodes(pts, pitch) is None
+    assert lattice_nodes(pts[[0, 2]], pitch).tolist() == [[0, 0], [0, 1]]
 
 
 # ---------------------------------------------------------------------------

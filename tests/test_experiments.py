@@ -60,8 +60,10 @@ class TestTargetAndSpec:
         assert Target.parse(" FALCONER12 ") is Target.FALCONER12
 
     def test_parse_unknown(self):
-        with pytest.raises(ConfigInvalid):
-            Target.parse("nonsense")
+        # the last two ran through commands of their own, never `project`
+        for name in ("nonsense", "furstenberg27", "orthokaufmanc"):
+            with pytest.raises(ConfigInvalid):
+                Target.parse(name)
 
     def test_spec_window_too_narrow(self, fourcorner4):
         with pytest.raises(ScaleRangeTooNarrow):

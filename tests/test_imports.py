@@ -5,6 +5,7 @@ checks its reports in plain Python, so no validator package is loaded
 either."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -100,7 +101,7 @@ _PUBLIC = [
     "frostman_fit", "fu_ren_audit", "furstenberg_count", "gen_grid",
     "gen_ifs", "gen_planted_collinear", "gen_random_delta_s_set",
     "hausdorff_content", "heaviest_tube", "incidence_count", "is_dyadic",
-    "level_of", "line_distance", "line_set_dimension", "lines_equal",
+    "level_of", "line_distance", "line_set_dimension",
     "mass_shell_decompose", "orthogonal_exceptional_profile",
     "per_scale_counts", "radial_dimension_profile", "radial_pushforward",
     "rich_lines", "sample_probe_tubes", "segment_set", "spanned_lines",
@@ -119,3 +120,69 @@ def test_public_names_are_pinned():
     assert len(set(gmtlab.__all__)) == len(gmtlab.__all__)
     missing = [name for name in _PUBLIC if not hasattr(gmtlab, name)]
     assert missing == []
+
+
+# public attributes, methods and fields of each exported class, counted
+# over the classes of its MRO that gmtlab defines; a class left out has none
+_CLASS_ATTRS = {
+    "Ball": ["center", "radius"],
+    "BeckReport": [
+        "as_json", "c_threshold", "connected_pair_profile",
+        "dichotomy_verdict", "erdos_beck_ratio", "max_collinear", "n_points",
+        "spanned_line_count"],
+    "DeltaSCheck": [
+        "constant", "passed", "s", "witness", "witness_level", "worst_ratio"],
+    "DimensionEstimate": [
+        "counts", "intercept", "level_range", "r_squared", "slope"],
+    "DirectionMeasure": [
+        "angles", "as_circle_measure", "center", "leaked_mass", "masses",
+        "to_circle_set", "total_mass"],
+    "DiscreteSet": ["check", "delta", "label", "meta", "points"],
+    "ExperimentResult": [
+        "as_json", "best_dimension", "best_x", "margin", "per_x_table",
+        "predicted_lower_bound", "warnings"],
+    "ExperimentSpec": ["scale_levels", "target", "x_sample", "x_set", "y_set"],
+    "FrostmanFit": ["constant", "exponent", "worst_witness"],
+    "FuRenInstance": [
+        "eta", "p_x", "p_y", "r", "s", "sigma", "t", "tube_map", "zeta"],
+    "IfsSystem": ["depth", "label", "maps"],
+    "IncidenceReport": [
+        "as_json", "cs_bound", "eps", "eps_bound", "incidence_count",
+        "n_lines", "n_points", "rich_profile"],
+    "Line": [
+        "anchor", "angle", "direction", "distance_to_point",
+        "from_angle_offset", "normal", "offset", "through"],
+    "LineSet": [
+        "angle_offset_arrays", "angles", "denominator", "exact", "from_lines",
+        "offsets", "point_counts", "triples"],
+    "Point": ["distance_to", "x", "y"],
+    "Target": ["BECKCOR13", "ERDOSBECK", "FALCONER12", "KAUFMAN11", "parse"],
+    "ThinTubeAudit": [
+        "as_json", "c_mass", "g_indicator", "k_constant", "passed", "sigma",
+        "widths_tested", "witness_x", "worst_ratio", "worst_tube"],
+    "Tube": ["axis", "width"],
+    "TubeFamily": [
+        "angles", "direction_net_step", "label", "offsets", "scale", "width"],
+    "WeightedMeasure": ["support", "uniform", "weights"],
+}
+
+
+def _public_attrs(cls):
+    names = set()
+    for k in cls.__mro__:
+        if k.__module__.startswith("gmtlab"):
+            names.update(vars(k))
+            names.update(vars(k).get("__annotations__", {}))
+    return sorted(n for n in names if not n.startswith("_"))
+
+
+def test_public_class_attributes_are_pinned():
+    """The accessors of each exported class are spelled out here too, so an
+    added or removed method, property or field shows in a diff."""
+    import gmtlab
+
+    classes = {name: getattr(gmtlab, name) for name in gmtlab.__all__
+               if inspect.isclass(getattr(gmtlab, name))}
+    assert set(_CLASS_ATTRS) <= set(classes)
+    got = {name: _public_attrs(cls) for name, cls in classes.items()}
+    assert got == {name: _CLASS_ATTRS.get(name, []) for name in classes}

@@ -129,12 +129,14 @@ class TestSpannedLines:
         with pytest.raises(InvariantViolation, match="binomial"):
             line_set_dimension(ds)
 
-    def test_angle_offset_arrays_roundtrip(self, grid3_lines):
+    def test_angle_offset_arrays_roundtrip(self, grid3, grid3_lines):
+        """Each line rebuilt from its (angle, offset) passes within 1e-9 of
+        exactly as many grid points as the exact path counted on it."""
         ang, off = grid3_lines.angle_offset_arrays()
-        rebuilt = [Line.from_angle_offset(float(t), float(d))
-                   for t, d in zip(ang, off)]
-        for i, rb in enumerate(rebuilt):
-            assert grid3_lines.line(i).distance_to_point(rb.anchor) < 1e-9
+        pts = [Point(*p) for p in grid3.points]
+        for t, d, k in zip(ang, off, grid3_lines.point_counts):
+            rb = Line.from_angle_offset(float(t), float(d))
+            assert sum(rb.distance_to_point(p) < 1e-9 for p in pts) == k
 
 
 def _spanned_float_oracle(points):
@@ -709,27 +711,30 @@ def test_weak_dirac_matches_oracle(ipts, chunk):
 @example([(0, 0), (0, 0), (1, 0)])
 @example([(1, 1), (1, 1)])
 def test_coincident_points(ipts):
-    """Repeated points reach the counts only unchecked. The dichotomy and
-    the spanned lines refuse them (the triple keying refused most such sets
-    by a pair count that is no binomial coefficient, and misreported a few,
-    such as three copies of one point and one other point, as two 3-point
-    lines). The weak Dirac count gives the former (point, count):
-    coincident points add the zero direction, which is never divided by
-    its gcd 0."""
+    """Repeated points reach the counts only unchecked. The dichotomy, the
+    spanned lines and the weak Dirac count refuse them (the triple keying
+    refused most such sets by a pair count that is no binomial coefficient,
+    and misreported a few, such as three copies of one point and one other
+    point, as two 3-point lines)."""
     ipts = ipts + [ipts[0]]
     ds = DiscreteSet(np.array(ipts, dtype=float) / 8.0, 0.125, check=False)
     with np.errstate(all="raise"):
-        with pytest.raises(InvariantViolation, match="coincident"):
-            beck_analyze(ds)
-        with pytest.raises(InvariantViolation, match="coincident"):
-            spanned_lines(ds)
-        try:
-            want = _weak_dirac_oracle(ds)
-        except AllCollinear:
-            with pytest.raises(AllCollinear):
-                weak_dirac_stat(ds)
-            return
-        assert weak_dirac_stat(ds) == want
+        for count in (beck_analyze, spanned_lines, weak_dirac_stat):
+            with pytest.raises(InvariantViolation, match="coincident"):
+                count(ds)
+
+
+@pytest.mark.parametrize("pts", [
+    [(0.0, 0.0), (0.0, 0.0), (0.5, 0.0), (0.0, 0.5)],
+    [(0.0, 0.0), (0.0, 0.0), (0.5, 0.0)],
+])
+def test_weak_dirac_refuses_coincident_points(pts):
+    """The zero direction between two copies of (0, 0) was counted as a
+    line: the first set gave 3 lines through (0, 0), where only 2 pass,
+    and the second 2 lines and no AllCollinear, though it lies on one."""
+    ds = DiscreteSet(np.array(pts), 0.25, check=False)
+    with pytest.raises(InvariantViolation, match="coincident points do not span"):
+        weak_dirac_stat(ds)
 
 
 @pytest.mark.parametrize("pts", [

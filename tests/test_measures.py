@@ -88,14 +88,6 @@ def test_tube_mass_axis_row(grid3_uniform):
     assert tube_mass(grid3_uniform, t) == pytest.approx(3.0 / 9.0)
 
 
-def test_tube_mass_restriction(grid3_uniform):
-    t = Tube(Line.from_angle_offset(0.0, 0.0), 0.5)
-    mask = np.zeros(9, dtype=bool)
-    mask[:2] = True  # (0,0) and one more bottom-row point at most
-    restricted = tube_mass(grid3_uniform, t, restrict_to=mask)
-    assert restricted <= tube_mass(grid3_uniform, t) + 1e-15
-
-
 def test_ball_masses_at_support_matches_direct(grid3_uniform):
     radii = [0.25, 0.5, 1.0]
     fast = ball_masses_at_support(grid3_uniform, radii)
@@ -273,6 +265,15 @@ def test_ball_masses_sweep_of_no_radii():
     assert measures._ball_masses_sweep(WeightedMeasure.uniform(gen_grid(3)), []) == []
 
 
+def test_ball_masses_at_support_of_no_radii_on_any_support():
+    """A lattice support above _SMALL_SUPPORT points, which takes the FFT,
+    gives no arrays for no radii, as a small one does."""
+    big = gen_random_delta_s_set(1.5, 2.0 ** -9, 1)
+    assert len(big) > measures._SMALL_SUPPORT
+    for ds in (gen_grid(3), big):
+        assert ball_masses_at_support(WeightedMeasure.uniform(ds), []) == []
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_ball_masses_match_blocked_tree_on_radial_circle_measures(monkeypatch, seed):
     """The circle measures whose Frostman fit the radial benchmark times."""
@@ -292,8 +293,10 @@ def _ball_masses_fft_oracle(m, radii):
     """_ball_masses_fft before numpy.fft: scipy's fftconvolve per radius."""
     from scipy.signal import fftconvolve
 
-    h = measures._lattice_pitch(m)
-    if h is None:
+    # that version's lattice test: every point within 1e-6 delta of a node
+    h = m.support.delta
+    q = m.support.points / h
+    if not np.max(np.abs(q - np.round(q))) < 1e-6:
         return None
     idx = np.round(m.support.points / h).astype(np.int64)
     lo = idx.min(axis=0)
@@ -355,6 +358,25 @@ def test_ball_masses_fft_matches_tree(make):
         assert np.max(np.abs(got - want)) <= 1e-12
     for got, want in zip(fft, _ball_masses_fft_oracle(m, radii)):
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_near_node_support_takes_the_sweep():
+    """Node (1, 0) of the 80 x 80 grid moved out by 1e-7 delta passes the
+    separation check, but is no node: the FFT would count it at (1, 0),
+    inside the delta-ball at the origin. Every route counts 2 of 6400."""
+    h = 2.0 ** -7
+    nodes = np.stack(np.meshgrid(np.arange(80), np.arange(80), indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+    pts = nodes * h
+    pts[80, 0] = h * (1.0 + 1e-7)
+    assert nodes[80].tolist() == [1, 0]
+    m = WeightedMeasure.uniform(DiscreteSet(pts, h))
+    assert len(m) > measures._SMALL_SUPPORT
+    assert measures._ball_masses_fft(m, [h]) is None
+    want = 2.0 / 6400.0
+    assert ball_masses_at_support(m, [h])[0][0] == pytest.approx(want, rel=1e-12)
+    assert ball_mass(m, Ball(Point(0.0, 0.0), h)) == pytest.approx(want, rel=1e-12)
+    assert measures._ball_masses_sweep(m, [h])[0][0] == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

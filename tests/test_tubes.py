@@ -14,7 +14,7 @@ from gmtlab.errors import (
     SeparationViolated,
 )
 from gmtlab.generators import DiscreteSet, circle_set, gen_grid
-from gmtlab.geometry import Point, line_residuals
+from gmtlab.geometry import Line, Point, line_residuals
 from gmtlab.measures import (
     WeightedMeasure,
     frostman_fit,
@@ -60,9 +60,9 @@ class TestTubeFamily:
             width=0.125, direction_net_step=1.0, scale=0.125,
         )
         assert len(fam) == 2
-        t = fam.tube(0)
-        assert t.width == 0.125
-        assert t.axis.offset() == pytest.approx(0.1)
+        assert fam.width == 0.125
+        axis = Line.from_angle_offset(float(fam.angles[0]), float(fam.offsets[0]))
+        assert axis.offset() == pytest.approx(0.1)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(PreconditionError):
@@ -79,9 +79,9 @@ class TestTubeFamily:
         fam = uniform_tube_family(0.25)
         ax, ay = _anchors(fam.angles, fam.offsets)
         for i in (0, len(fam) // 2, len(fam) - 1):
-            t = fam.tube(i)
-            assert t.axis.anchor.x == pytest.approx(ax[i], abs=1e-12)
-            assert t.axis.anchor.y == pytest.approx(ay[i], abs=1e-12)
+            axis = Line.from_angle_offset(float(fam.angles[i]), float(fam.offsets[i]))
+            assert axis.anchor.x == pytest.approx(ax[i], abs=1e-12)
+            assert axis.anchor.y == pytest.approx(ay[i], abs=1e-12)
 
 
 class TestUniformFamily:
