@@ -177,7 +177,7 @@ def cmd_incidence(args) -> int:
         "input": args.input, "lines": args.lines, "eps": args.eps,
         "delta": ds.delta,
     })
-    _emit(args, "incidence", config, report.as_json(), [], t0)
+    _emit(args, "incidence", config, report.as_json(), report.warnings, t0)
     return 0
 
 

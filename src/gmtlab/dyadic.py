@@ -68,6 +68,28 @@ def unique_rows(rows: np.ndarray, return_index: bool = False,
     return tuple(out)
 
 
+def count_distinct_rows(rows: np.ndarray) -> int:
+    """Number of distinct rows of a 2-D int64 array.
+
+    Each column, less its minimum, takes the bits of its range, and the
+    columns pack into one int64 key, so one 1-D sort counts the rows. Rows
+    whose ranges need more than 63 bits go to unique_rows.
+    """
+    if rows.shape[0] == 0:
+        return 0
+    cols = [rows[:, c] for c in range(rows.shape[1])]
+    lo = [int(col.min()) for col in cols]
+    bits = [(int(col.max()) - m).bit_length() for col, m in zip(cols, lo)]
+    if sum(bits) > 63:
+        return int(unique_rows(rows).shape[0])
+    keys = cols[0] - lo[0]
+    for col, m, b in zip(cols[1:], lo[1:], bits[1:]):
+        keys <<= b
+        keys |= col - m
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
 def lattice_nodes(points: np.ndarray, pitch: float) -> Optional[np.ndarray]:
     """Integer nodes of the points on the origin-anchored lattice of the
     given pitch, if nodes * pitch == points holds exactly; None otherwise."""

@@ -26,13 +26,19 @@ _DENOM_BITS = 21
 _DENOM_CAP = 1 << _DENOM_BITS
 # largest integer coordinate magnitude accepted on the exact path
 _COORD_CAP = 1 << 23
-# pair enumeration chunk (pairs keyed per block)
-_PAIR_CHUNK = 1 << 21
-# a direction key packs the anchor's offset within its block above the
-# reduced direction, whose components differ by at most 2^24 under the
-# coordinate cap: dx in [0, 2^24] takes 25 bits and dy + 2^24 in [0, 2^25]
-# takes 26, so 12 bits of anchor keep the key below 2^63
-_ANCHOR_BITS = 12
+# pair enumeration chunk (pairs keyed per block): each block's int64
+# temporaries are 256 KiB, so they stay in cache and the allocator hands the
+# same memory to the next block and the next call instead of returning it to
+# the kernel and faulting it in again
+_PAIR_CHUNK = 1 << 15
+# a direction key packs the anchor's offset within its block above 52 bits
+# of direction. Under the coordinate cap a pair's components differ by at
+# most 2^24: a reduced direction takes 25 bits for dx in [0, 2^24] and 26
+# for dy + 2^24 in [0, 2^25]; a slope key takes 51 bits for the scaled
+# slope in [0, 2^50 + 2^49] and one steep flag. 11 bits of anchor keep the
+# key below 2^63.
+_DIRECTION_BITS = 52
+_ANCHOR_BITS = 11
 
 
 def _pack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -47,6 +53,43 @@ def _pack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _unpack(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u, v) back from the low 51 bits of keys."""
     return (keys >> 26) & ((1 << 25) - 1), (keys & ((1 << 26) - 1)) - (1 << 24)
+
+
+def _slope_keys(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """One int64 key per direction (dx, dy) with |dx|, |dy| <= 2^24, in 52
+    bits, equal for two directions exactly when they are parallel. Both
+    inputs are overwritten.
+
+    A steep direction (|dy| > |dx|) swaps its components, so the slope
+    t = fl(dy / dx) lies in [-1, 1]; negating (dx, dy) leaves t as it is.
+    The key is rint(t * 2^49) + 2^49 in [0, 2^50], with the steep flag at
+    bit 51; parallel directions are both steep or both not. The key is
+    exact: two distinct reduced slopes p/q != p'/q' with q, q' <= 2^24
+    differ by at least 1/(q q') >= 2^-48, each correctly rounded division
+    errs by at most 2^-53, so scaled by 2^49 the two stay more than 1.8
+    apart and rint keeps them apart; equal slopes give the same double.
+    The zero direction of a coincident pair takes t = 2, which no real
+    direction takes.
+    """
+    steep = np.abs(dy) > np.abs(dx)
+    # swap the steep pairs' components by arithmetic, which has no branch
+    swap = dx - dy
+    swap *= steep
+    dx -= swap
+    dy += swap
+    zero = np.flatnonzero(dx == 0)
+    dx[zero] = 1
+    dy[zero] = 2
+    t = swap.view(np.float64)
+    t[...] = dy
+    t /= dx
+    t *= 2.0 ** 49
+    np.rint(t, out=t)
+    t += 2.0 ** 49
+    dy[...] = t
+    np.multiply(steep, 1 << 51, out=dx)
+    dy |= dx
+    return dy
 
 
 def _rationalize(points: np.ndarray) -> Optional[tuple[np.ndarray, int]]:
@@ -106,18 +149,20 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _direction_groups(ints: np.ndarray, every_partner: bool = False):
+def _direction_groups(ints: np.ndarray, every_partner: bool = False,
+                      directions: bool = False):
     """Per-anchor direction groups of integer points, one block of anchors
     at a time.
 
-    Each pair (i, j) with j > i (with every_partner, each j != i) gets its
-    gcd-reduced direction, signed so that dx > 0, or dx = 0 and dy > 0; a
-    coincident pair keeps the zero direction. The anchor's offset in its
+    Each pair (i, j) with j > i (with every_partner, each j != i) gets a
+    direction key: its slope key (_slope_keys), or with directions its
+    gcd-reduced direction, signed so that dx > 0, or dx = 0 and dy > 0 (a
+    coincident pair keeps the zero direction). The anchor's offset in its
     block and the direction pack into one int64 key, so one 1-D sort per
     block brings each group together: a run of m equal keys is the m
-    partners of i on one line through it. Yields (anchor, size, dx, dy)
-    arrays, one entry per group, with the direction read back from the
-    run's key.
+    partners of i on one line through it. Yields (anchor, size) arrays,
+    one entry per group, and with directions (anchor, size, dx, dy), the
+    direction read back from the run's key.
     """
     n = ints.shape[0]
     per_anchor = np.full(n, n - 1) if every_partner else np.arange(n - 1, -1, -1)
@@ -132,21 +177,25 @@ def _direction_groups(ints: np.ndarray, every_partner: bool = False):
         dy = ints[j, 1]
         dy -= ints[i, 1]
         del i, j
-        g = np.gcd(dx, dy)
-        np.maximum(g, 1, out=g)
-        np.negative(g, out=g, where=(dx < 0) | ((dx == 0) & (dy < 0)))
-        dx //= g
-        dy //= g
-        del g
-        keys <<= 51
-        keys |= _pack(dx, dy)
+        keys <<= _DIRECTION_BITS
+        if directions:
+            g = np.gcd(dx, dy)
+            np.maximum(g, 1, out=g)
+            np.negative(g, out=g, where=(dx < 0) | ((dx == 0) & (dy < 0)))
+            dx //= g
+            dy //= g
+            del g
+            keys |= _pack(dx, dy)
+        else:
+            keys |= _slope_keys(dx, dy)
         del dx, dy
         keys.sort()
         start = np.flatnonzero(np.diff(keys, prepend=-1))
         heads = keys[start]
         size = np.diff(np.append(start, keys.size))
         del keys, start
-        yield (a + (heads >> 51), size, *_unpack(heads))
+        anchor = a + (heads >> _DIRECTION_BITS)
+        yield (anchor, size, *_unpack(heads)) if directions else (anchor, size)
 
 
 def _lines_by_size(ints: np.ndarray) -> np.ndarray:
@@ -160,7 +209,7 @@ def _lines_by_size(ints: np.ndarray) -> np.ndarray:
     """
     n = ints.shape[0]
     groups = np.zeros(n + 1, dtype=np.int64)
-    for _, size, _, _ in _direction_groups(ints):
+    for _, size in _direction_groups(ints):
         groups += np.bincount(size, minlength=n + 1)
     lines = np.zeros(n + 1, dtype=np.int64)
     lines[2:] = groups[1:-1] - groups[2:]
@@ -180,7 +229,7 @@ def _group_lines(ints: np.ndarray) -> np.ndarray:
     # one column per group, at most one group per pair
     rows = np.empty((2, n * (n - 1) // 2), dtype=np.int64)
     filled = 0
-    for anchor, _, dx, dy in _direction_groups(ints):
+    for anchor, _, dx, dy in _direction_groups(ints, directions=True):
         ab, c = rows[:, filled:filled + anchor.size]
         b = np.negative(dx, out=dx, where=dy > 0)
         a = np.abs(dy, out=dy)
@@ -322,6 +371,7 @@ class IncidenceReport:
     eps: Optional[float]
     eps_bound: Optional[float]
     rich_profile: dict
+    warnings: tuple = ()  # how the count fell back, if it did
 
     def __post_init__(self):
         if self.incidence_count > self.n_points * self.n_lines:
@@ -413,12 +463,13 @@ def spanned_lines(p: DiscreteSet) -> LineSet:
     return LineSet(angles=ang, offsets=off, point_counts=k)
 
 
-def _count_on_lines_exact(p: DiscreteSet, l: LineSet) -> Optional[np.ndarray]:
-    """Points on each exact line, by integer evaluation. None when the
-    points do not share a compatible lattice."""
+def _count_on_lines_exact(p: DiscreteSet, l: LineSet) -> tuple[Optional[np.ndarray], str]:
+    """Points on each exact line, by integer evaluation, and "". None and
+    the reason when the points are not on a lattice or the integer test
+    could overflow int64."""
     rat = _rationalize(p.points)
     if rat is None:
-        return None
+        return None, "the points are not on a lattice"
     ints, dp = rat
     dl = l.denominator
     # a*x + b*y = c/dl with x = ix/dp: test a*ix*dl + b*iy*dl == c*dp
@@ -427,7 +478,7 @@ def _count_on_lines_exact(p: DiscreteSet, l: LineSet) -> Optional[np.ndarray]:
         + math.log2(max(1, int(np.max(np.abs(ints))))) + math.log2(dl)
     )
     if scale_bits > 61:
-        return None
+        return None, f"the integer test needs 2^{scale_bits:.1f}, over 2^61"
     a = l.triples[:, 0] * dl
     b = l.triples[:, 1] * dl
     c = l.triples[:, 2] * dp
@@ -438,7 +489,7 @@ def _count_on_lines_exact(p: DiscreteSet, l: LineSet) -> Optional[np.ndarray]:
         py = ints[s:s + block, 1]
         hit = px[:, None] * a[None, :] + py[:, None] * b[None, :] == c[None, :]
         counts += hit.sum(axis=0)
-    return counts
+    return counts, ""
 
 
 def _count_on_lines_float(p: DiscreteSet, l: LineSet) -> np.ndarray:
@@ -466,16 +517,21 @@ def incidence_count(p: DiscreteSet, l: LineSet, eps: Optional[float] = None) -> 
     """Exact number of (point, line) incidences with its proved bounds.
 
     cs_bound is n + m + (nm)^(3/4); eps_bound, when eps is supplied, is
-    m + n + m^(1/2 + eps) * n^(1 - 2*eps).
+    m + n + m^(1/2 + eps) * n^(1 - 2*eps). Exact lines that cannot be
+    tested in int64 on the points' lattice are counted within the line
+    tolerance, and the report's warnings say so.
     """
     if eps is not None and not (0.0 < eps < 0.25):
         raise PreconditionError(f"eps {eps!r} outside (0, 0.25)")
     n, m = len(p), len(l)
+    warnings = ()
     if m == 0:
         counts = np.zeros(0, dtype=np.int64)
     elif l.exact:
-        counts = _count_on_lines_exact(p, l)
+        counts, why = _count_on_lines_exact(p, l)
         if counts is None:
+            warnings = (f"exact lines counted within the line tolerance, "
+                        f"not exactly: {why}",)
             counts = _count_on_lines_float(p, l)
     else:
         counts = _count_on_lines_float(p, l)
@@ -483,7 +539,7 @@ def incidence_count(p: DiscreteSet, l: LineSet, eps: Optional[float] = None) -> 
     cs = n + m + (n * m) ** 0.75
     eb = m + n + m ** (0.5 + eps) * n ** (1.0 - 2.0 * eps) if eps is not None else None
     return IncidenceReport(n, m, total, cs, eps, eb,
-                           _rich_profile_from_counts(counts, n))
+                           _rich_profile_from_counts(counts, n), warnings)
 
 
 def rich_lines(p: DiscreteSet, r: int) -> LineSet:
@@ -580,7 +636,7 @@ def weak_dirac_stat(p: DiscreteSet) -> tuple[Point, int]:
             "per-point line counting requires lattice-representable input"
         )
     per_point = np.zeros(n, dtype=np.int64)
-    for anchor, _, _, _ in _direction_groups(rat[0], every_partner=True):
+    for anchor, _ in _direction_groups(rat[0], every_partner=True):
         per_point += np.bincount(anchor, minlength=n)
     if per_point.max() == 1:
         raise AllCollinear("every point lies on a single line")

@@ -1,6 +1,8 @@
-"""The BENCH collector's parsing of run output and junit XML."""
+"""The BENCH collector: parsing of run output and junit XML, and the
+paired baseline runs' order and statistics."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,79 @@ def test_parse_junit_keys_criteria_by_number():
 def test_run_seconds_comes_from_the_benchmark(tmp_path):
     (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 7, "workloads": []}')
     assert bench_collect.run_seconds(str(tmp_path)) == 7.0
+
+
+def test_pair_schedule_alternates_order_and_gives_each_seed_both():
+    got = bench_collect.pair_schedule(6, seeds=(1, 2))
+    assert got == [(1, True), (1, False), (2, True), (2, False), (1, True), (1, False)]
+    firsts = [first for _, first in bench_collect.pair_schedule(10)]
+    assert sum(firsts) == 5
+
+
+def test_paired_stats_on_synthetic_runs():
+    """Ratios current / baseline are 0.5, 0.6, 0.7, 0.8 and 1.2: the
+    current side wins four pairs of five where lower is better."""
+    base = [1.0, 1.0, 1.0, 1.0, 1.0]
+    cur = [0.5, 0.6, 0.7, 0.8, 1.2]
+    out = bench_collect.paired_stats(cur, base, "lower")
+    assert out["pairs"] == 5 and out["wins"] == 4
+    assert out["ratio"]["median"] == pytest.approx(0.7)
+    # statistics.quantiles' exclusive method: positions 1.5 and 4.5 of 5
+    assert out["ratio"]["q1"] == pytest.approx(0.55)
+    assert out["ratio"]["q3"] == pytest.approx(1.0)
+    assert out["baseline"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    assert out["medians_apart"] is True
+    higher = bench_collect.paired_stats(cur, base, "higher")
+    assert higher["wins"] == 1 and higher["ratio"] == out["ratio"]
+
+
+def test_paired_stats_medians_within_the_baseline_spread():
+    """Three wins of four, but medians 1.025 and 1.05 lie within the
+    baseline's quartiles 0.85 and 1.175."""
+    out = bench_collect.paired_stats([1.0, 1.1, 0.9, 1.05], [0.8, 1.2, 1.0, 1.1], "lower")
+    assert out["wins"] == 3
+    assert out["medians_apart"] is False
+
+
+def test_paired_stats_skips_missing_values_and_ties():
+    out = bench_collect.paired_stats([None, 2.0, 3.0], [1.0, 2.0, 0.0], "higher")
+    assert out["pairs"] == 3
+    assert out["wins"] == 1                         # 3.0 over 0.0; 2.0 ties
+    assert out["ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+    assert bench_collect.paired_stats([None], [None], "lower")["ratio"] is None
+    with pytest.raises(ValueError):
+        bench_collect.paired_stats([1.0], [1.0], "faster")
+
+
+def test_summarize_pairs_reads_each_side_of_each_pair():
+    def run(op, rss):
+        return {"metrics": {"op_p50_s": {"value": op, "unit": "s"},
+                            "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+    pairs = [{"current": run(0.3, 50.0), "baseline": run(0.4, 50.0)},
+             {"current": run(0.2, 51.0), "baseline": run(0.4, 50.0)},
+             {"current": {"error": "no result"}, "baseline": run(0.4, 50.0)}]
+    out = bench_collect.summarize_pairs(pairs, {"op_p50_s": "lower", "peak_rss_mb": "lower"})
+    assert out["op_p50_s"]["wins"] == 2 and out["op_p50_s"]["pairs"] == 3
+    assert out["op_p50_s"]["ratio"]["median"] == pytest.approx(0.625)
+    assert out["peak_rss_mb"]["wins"] == 0
+    assert out["peak_rss_mb"]["current"]["median"] == 50.5
+
+
+def test_clone_rev_checks_out_the_revision(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    for text in ("one", "two"):
+        (repo / "f.txt").write_text(text)
+        git("add", "f.txt")
+        git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", text)
+    sha = bench_collect.clone_rev(str(repo), "HEAD~1", str(tmp_path / "old"))
+    assert (tmp_path / "old" / "f.txt").read_text() == "one"
+    assert sha == bench_collect._git(str(repo), "rev-parse", "HEAD~1")
+    with pytest.raises(ValueError):
+        bench_collect.clone_rev(str(repo), "no-such-rev", str(tmp_path / "none"))

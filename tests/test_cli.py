@@ -75,6 +75,27 @@ class TestEnvelope:
         assert rep["results"]["incidence_count"] == 48
         assert rep["results"]["n_lines"] == 20
 
+    def test_incidence_fallback_is_a_warning(self, tmp_path):
+        """Spanned lines of points near the coordinate cap of the exact
+        path, at denominator 2^21: the integer incidence test would need
+        2^64.6, over the 2^61 it allows, so the lines are counted within
+        the line tolerance, and the report says so."""
+        e = 2.0 ** -21
+        pts = [(-1.25 + e, -1.0), (1.25, 0.75 + 3 * e), (0.5 - e, -0.25),
+               (0.0, 1.0 + e), (-0.75, 0.5 - 5 * e)]
+        path = tmp_path / "cap.csv"
+        path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in pts))
+        out = str(tmp_path / "inc")
+        rc = _run(["incidence", "--input", str(path), "--delta", repr(e),
+                   "--out", out])
+        assert rc == 0
+        rep = _report(out, "incidence")
+        assert rep["results"]["n_lines"] == 10
+        assert rep["results"]["incidence_count"] == 20
+        assert rep["warnings"] == [
+            "exact lines counted within the line tolerance, not exactly: "
+            "the integer test needs 2^64.6, over 2^61"]
+
     def test_beck_report(self, gen_dir, tmp_path):
         out = str(tmp_path / "beck")
         rc = _run(["beck", "--input", os.path.join(gen_dir, "points.csv"),

@@ -33,6 +33,7 @@ from gmtlab.dyadic import (
     MAX_LEVEL,
     cell_indices,
     count_cells,
+    count_distinct_rows,
     is_dyadic,
     lattice_nodes,
     level_of,
@@ -110,6 +111,25 @@ def test_unique_rows_matches_np_unique(rows):
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert np.array_equal(g, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-3, 3) | st.integers(-2 ** 40, 2 ** 40)
+             | st.sampled_from([-2 ** 62, 2 ** 62 - 1]), min_size=k, max_size=k),
+    min_size=1, max_size=40,
+)))
+@example([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+@example([[-2 ** 31, 5], [2 ** 31, 5], [-2 ** 31, 6]])   # 33 + 1 bits
+@example([[-2 ** 62, 0], [2 ** 62 - 1, 1], [2 ** 62 - 1, 1]])  # 63 + 1 bits
+def test_count_distinct_rows_matches_unique_rows(rows):
+    """Packed keys up to 63 bits, and unique_rows beyond, count what
+    unique_rows does, with negative values and repeated rows."""
+    a = np.array(rows, dtype=np.int64)
+    want = unique_rows(a).shape[0]
+    assert count_distinct_rows(a) == want
+    assert count_distinct_rows(a[::-1]) == want
+    assert count_distinct_rows(a[:0]) == 0
 
 
 def test_only_dyadic_dedupes_integer_rows():

@@ -441,6 +441,13 @@ class TestFurstenbergBlocks:
         assert furstenberg_count(sigma, 0.95, delta, seed, x_set=x_set)["n_points"] == 406
         _assert_same_outcome(sigma, 0.95, delta, seed, x_set=x_set)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_count_at_the_radial_call(self, seed):
+        """The counts that packed cell keys give at (0.5, 1.0, 2^-10), the
+        call the radial workload makes, are the retired loop's."""
+        got = furstenberg_count(0.5, 1.0, 2.0 ** -10, seed)
+        assert got["count"] == _furstenberg_count_oracle(0.5, 1.0, 2.0 ** -10, seed)["count"]
+
     def test_tiny_sigma(self):
         """Below sigma = 1.44e-12 the hard cap is one child per parent, where
         the retired loop allowed two; the extra child is never granted."""

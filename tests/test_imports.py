@@ -148,7 +148,7 @@ _CLASS_ATTRS = {
     "IfsSystem": ["depth", "label", "maps"],
     "IncidenceReport": [
         "as_json", "cs_bound", "eps", "eps_bound", "incidence_count",
-        "n_lines", "n_points", "rich_profile"],
+        "n_lines", "n_points", "rich_profile", "warnings"],
     "Line": [
         "anchor", "angle", "direction", "distance_to_point",
         "from_angle_offset", "normal", "offset", "through"],

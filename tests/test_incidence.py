@@ -373,6 +373,7 @@ class TestIncidenceCount:
     def test_grid3_exact(self, grid3, grid3_lines):
         rep = incidence_count(grid3, grid3_lines)
         assert rep.incidence_count == 48
+        assert rep.warnings == ()
         assert rep.n_points == 9
         assert rep.n_lines == 20
 
@@ -576,6 +577,147 @@ def test_line_sizes_match_spanned_exact(ints):
         assert np.array_equal(_k_multiset(got), want)
 
 
+def _direction_groups_gcd_oracle(ints, every_partner=False):
+    """_direction_groups before slope keys: every pair's direction reduced
+    by a gcd, in 51 bits below 12 bits of anchor."""
+    n = ints.shape[0]
+    per_anchor = np.full(n, n - 1) if every_partner else np.arange(n - 1, -1, -1)
+    for a, b in inc._row_blocks(per_anchor, inc._PAIR_CHUNK, 1 << 12):
+        # every pair temporary is dropped or reused as soon as it is spent
+        keys, t = inc._expand(per_anchor[a:b])
+        i = keys + a
+        j = t + (t >= i) if every_partner else i + 1 + t
+        del t
+        dx = ints[j, 0]
+        dx -= ints[i, 0]
+        dy = ints[j, 1]
+        dy -= ints[i, 1]
+        del i, j
+        g = np.gcd(dx, dy)
+        np.maximum(g, 1, out=g)
+        np.negative(g, out=g, where=(dx < 0) | ((dx == 0) & (dy < 0)))
+        dx //= g
+        dy //= g
+        del g
+        keys <<= 51
+        keys |= inc._pack(dx, dy)
+        del dx, dy
+        keys.sort()
+        start = np.flatnonzero(np.diff(keys, prepend=-1))
+        heads = keys[start]
+        size = np.diff(np.append(start, keys.size))
+        del keys, start
+        yield (a + (heads >> 51), size, *inc._unpack(heads))
+
+
+def _lines_by_size_gcd_oracle(ints):
+    """_lines_by_size on the gcd-keyed direction groups."""
+    n = ints.shape[0]
+    groups = np.zeros(n + 1, dtype=np.int64)
+    for _, size, _, _ in _direction_groups_gcd_oracle(ints):
+        groups += np.bincount(size, minlength=n + 1)
+    lines = np.zeros(n + 1, dtype=np.int64)
+    lines[2:] = groups[1:-1] - groups[2:]
+    if np.any(lines < 0):
+        raise InvariantViolation("direction group counts increase with group size")
+    return lines
+
+
+def _lines_per_point(groups, n):
+    """Lines through each point: its direction groups over every partner."""
+    per_point = np.zeros(n, dtype=np.int64)
+    for anchor, *_ in groups:
+        per_point += np.bincount(anchor, minlength=n)
+    return per_point
+
+
+def _weak_dirac_gcd_oracle(p):
+    """weak_dirac_stat on the gcd-keyed direction groups."""
+    ints = _rationalize(p.points)[0]
+    per_point = _lines_per_point(_direction_groups_gcd_oracle(ints, True), len(p))
+    if per_point.max() == 1:
+        raise AllCollinear("every point lies on a single line")
+    best = int(np.argmax(per_point))
+    return Point(*p.points[best]), int(per_point[best])
+
+
+def _assert_slope_keys_match_gcd_oracle(ints, chunks=(None, 1, 7)):
+    """Line sizes and lines per point from slope keys equal the gcd-keyed
+    ones, also in anchor blocks of one and of seven pairs."""
+    n = ints.shape[0]
+    want = _lines_by_size_gcd_oracle(ints)
+    want_per_point = _lines_per_point(_direction_groups_gcd_oracle(ints, True), n)
+    for chunk in chunks:
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(inc, "_PAIR_CHUNK", chunk)
+            assert np.array_equal(_lines_by_size(ints), want)
+            got = _lines_per_point(inc._direction_groups(ints, every_partner=True), n)
+            assert np.array_equal(got, want_per_point)
+
+
+# slopes 13561679/16762046 and 13494603/16679141 are Farey neighbours;
+# rounded and times 2^48 they are 227733134766626.5 and 227733134766625.5,
+# which rint takes to the same even integer
+_FAREY_TIE = [(0, 0), (16762046, 13561679), (16679141, 13494603)]
+
+
+@given(ints=_lattice_points())
+@example(ints=np.array([(-_COORD_CAP, 0), (_COORD_CAP, 1), (_COORD_CAP - 1, 1), (0, 5)]))
+@example(ints=np.array([(0, -_COORD_CAP), (1, _COORD_CAP), (1, _COORD_CAP - 1), (5, 0)]))
+@example(ints=np.array([(x - _COORD_CAP, y - _COORD_CAP) for x, y in _FAREY_TIE]))
+@example(ints=np.array([(y - _COORD_CAP, x - _COORD_CAP) for x, y in _FAREY_TIE]))
+@example(ints=np.array([(2, 0), (5, 0), (0, 0), (-7, 0), (1, 1), (9, 1)]))
+@example(ints=np.array([(0, 0), (3, 3), (-2, -2), (1, -1), (-4, 4), (2, 3),
+                        (3, 2), (-3, 3), (5, 5)]))
+@settings(max_examples=120, deadline=None)
+def test_slope_keys_match_gcd_oracle(ints):
+    """Planted lines, collinear runs and grid blocks, and the examples:
+    Farey neighbours at the cap 2^-48 apart in slope, from one anchor,
+    and their steep mirror; two neighbours that a scale of 2^48 would
+    merge; horizontal pairs with dx < 0, whose slope is -0.0; exact
+    diagonals, |dx| = |dy|."""
+    _assert_slope_keys_match_gcd_oracle(ints)
+
+
+@given(ints=_lattice_points())
+@settings(max_examples=40, deadline=None)
+def test_weak_dirac_matches_gcd_oracle(ints):
+    ds = DiscreteSet(ints / 64.0, 2.0 ** -6, check=False)
+    assert weak_dirac_stat(ds) == _weak_dirac_gcd_oracle(ds)
+
+
+def test_slope_keys_match_gcd_oracle_across_anchor_blocks():
+    """2,200 points of a 48 x 48 grid: a line's direction groups fall in
+    different blocks. At the default chunk their 2.4M pairs take 76 blocks
+    (158 with every partner); in chunks of 2^21 pairs they fill two anchor
+    blocks (three with every partner), with anchor offsets up to 1,396 in
+    11 bits."""
+    grid = np.stack(np.meshgrid(np.arange(48), np.arange(48)), -1).reshape(-1, 2)
+    ints = grid[np.random.default_rng(5).permutation(grid.shape[0])[:2200]]
+    _assert_slope_keys_match_gcd_oracle(ints, chunks=(None, 1 << 21))
+
+
+@pytest.mark.parametrize("dx,dy,key", [
+    (1, 0, 1 << 49),
+    (-3, 0, 1 << 49),                           # slope -0.0
+    (1, 1, 1 << 50),
+    (-2, -2, 1 << 50),
+    (1, -1, 0),
+    (2, 1, (1 << 49) + (1 << 48)),
+    (1, 2, (1 << 51) + (1 << 49) + (1 << 48)),  # steep
+    (0, 5, (1 << 51) + (1 << 49)),
+    (-1, 2, (1 << 51) + (1 << 48)),
+    (1 << 24, 1, (1 << 49) + (1 << 25)),
+    (0, 0, (1 << 50) + (1 << 49)),              # coincident: t = 2
+])
+def test_slope_key_layout(dx, dy, key):
+    """rint(t * 2^49) + 2^49 with the steep flag at bit 51: diagonals are
+    not steep, and the zero direction takes a key of its own."""
+    got = inc._slope_keys(np.array([dx, -dx]), np.array([dy, -dy]))
+    assert got.tolist() == [key, key]
+
+
 def _assert_spanned_exact_matches_oracle(ints):
     want = _spanned_exact_oracle(ints, 1 << 21)
     for chunk in (None, 1, 7):
@@ -601,11 +743,13 @@ def test_line_sizes_at_the_coordinate_cap(pts):
     fill the 25 + 26 direction bits of a key without a carry; the first
     example sees (1, 2^24) and (1, -2^24) from one anchor. The spanned
     triples are the pair-triple oracle's, with c within int64 and
-    horizontal lines (dy = 0, the second example) signed as a = 0, b > 0."""
+    horizontal lines (dy = 0, the second example) signed as a = 0, b > 0.
+    The slope keys give the gcd-keyed line sizes and lines per point."""
     ints = np.array(pts, dtype=np.int64)
     want = np.sort(_spanned_exact_oracle(ints, 1 << 21)[1])
     assert np.array_equal(_k_multiset(_lines_by_size(ints)), want)
     _assert_spanned_exact_matches_oracle(ints)
+    _assert_slope_keys_match_gcd_oracle(ints, chunks=(None,))
 
 
 @given(ints=_lattice_points(), shift=st.sampled_from([0, -100, _COORD_CAP - 60]))

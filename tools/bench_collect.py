@@ -2,6 +2,7 @@
 
     python3 tools/bench_collect.py --out BENCH_2.json
     python3 tools/bench_collect.py --root /path/to/other/checkout --out BENCH_1.json
+    python3 tools/bench_collect.py --baseline HEAD~1 --pairs 10 --out BENCH_7.json
 
 Runs bench/run.py of the checkout at --root (default: this repository) for
 the four workloads untraced on seeds 1 and 2, then once traced per
@@ -11,6 +12,15 @@ that checkout's BENCHMARK.json. Records the git sha (with a hash of the
 code's diff from it when the tracked files differ), nproc and the Python, numpy
 and scipy versions next to the results. Runs go one at a time, so each has
 the machine to itself. Standard library only.
+
+With --baseline, the revision is cloned into a temporary directory and
+each workload then runs in --pairs alternating pairs of untraced runs,
+one on each side, for the same run length. The current side runs first
+in every other pair, and each seed gets both orders. For each end-to-end
+metric the file records both sides' median and quartiles, the median and
+quartiles of the per-pair ratio current / baseline, and the pairs the
+current side won: a drift in the host's speed moves both runs of a pair,
+so the ratios hold across files where absolute numbers do not.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -134,12 +145,93 @@ def run_acceptance(root: str) -> dict:
             "criteria": parse_junit(xml_text) if xml_text else {}}
 
 
+def pair_schedule(pairs: int, seeds=SEEDS) -> list:
+    """(seed, current_first) of each pair: the order flips every pair and
+    the seed every two pairs, so each seed runs in both orders."""
+    return [(seeds[(k // 2) % len(seeds)], k % 2 == 0) for k in range(pairs)]
+
+
+def _spread(values: list) -> dict:
+    """Median and quartiles, by the method of statistics.quantiles."""
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def paired_stats(current: list, baseline: list, better: str) -> dict:
+    """Both sides' spread, the per-pair ratio current / baseline, the pairs
+    the current side won (a tie wins nothing) and whether the medians lie
+    further apart than the baseline's interquartile range, for one metric
+    whose `better` is "lower" or "higher". A pair missing a value counts
+    in `pairs` but gives no ratio and no win, as does a zero baseline for
+    the ratio."""
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be lower or higher, not {better!r}")
+    both = [(c, b) for c, b in zip(current, baseline) if c is not None and b is not None]
+    ratios = [c / b for c, b in both if b != 0]
+    wins = sum(1 for c, b in both if (c < b if better == "lower" else c > b))
+    out = {"pairs": len(current), "wins": wins, "better": better}
+    for name, values in (("current", [c for c, _ in both]),
+                         ("baseline", [b for _, b in both]), ("ratio", ratios)):
+        out[name] = _spread(values) if values else None
+    cur, base = out["current"], out["baseline"]
+    out["medians_apart"] = (cur is not None and abs(cur["median"] - base["median"])
+                            > base["q3"] - base["q1"])
+    return out
+
+
+def _metric_values(entries: list, name: str) -> list:
+    return [e.get("metrics", {}).get(name, {}).get("value") for e in entries]
+
+
+def summarize_pairs(pairs: list, better: dict) -> dict:
+    """Paired statistics of every end-to-end metric over a workload's
+    pairs, each a dict holding a "current" and a "baseline" run entry."""
+    cur = [p["current"] for p in pairs]
+    base = [p["baseline"] for p in pairs]
+    return {name: paired_stats(_metric_values(cur, name), _metric_values(base, name), way)
+            for name, way in better.items()}
+
+
+def clone_rev(root: str, rev: str, dest: str) -> str:
+    """A `git clone` of root at rev in dest; returns the commit sha."""
+    sha = _git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
+    if not sha:
+        raise ValueError(f"no commit {rev!r} in {root}")
+    subprocess.run(["git", "clone", "-q", "--no-checkout", root, dest], check=True)
+    subprocess.run(["git", "-C", dest, "checkout", "-q", sha], check=True)
+    return sha
+
+
+def run_pairs(root: str, base_root: str, pairs: int, seconds: float) -> dict:
+    """Alternating current and baseline runs of every workload."""
+    out = {}
+    for workload in WORKLOADS:
+        done = []
+        for k, (seed, current_first) in enumerate(pair_schedule(pairs)):
+            sides = [("current", root), ("baseline", base_root)]
+            entry = {"pair": k, "seed": seed, "current_first": current_first}
+            for side, where in sides if current_first else sides[::-1]:
+                entry[side] = run_workload(where, workload, seed, 0, seconds)
+            done.append(entry)
+            print(f"{workload} pair {k}: exit {entry['current']['returncode']}, "
+                  f"{entry['baseline']['returncode']}", file=sys.stderr)
+        out[workload] = done
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    help="checkout whose bench/ and tests/ to run")
+    p.add_argument("--baseline", help="git revision of --root to run in pairs against")
+    p.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
     root = os.path.abspath(args.root)
     seconds = run_seconds(root)
 
@@ -156,10 +248,23 @@ def main(argv=None) -> int:
 
     out = {"environment": environment(root), "run_seconds": seconds,
            "runs": runs, "acceptance": acceptance}
+    failed = [r for r in runs if r["returncode"] != 0 or "error" in r]
+    if args.baseline:
+        with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+            better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        with tempfile.TemporaryDirectory() as tmp:
+            base_root = os.path.join(tmp, "baseline")
+            sha = clone_rev(root, args.baseline, base_root)
+            paired = run_pairs(root, base_root, args.pairs, seconds)
+        out["baseline"] = {"rev": args.baseline, "git_sha": sha, "pairs": args.pairs}
+        out["paired"] = {w: {"metrics": summarize_pairs(done, better), "runs": done}
+                         for w, done in paired.items()}
+        failed += [e[side] for done in paired.values() for e in done
+                   for side in ("current", "baseline")
+                   if e[side]["returncode"] != 0 or "error" in e[side]]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
-    failed = [r for r in runs if r["returncode"] != 0 or "error" in r]
     return 1 if failed or acceptance["returncode"] != 0 else 0
 
 
