@@ -43,19 +43,36 @@ def cell_indices(points: np.ndarray, side: float) -> np.ndarray:
 
 def unique_rows(rows: np.ndarray, return_index: bool = False,
                 return_inverse: bool = False, return_counts: bool = False):
-    """Distinct rows of a 2-D integer array, in lexicographic order.
-
-    Values, order, first-occurrence index, inverse and counts are those of
-    np.unique(rows, axis=0, ...), from one stable lexsort over the columns.
-    """
+    """Distinct rows of a 2-D array in lexicographic order, with the values,
+    first-occurrence index, inverse and counts of np.unique(rows, axis=0,
+    ...). Non-empty int64 rows whose column ranges (max - min) fit 63 bits
+    in total sort as one int64 key, each column less its minimum in its own
+    bits, the first highest; every other input takes a stable lexsort."""
     rows = np.asarray(rows)
-    order = np.lexsort(rows.T[::-1])
-    srt = rows[order]
-    new = np.ones(order.size, dtype=bool)
-    np.any(srt[1:] != srt[:-1], axis=1, out=new[1:])
-    uniq = srt[new]
-    if not (return_index or return_inverse or return_counts):
-        return uniq
+    flags = return_index or return_inverse or return_counts
+    cols = list(rows.T) if rows.dtype == np.int64 and rows.ndim == 2 and rows.size else []
+    lo = [int(col.min()) for col in cols]
+    bits = [(int(col.max()) - m).bit_length() for col, m in zip(cols, lo)]
+    if not cols or sum(bits) > 63:
+        order = np.lexsort(rows.T[::-1])
+        srt = rows[order]
+        new = np.ones(order.size, dtype=bool)
+        np.any(srt[1:] != srt[:-1], axis=1, out=new[1:])
+        uniq = srt[new]
+    else:
+        key = cols[0] - lo[0]
+        for col, m, b in zip(cols[1:], lo[1:], bits[1:]):
+            key <<= b
+            key |= col - m
+        if flags:  # stable, so order[new] is each first occurrence
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+        else:
+            key.sort()
+        new = np.append(True, key[1:] != key[:-1])
+        key = key[new]
+        uniq = np.column_stack([((key >> sum(bits[c + 1:])) & ((1 << b) - 1)) + m
+                                for c, (m, b) in enumerate(zip(lo, bits))])
     out = [uniq]
     if return_index:
         out.append(order[new])
@@ -65,29 +82,7 @@ def unique_rows(rows: np.ndarray, return_index: bool = False,
         out.append(inverse)
     if return_counts:
         out.append(np.diff(np.append(np.flatnonzero(new), order.size)))
-    return tuple(out)
-
-
-def count_distinct_rows(rows: np.ndarray) -> int:
-    """Number of distinct rows of a 2-D int64 array.
-
-    Each column, less its minimum, takes the bits of its range, and the
-    columns pack into one int64 key, so one 1-D sort counts the rows. Rows
-    whose ranges need more than 63 bits go to unique_rows.
-    """
-    if rows.shape[0] == 0:
-        return 0
-    cols = [rows[:, c] for c in range(rows.shape[1])]
-    lo = [int(col.min()) for col in cols]
-    bits = [(int(col.max()) - m).bit_length() for col, m in zip(cols, lo)]
-    if sum(bits) > 63:
-        return int(unique_rows(rows).shape[0])
-    keys = cols[0] - lo[0]
-    for col, m, b in zip(cols[1:], lo[1:], bits[1:]):
-        keys <<= b
-        keys |= col - m
-    keys.sort()
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    return tuple(out) if flags else uniq
 
 
 def lattice_nodes(points: np.ndarray, pitch: float) -> Optional[np.ndarray]:

@@ -19,7 +19,7 @@ from .covering import (
     fit_log2_slope,
     verify_delta_s_set,
 )
-from .dyadic import MAX_LEVEL, count_distinct_rows, level_of, quota_tree
+from .dyadic import MAX_LEVEL, level_of, quota_tree, unique_rows
 from .errors import (
     AllCollinear,
     AllMassAtCenter,
@@ -359,7 +359,7 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
         all_cells.append(
             _line_metric_cells(angles, *_anchors(angles, offsets), delta))
         pencil_size = angles.shape[1]
-    count = count_distinct_rows(np.concatenate(all_cells, axis=0))
+    count = unique_rows(np.concatenate(all_cells, axis=0)).shape[0]
     wolff_floor = delta ** (-2.0 * sigma)
     return {
         "count": count,

@@ -118,12 +118,15 @@ def read_lines_csv(path: str) -> np.ndarray:
     """(angle, offset) rows of a line CSV with a header row, such as the
     tubes.csv the tubes command writes; further columns are ignored."""
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path, encoding="utf-8") as fh:
+            # loadtxt warns on a file with no rows and gives it no columns
+            body = [ln for ln in fh.readlines()[1:] if ln.split("#")[0].strip()]
+        rows = np.loadtxt(body, delimiter=",", ndmin=2) if body else np.empty((0, 2))
     except OSError as exc:
         raise ConfigInvalid(f"cannot read {path!r}: {exc}") from None
     except ValueError as exc:
         raise ConfigInvalid(f"{path!r} is not a numeric line CSV: {exc}") from None
-    if rows.size and rows.shape[1] < 2:
+    if rows.shape[1] < 2:
         raise ConfigInvalid(f"{path!r} needs angle and offset columns")
     if not np.all(np.isfinite(rows[:, :2])):
         raise ConfigInvalid(f"{path!r} has a non-finite angle or offset")

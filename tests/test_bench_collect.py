@@ -113,6 +113,32 @@ def test_summarize_pairs_reads_each_side_of_each_pair():
     assert out["peak_rss_mb"]["current"]["median"] == 50.5
 
 
+def test_summarize_by_seed_keeps_each_seed_apart():
+    """Seed 1 runs at 0.4 s a pair and seed 2 at 0.8 s, each 0.5x on the
+    current side: pooled, the baseline's quartiles span both seeds; per
+    seed they are flat, and each seed's figures are summarize_pairs' over
+    its own pairs."""
+    def run(op):
+        return {"metrics": {"op_p50_s": {"value": op, "unit": "s"}}}
+
+    pairs = [{"seed": seed, "current": run(base / 2), "baseline": run(base)}
+             for seed, base in ((1, 0.4), (1, 0.4), (2, 0.8), (2, 0.8), (1, 0.4))]
+    better = {"op_p50_s": "lower"}
+    pooled = bench_collect.summarize_pairs(pairs, better)["op_p50_s"]
+    assert pooled["baseline"]["q3"] - pooled["baseline"]["q1"] == pytest.approx(0.4)
+    out = bench_collect.summarize_by_seed(pairs, better)
+    assert list(out) == ["1", "2"]
+    assert out["1"] == bench_collect.summarize_pairs([p for p in pairs if p["seed"] == 1],
+                                                     better)
+    one, two = out["1"]["op_p50_s"], out["2"]["op_p50_s"]
+    assert (one["pairs"], two["pairs"]) == (3, 2)
+    assert one["baseline"] == {"median": 0.4, "q1": 0.4, "q3": 0.4}
+    assert two["current"]["median"] == pytest.approx(0.4)
+    assert one["ratio"]["median"] == two["ratio"]["median"] == pytest.approx(0.5)
+    assert one["wins"] == 3 and two["wins"] == 2
+    assert bench_collect.summarize_by_seed([], better) == {}
+
+
 def test_clone_rev_checks_out_the_revision(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,25 @@ class TestEnvelope:
         rep = _report(out, "incidence")
         assert rep["results"]["incidence_count"] == 48
         assert rep["results"]["n_lines"] == 20
+
+    def test_incidence_against_a_header_only_lines_csv(self, gen_dir, tmp_path, capsys):
+        """No supplied lines: zero incidences and no Python warning. The
+        empty line set dedupes empty float and intp rows in
+        LineSet.from_lines([])."""
+        path = tmp_path / "lines.csv"
+        path.write_text("angle,offset,width\n")
+        out = str(tmp_path / "inc")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = _run(["incidence", "--input", os.path.join(gen_dir, "points.csv"),
+                       "--lines", str(path), "--out", out])
+        assert rc == 0
+        assert caught == []
+        assert "Warning" not in capsys.readouterr().err
+        rep = _report(out, "incidence")
+        assert rep["results"]["n_lines"] == 0
+        assert rep["results"]["incidence_count"] == 0
+        assert rep["warnings"] == []
 
     def test_incidence_fallback_is_a_warning(self, tmp_path):
         """Spanned lines of points near the coordinate cap of the exact

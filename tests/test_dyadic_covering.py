@@ -33,7 +33,6 @@ from gmtlab.dyadic import (
     MAX_LEVEL,
     cell_indices,
     count_cells,
-    count_distinct_rows,
     is_dyadic,
     lattice_nodes,
     level_of,
@@ -113,23 +112,102 @@ def test_unique_rows_matches_np_unique(rows):
             assert np.array_equal(g, w)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda k: st.lists(
-    st.lists(st.integers(-3, 3) | st.integers(-2 ** 40, 2 ** 40)
-             | st.sampled_from([-2 ** 62, 2 ** 62 - 1]), min_size=k, max_size=k),
-    min_size=1, max_size=40,
-)))
-@example([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
-@example([[-2 ** 31, 5], [2 ** 31, 5], [-2 ** 31, 6]])   # 33 + 1 bits
-@example([[-2 ** 62, 0], [2 ** 62 - 1, 1], [2 ** 62 - 1, 1]])  # 63 + 1 bits
-def test_count_distinct_rows_matches_unique_rows(rows):
-    """Packed keys up to 63 bits, and unique_rows beyond, count what
-    unique_rows does, with negative values and repeated rows."""
-    a = np.array(rows, dtype=np.int64)
-    want = unique_rows(a).shape[0]
-    assert count_distinct_rows(a) == want
-    assert count_distinct_rows(a[::-1]) == want
-    assert count_distinct_rows(a[:0]) == 0
+def _unique_rows_lexsort_oracle(rows, return_index=False, return_inverse=False,
+                                return_counts=False):
+    """dyadic.unique_rows before int64 rows packed into one key: one stable
+    lexsort over the columns for every input."""
+    rows = np.asarray(rows)
+    order = np.lexsort(rows.T[::-1])
+    srt = rows[order]
+    new = np.ones(order.size, dtype=bool)
+    np.any(srt[1:] != srt[:-1], axis=1, out=new[1:])
+    uniq = srt[new]
+    if not (return_index or return_inverse or return_counts):
+        return uniq
+    out = [uniq]
+    if return_index:
+        out.append(order[new])
+    if return_inverse:
+        inverse = np.empty(order.size, dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        out.append(inverse)
+    if return_counts:
+        out.append(np.diff(np.append(np.flatnonzero(new), order.size)))
+    return tuple(out)
+
+
+def _range_bits(a):
+    """Bits of the column ranges (max - min) summed over the columns."""
+    return sum((int(col.max()) - int(col.min())).bit_length() for col in a.T)
+
+
+@st.composite
+def _int64_rows(draw):
+    """int64 rows of one to three columns whose ranges need a drawn number
+    of bits each, summing to a few bits, to exactly 63 (one packed key) or
+    to 64 (the lexsort): each column holds its minimum and maximum, values
+    between, repeats, and negative values wherever its minimum falls."""
+    k = draw(st.integers(1, 3))
+    total = draw(st.sampled_from([None, 63, 64]))
+    if total is None:
+        bits = draw(st.lists(st.integers(0, 12), min_size=k, max_size=k))
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)))
+        bits = np.diff([0, *cuts, total]).tolist()
+    n = draw(st.integers(2, 12))
+    cols = []
+    for b in bits:
+        span = 0 if b == 0 else draw(st.integers(2 ** (b - 1), 2 ** b - 1))
+        lo = draw(st.integers(-2 ** 63, 2 ** 63 - 1 - span))
+        rest = st.sampled_from([lo, lo + span]) | st.integers(lo, lo + span)
+        cols.append(draw(st.permutations(
+            [lo, lo + span] + draw(st.lists(rest, min_size=n - 2, max_size=n - 2)))))
+    a = np.array(cols, dtype=np.int64).T
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=6))
+    a = np.concatenate([a, a[repeats]])
+    assert total is None or _range_bits(a) == total
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int64_rows())
+@example(np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+@example(np.array([[-2 ** 31, 5], [2 ** 31, 5], [-2 ** 31, 6]]))       # 33 + 1 bits
+@example(np.array([[-2 ** 62, 0], [2 ** 62 - 1, 1], [2 ** 62 - 1, 1]]))  # 63 + 1 bits
+@example(np.array([[0, -2 ** 31], [2 ** 31 - 1, 2 ** 31 - 1], [0, -2 ** 31]]))  # 31 + 32
+def test_unique_rows_matches_lexsort_oracle(a):
+    """The packed key (ranges up to 63 bits) and the lexsort (64 bits,
+    float rows, empty input) give the retained lexsort's values, index,
+    inverse and counts under every flag set, in any row order."""
+    for rows in (a, a[::-1], a[:1], a[:0], a.astype(float), (a % 5).astype(float) / 4):
+        for flags in _FLAG_SETS:
+            want = _unique_rows_lexsort_oracle(rows, *flags)
+            got = unique_rows(rows, *flags)
+            if not any(flags):
+                want, got = (want,), (got,)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
+
+
+def test_unique_rows_packs_int64_ranges_up_to_63_bits(monkeypatch):
+    """Ranges of 31 + 32 = 63 bits sort as one key, with no lexsort; 32 +
+    32 = 64 bits, int32 and float rows take the lexsort."""
+    packed = np.array([[0, -2 ** 31], [2 ** 31 - 1, 2 ** 31 - 1], [0, -2 ** 31]])
+    wide = packed.copy()
+    wide[1, 0] += 1
+    assert _range_bits(packed) == 63 and _range_bits(wide) == 64
+
+    def no_lexsort(*args, **kwargs):
+        raise AssertionError("lexsort")
+
+    monkeypatch.setattr(np, "lexsort", no_lexsort)
+    assert unique_rows(packed).tolist() == [[0, -2 ** 31], [2 ** 31 - 1, 2 ** 31 - 1]]
+    assert unique_rows(packed, return_counts=True)[1].tolist() == [2, 1]
+    for rows in (wide, packed.astype(np.int32), packed.astype(float), packed[:0]):
+        with pytest.raises(AssertionError, match="lexsort"):
+            unique_rows(rows)
 
 
 def test_only_dyadic_dedupes_integer_rows():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gmtlab.generators import gen_random_delta_s_set
 from gmtlab.io import (
     json_safe,
     read_json,
+    read_lines_csv,
     read_points_csv,
     sidecar_path,
     write_angles_csv,
@@ -120,3 +122,17 @@ def test_write_angles_csv_with_dims(tmp_path):
     assert lines[0] == "angle,projection_dim"
     assert len(lines) == 3
     assert float(lines[2].split(",")[0]) == pytest.approx(math.pi)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n# no lines\n"])
+def test_read_lines_csv_without_rows_is_empty(tmp_path, body):
+    """A line CSV of a header and no rows gives an empty (0, 2) array,
+    with no loadtxt warning; rows after the header still parse."""
+    path = tmp_path / "lines.csv"
+    path.write_text("angle,offset,width\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = read_lines_csv(str(path))
+    assert rows.shape == (0, 2) and rows.dtype == float
+    path.write_text("angle,offset,width\n" + body + "0.5,0.25,0.1\n")
+    assert read_lines_csv(str(path)).tolist() == [[0.5, 0.25]]

@@ -20,7 +20,8 @@ in every other pair, and each seed gets both orders. For each end-to-end
 metric the file records both sides' median and quartiles, the median and
 quartiles of the per-pair ratio current / baseline, and the pairs the
 current side won: a drift in the host's speed moves both runs of a pair,
-so the ratios hold across files where absolute numbers do not.
+so the ratios hold across files where absolute numbers do not. The same
+figures are recorded over all pairs and over each seed's pairs alone.
 """
 
 from __future__ import annotations
@@ -195,6 +196,15 @@ def summarize_pairs(pairs: list, better: dict) -> dict:
             for name, way in better.items()}
 
 
+def summarize_by_seed(pairs: list, better: dict) -> dict:
+    """summarize_pairs over each seed's pairs alone, keyed by the seed as a
+    string: the seeds' items run at different speeds, so the pooled
+    quartiles mix seed-to-seed and host noise."""
+    seeds = sorted({p["seed"] for p in pairs})
+    return {str(seed): summarize_pairs([p for p in pairs if p["seed"] == seed], better)
+            for seed in seeds}
+
+
 def clone_rev(root: str, rev: str, dest: str) -> str:
     """A `git clone` of root at rev in dest; returns the commit sha."""
     sha = _git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
@@ -257,7 +267,8 @@ def main(argv=None) -> int:
             sha = clone_rev(root, args.baseline, base_root)
             paired = run_pairs(root, base_root, args.pairs, seconds)
         out["baseline"] = {"rev": args.baseline, "git_sha": sha, "pairs": args.pairs}
-        out["paired"] = {w: {"metrics": summarize_pairs(done, better), "runs": done}
+        out["paired"] = {w: {"metrics": summarize_pairs(done, better),
+                             "by_seed": summarize_by_seed(done, better), "runs": done}
                          for w, done in paired.items()}
         failed += [e[side] for done in paired.values() for e in done
                    for side in ("current", "baseline")
