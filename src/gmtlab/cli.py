@@ -299,6 +299,19 @@ def cmd_audit_constants(args) -> int:
     return 0
 
 
+def _int_from(low: int):
+    """argparse type: an integer no smaller than low, so that a bad count
+    or seed exits 2 at the parser."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gmtlab",
@@ -308,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_int_from(0), default=0)
 
     g = sub.add_parser("generate", help="emit a point-set CSV")
     g.add_argument("--kind", required=True,
@@ -348,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tubes", help="uniform tube family and probe stats")
     t.add_argument("--r", type=float, required=True)
-    t.add_argument("--probes", type=int, default=1000)
+    t.add_argument("--probes", type=_int_from(1), default=1000)
     common(t)
     t.set_defaults(func=cmd_tubes)
 

@@ -8,7 +8,6 @@ the regression never probes below a set's own resolution.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -17,6 +16,7 @@ import numpy as np
 
 from .dyadic import (
     MAX_LEVEL,
+    NearSweep,
     cell_indices,
     count_cells,
     disc_grid_shape,
@@ -36,17 +36,13 @@ from .errors import (
 from .generators import DiscreteSet, as_points
 from .geometry import Point
 
-# verify_delta_s_set on points that share delta-cells queries balls in blocks
-# of at most this many (ball, point) pairs, which also bounds its
-# (ball, cell) mask
-_BALL_PAIRS = 1 << 20
-# verify_delta_s_set counts a level's balls by FFT only while the transform
-# grid holds at most this many cells per ball centre. The tree's cost grows
-# with the centres and the points per ball, the FFT's with the grid: on
-# (2^-9, 1.5)-sets the FFT was 1.1-3.2x faster at 25-68 cells per centre and
-# no faster at 120 (level 0, where its grid also raised peak memory); sets of
-# dimension 1 give over 400 and stay on the tree.
-_FFT_CELLS_PER_CENTRE = 96
+# verify_delta_s_set counts a level's balls by FFT only while the sweep
+# would walk at least this many (centre, candidate) pairs per cell of the
+# transform grid: the sweep's cost grows with its pairs, the FFT's with its
+# grid. Timed level by level on the lattice sets of the acceptance gate and
+# of the spread benchmark, 8 came within 0.3% of the faster side's total,
+# 4 and 12 within 1.2%, and 32 took 15% longer.
+_PAIRS_PER_FFT_CELL = 8
 
 
 def covering_number(obj, level: int) -> int:
@@ -226,28 +222,37 @@ class DeltaSCheck:
     s: float
 
 
-def _distinct_cells_per_ball(hoods, cell_ids: np.ndarray, n_cells: int) -> np.ndarray:
-    """Distinct cell ids among each ball's point indices."""
-    sizes = np.fromiter(map(len, hoods), dtype=np.intp, count=len(hoods))
-    members = np.fromiter(itertools.chain.from_iterable(hoods), dtype=np.intp,
-                          count=int(sizes.sum()))
-    hit = np.zeros((len(hoods), n_cells), dtype=bool)
-    hit[np.repeat(np.arange(len(hoods)), sizes), cell_ids[members]] = True
-    return np.count_nonzero(hit, axis=1)
-
-
-def _fft_ball_counts(nodes: np.ndarray, cells: np.ndarray,
-                     q: int) -> Optional[np.ndarray]:
+def _fft_ball_counts(nodes: np.ndarray, cells: np.ndarray, q: int,
+                     pairs: int) -> Optional[np.ndarray]:
     """Exact ball sizes at the nodes and at the centres of the level-q
     squares `cells`, by FFT disc counts on the node lattice; None where
-    the transform grid would hold more than _FFT_CELLS_PER_CENTRE cells
-    per centre or more than MAX_FFT_CELLS, so the caller queries its k-d
-    tree instead."""
+    the transform grid would hold more than 1/_PAIRS_PER_FFT_CELL of the
+    sweep's `pairs`, or more than MAX_FFT_CELLS cells, so the caller
+    sweeps instead."""
     centres = np.concatenate([nodes, cells * q + q // 2], axis=0)
     rows, cols = disc_grid_shape(nodes, centres, q)
-    if rows * cols > _FFT_CELLS_PER_CENTRE * centres.shape[0]:
+    if rows * cols * _PAIRS_PER_FFT_CELL > pairs:
         return None
     return lattice_disc_counts(nodes, centres, q * q)
+
+
+def _swept_ball_counts(sweep: NearSweep, r: float,
+                       cell_ids: Optional[np.ndarray]) -> np.ndarray:
+    """Points, or with cell_ids the distinct cells of their points, within
+    distance r of each centre of the sweep."""
+    counts = np.empty(sweep.centres.shape[0])
+    for centres, cand, d2 in sweep:
+        inside = d2 <= r * r
+        if cell_ids is None:
+            counts[centres] = np.count_nonzero(inside, axis=1)
+            continue
+        # a mask over the distinct cells of the window's points
+        cells, at = np.unique(cell_ids[cand], return_inverse=True)
+        hit = np.zeros((centres.size, cells.size), dtype=bool)
+        rows, cols = np.nonzero(inside)
+        hit[rows, at[cols]] = True
+        counts[centres] = np.count_nonzero(hit, axis=1)
+    return counts
 
 
 def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
@@ -258,14 +263,15 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     level (this samples the true worst center within a bounded factor).
     Returns the worst observed ratio and its witness center/level.
 
+    Ball sizes are counted by the near-neighbour sweep (dyadic.NearSweep),
+    which keeps the points with dx*dx + dy*dy <= r*r, as a k-d tree does.
     On a set with one point per delta-cell, every point a node of the
     dyadic delta-lattice, the levels with r >= 2 delta have lattice-node
-    centres and their ball sizes come from exact FFT disc counts; the
-    finest level, other sets and levels whose transform grid would be
-    large against the number of centres query a k-d tree.
+    centres, and where the sweep would walk _PAIRS_PER_FFT_CELL or more
+    pairs per cell of the transform grid their ball sizes come from exact
+    FFT disc counts instead. On a set whose points share delta-cells a
+    ball counts the distinct cells of its points.
     """
-    from scipy.spatial import cKDTree
-
     if not (0.0 <= s <= 2.0):
         raise PreconditionError(f"s {s!r} outside [0, 2]")
     if c <= 0.0:
@@ -276,11 +282,10 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     point_per_cell = n_delta == pts.shape[0]
     nodes = (lattice_nodes(pts, delta)
              if point_per_cell and is_dyadic(delta) else None)
+    cell_ids = None
     if not point_per_cell:
         # points share delta-cells: count distinct cells inside each ball
         _, cell_ids = unique_rows(cell_indices(pts, delta), return_inverse=True)
-        block = max(1, _BALL_PAIRS // pts.shape[0])
-    tree = cKDTree(pts)
     worst = -math.inf
     witness = Point(float(pts[0, 0]), float(pts[0, 1]))
     witness_level = 0
@@ -289,18 +294,12 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
         r = 2.0 ** -lv
         sq = unique_rows(cell_indices(pts, r))
         centers = np.concatenate([pts, (sq + 0.5) * r], axis=0)
+        sweep = NearSweep(pts, centers, r)
         counts = None
         if nodes is not None and r >= 2.0 * delta:
-            counts = _fft_ball_counts(nodes, sq, int(round(r / delta)))
-        if counts is None and point_per_cell:
-            counts = tree.query_ball_point(centers, r, return_length=True).astype(float)
-        elif counts is None:
-            counts = np.concatenate([
-                _distinct_cells_per_ball(
-                    tree.query_ball_point(centers[b0:b0 + block], r, return_sorted=False),
-                    cell_ids, n_delta)
-                for b0 in range(0, centers.shape[0], block)
-            ]).astype(float)
+            counts = _fft_ball_counts(nodes, sq, int(round(r / delta)), sweep.pairs)
+        if counts is None:
+            counts = _swept_ball_counts(sweep, r, cell_ids)
         ratios = counts / (r ** s * n_delta)
         imax = int(np.argmax(ratios))
         if ratios[imax] > worst:

@@ -1,6 +1,6 @@
 """Shared dyadic-grid utilities: cell indexing, exact lattice nodes,
-distinct integer rows, quota branching, and disc sums on integer
-lattices by FFT.
+distinct integer rows, fixed-radius near neighbours, quota branching, and
+disc sums on integer lattices by FFT.
 
 The quota-branching helper drives the random quota trees (the random set
 generator and the Furstenberg direction pencils) and the Frostman-style
@@ -97,6 +97,68 @@ def lattice_nodes(points: np.ndarray, pitch: float) -> Optional[np.ndarray]:
 def count_cells(points: np.ndarray, side: float) -> int:
     """Number of occupied grid cells of the given side length."""
     return int(unique_rows(cell_indices(points, side)).shape[0])
+
+
+# centres per block of a NearSweep, which bounds the (centre, candidate)
+# distances held at once to SWEEP_BLOCK times the block's window
+SWEEP_BLOCK = 64
+
+
+class NearSweep:
+    """Fixed-radius near neighbours of centres among points (Bentley,
+    Stanat and Williams, IPL 6, 1977), by a sweep along the coordinate in
+    which the points spread further.
+
+    Points and centres are sorted by that coordinate. Each block of
+    SWEEP_BLOCK consecutive centres takes as candidates the points whose
+    coordinate lies within reach of the block's span; the slack covers
+    rounding at the window's edges, and extra candidates cost only time.
+    So every point with dx*dx + dy*dy <= reach**2 from a centre is among
+    its block's candidates. `pairs` counts the (centre, candidate) pairs
+    of all blocks before any distance is taken. Iterating yields, block by
+    block, the centre indices, the candidate indices in ascending order
+    and the (centres, candidates) array of their dx*dx + dy*dy, which the
+    next block overwrites.
+    """
+
+    def __init__(self, points: np.ndarray, centres: np.ndarray, reach: float):
+        self.points, self.centres = points, centres
+        spread = [np.ptp(points[:, k]) for k in (0, 1)]
+        self._axis = int(spread[1] > spread[0])
+        keys = np.sort(points[:, self._axis])
+        ckeys = np.sort(centres[:, self._axis])
+        scale = max(abs(keys[0]), abs(keys[-1]), abs(ckeys[0]), abs(ckeys[-1]))
+        pad = reach * (1.0 + 2.0 ** -20) + 4.0 * float(np.spacing(scale))
+        self._starts = np.arange(0, ckeys.size, SWEEP_BLOCK)
+        self._ends = np.minimum(self._starts + SWEEP_BLOCK, ckeys.size)
+        self._lo = np.searchsorted(keys, ckeys[self._starts] - pad, "left")
+        self._hi = np.searchsorted(keys, ckeys[self._ends - 1] + pad, "right")
+        self.pairs = int(np.dot(self._hi - self._lo, self._ends - self._starts))
+
+    def __iter__(self):
+        # argsort lists the keys in the same order as the sort above, so
+        # each window and block spans the same keys, whatever the ties
+        order = np.argsort(self.points[:, self._axis])
+        by_key = np.argsort(self.centres[:, self._axis])
+        px, py = self.points[:, 0], self.points[:, 1]
+        cx, cy = self.centres[:, 0], self.centres[:, 1]
+        # one pair of buffers for every block: fresh arrays of this size
+        # would each be mapped and faulted in anew
+        size = int(np.max((self._hi - self._lo) * (self._ends - self._starts)))
+        bx, by = np.empty(size), np.empty(size)
+        for s, e, lo, hi in zip(self._starts.tolist(), self._ends.tolist(),
+                                self._lo.tolist(), self._hi.tolist()):
+            block = by_key[s:e]
+            cand = np.sort(order[lo:hi])
+            k = block.size * cand.size
+            dx = bx[:k].reshape(block.size, cand.size)
+            dy = by[:k].reshape(block.size, cand.size)
+            np.subtract(px[cand], cx[block, None], out=dx)
+            np.subtract(py[cand], cy[block, None], out=dy)
+            dx *= dx
+            dy *= dy
+            dx += dy
+            yield block, cand, dx
 
 
 def quota_budget(branch_log2: float, p: int,

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dyadic import is_dyadic, quota_tree, unique_rows
+from .dyadic import NearSweep, is_dyadic, quota_tree, unique_rows
 from .errors import (
     EmptyInput,
     InvariantViolation,
@@ -81,12 +81,15 @@ class DiscreteSet:
             if unique_rows(nodes).shape[0] == pts.shape[0]:
                 return
             raise InvariantViolation("duplicate grid-snapped points")
-        from scipy.spatial import cKDTree
-
-        d, _ = cKDTree(pts).query(pts, k=2)
-        if d[:, 1].min() < delta / 2.0 - 1e-12:
+        # off-grid: the nearest other point within delta/2 of any point
+        least = math.inf
+        for centres, cand, d2 in NearSweep(pts, pts, delta / 2.0):
+            d2[np.arange(centres.size), np.searchsorted(cand, centres)] = math.inf
+            least = min(least, float(d2.min()))
+        gap = math.sqrt(least)
+        if gap < delta / 2.0 - 1e-12:
             raise InvariantViolation(
-                f"minimum separation {d[:, 1].min():.3e} below delta/2 = {delta / 2:.3e}"
+                f"minimum separation {gap:.3e} below delta/2 = {delta / 2:.3e}"
             )
 
     def __len__(self) -> int:

@@ -12,6 +12,7 @@ import numpy as np
 from .covering import _check_level_window, fit_log2_slope
 from .dyadic import (
     MAX_FFT_CELLS,
+    NearSweep,
     disc_grid_shape,
     lattice_disc_counts,
     lattice_disc_sums,
@@ -29,12 +30,10 @@ from .geometry import Ball, Point, Tube, line_residuals
 WEIGHT_TOL = 1e-9
 BALL_TOL = 1e-12
 
-# supports up to this size take the x-sorted sweep unconditionally; larger
-# ones take it only when they are off-lattice or their FFT grid is too large
+# supports up to this size take the near-neighbour sweep unconditionally;
+# larger ones take it only when they are off-lattice or their FFT grid is
+# too large
 _SMALL_SUPPORT = 4096
-# ball centres per block of the sweep, which bounds the (centre, candidate)
-# distances held at once to _TREE_BLOCK times the support size
-_TREE_BLOCK = 64
 # the sweep sums its balls in batches of at most about this many
 # (ball, member) pairs, which bounds the member weights gathered at once
 _BALL_PAIRS = 1 << 20
@@ -179,8 +178,8 @@ def _ball_masses_fft(m: WeightedMeasure, radii) -> Optional[list]:
 
 
 def _ball_masses_sweep(m: WeightedMeasure, radii) -> list:
-    """Per-radius arrays of closed-ball mass at every support point, from a
-    sweep over the points sorted by x.
+    """Per-radius arrays of closed-ball mass at every support point, from
+    the near-neighbour sweep over the support.
 
     A ball's members are the points with dx*dx + dy*dy <= (r + BALL_TOL)**2,
     the test a k-d tree makes for the Euclidean norm. Its mass is
@@ -193,26 +192,13 @@ def _ball_masses_sweep(m: WeightedMeasure, radii) -> list:
     n = pts.shape[0]
     w = m.weights
     uniform = bool(np.all(w == w[0]))
-    order = np.argsort(pts[:, 0], kind="stable")
-    xs = pts[order, 0]
-    # the candidates of a block lie within reach of its x-range; the slack
-    # covers rounding in the window edges, and extra candidates cost only time
-    reach = max(radii, default=0.0) + BALL_TOL
-    pad = reach * (1.0 + 2.0 ** -20) + 4.0 * float(np.spacing(np.abs(xs).max()))
     bounds = [(r + BALL_TOL) * (r + BALL_TOL) for r in radii]
     out = np.empty((len(radii), n))
     flat = out.reshape(-1)
     # a uniform measure's ball mass depends only on its member count
     mass_of_count = np.full(n + 1, np.nan) if uniform else None
     pending, held = [], 0
-    for s in range(0, n, _TREE_BLOCK):
-        centres = order[s:s + _TREE_BLOCK]
-        lo = np.searchsorted(xs, xs[s] - pad, "left")
-        hi = np.searchsorted(xs, xs[s + centres.size - 1] + pad, "right")
-        cand = np.sort(order[lo:hi])
-        dx = pts[cand, 0] - pts[centres, 0, None]
-        dy = pts[cand, 1] - pts[centres, 1, None]
-        d2 = dx * dx + dy * dy
+    for centres, cand, d2 in NearSweep(pts, pts, max(radii, default=0.0) + BALL_TOL):
         wc = w[cand]
         for k, bound in enumerate(bounds):
             inside = d2 <= bound
@@ -254,8 +240,8 @@ def ball_masses_at_support(m: WeightedMeasure, radii) -> list:
 
     A support of more than _SMALL_SUPPORT points, each exactly a node of
     the delta-lattice, takes FFT disc sums; every other support takes the
-    x-sorted sweep, whose masses equal a k-d tree query's summed by
-    ndarray.sum, bit for bit."""
+    near-neighbour sweep (dyadic.NearSweep), whose masses equal a k-d tree
+    query's summed by ndarray.sum, bit for bit."""
     radii = [float(r) for r in radii]
     if any(r <= 0 for r in radii):
         raise PreconditionError("radii must be positive")

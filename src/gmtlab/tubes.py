@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .covering import _check_level_window, fit_log2_slope, verify_delta_s_set
-from .dyadic import level_of, unique_rows
+from .dyadic import NearSweep, level_of, unique_rows
 from .errors import (
     EmptyInput,
     InvariantViolation,
@@ -266,15 +266,18 @@ class ThinTubeAudit:
         }
 
 
-def _positive_separation(mu: WeightedMeasure, nu: WeightedMeasure) -> float:
-    from scipy.spatial import cKDTree
-
+def _positive_separation(mu: WeightedMeasure, nu: WeightedMeasure,
+                         reach: float) -> float:
+    """Least distance between the positive-mass points of the two
+    measures; exact when below reach, and at least reach otherwise."""
     a = mu.support.points[mu.weights > 0]
     b = nu.support.points[nu.weights > 0]
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise EmptyInput("a measure carries no positive mass")
-    d, _ = cKDTree(b).query(a, k=1)
-    return float(np.min(d))
+    least = math.inf
+    for _, _, d2 in NearSweep(b, a, reach):
+        least = min(least, float(d2.min(initial=math.inf)))
+    return math.sqrt(least)
 
 
 def thin_tube_audit(mu: WeightedMeasure, nu: WeightedMeasure, sigma: float,
@@ -291,8 +294,8 @@ def thin_tube_audit(mu: WeightedMeasure, nu: WeightedMeasure, sigma: float,
         raise PreconditionError(f"sigma {sigma!r} outside [0, 2]")
     if k_constant <= 0.0:
         raise PreconditionError(f"k_constant {k_constant!r} must be positive")
-    gap = _positive_separation(mu, nu)
     need = 4.0 * max(mu.support.delta, nu.support.delta)
+    gap = _positive_separation(mu, nu, need)
     if gap < need * (1.0 - 1e-12):
         raise SeparationViolated(
             f"supports are {gap!r} apart, need at least {need!r}"

@@ -156,3 +156,23 @@ def test_clone_rev_checks_out_the_revision(tmp_path):
     assert sha == bench_collect._git(str(repo), "rev-parse", "HEAD~1")
     with pytest.raises(ValueError):
         bench_collect.clone_rev(str(repo), "no-such-rev", str(tmp_path / "none"))
+
+
+def test_environment_records_an_absent_package_as_null(monkeypatch, tmp_path):
+    """scipy serves only the tests' oracles, so a run without it records
+    its version as null rather than failing or writing an empty string."""
+    import importlib.metadata
+    import json
+
+    real = importlib.metadata.version
+
+    def version(dist):
+        if dist == "scipy":
+            raise importlib.metadata.PackageNotFoundError(dist)
+        return real(dist)
+
+    monkeypatch.setattr(importlib.metadata, "version", version)
+    env = bench_collect.environment(str(tmp_path))
+    assert env["scipy"] is None
+    assert env["numpy"] == real("numpy")
+    assert json.loads(json.dumps(env))["scipy"] is None

@@ -296,6 +296,32 @@ class TestExitCodes:
             _run(["dimension"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["tubes", "--r", "0.125", "--probes", "0"],
+        ["tubes", "--r", "0.125", "--probes", "-3"],
+        ["tubes", "--r", "0.125", "--seed", "-1"],
+        ["generate", "--kind", "grid", "--seed", "-1"],
+        ["furstenberg", "--sigma", "0.5", "--s", "1.0", "--delta", "0.0625",
+         "--seed", "-1"],
+        ["tubes", "--r", "0.125", "--probes", "2.5"],
+    ])
+    def test_bad_count_or_seed_exits_2_at_the_parser(self, args, tmp_path, capsys):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            _run(args + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("--probes" if "--probes" in args else "--seed") in err
+        assert not out.exists()
+
+    def test_zero_seed_and_one_probe_are_accepted(self, tmp_path):
+        out = tmp_path / "x"
+        assert _run(["tubes", "--r", "0.125", "--probes", "1", "--seed", "0",
+                     "--out", str(out)]) == 0
+        rep = _report(str(out), "tubes")
+        assert rep["config"]["seed"] == 0 and rep["config"]["probes"] == 1
+
     def test_unknown_target_is_2(self, gen_dir, tmp_path):
         rc = _run(["project", "--target", "mystery",
                    "--x-input", os.path.join(gen_dir, "points.csv"),

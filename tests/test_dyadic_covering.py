@@ -6,6 +6,7 @@ constant it is an oracle, not a regression snapshot.
 """
 
 import ast
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -806,10 +807,11 @@ def test_verify_delta_s_set_shared_cells_matches_oracle(seed, spacing):
         assert (chk.passed, chk.worst_ratio, chk.witness, chk.witness_level) == want
 
 
-@pytest.mark.parametrize("pairs", [1, 5000])
-def test_verify_delta_s_set_shared_cells_in_blocks(monkeypatch, pairs):
-    """Balls queried one centre at a time, and 8 centres at a time."""
-    monkeypatch.setattr(covering, "_BALL_PAIRS", pairs)
+@pytest.mark.parametrize("block", [1, 8, 5000])
+def test_verify_delta_s_set_shared_cells_in_blocks(monkeypatch, block):
+    """Balls swept one centre at a time, 8 centres at a time, and all
+    centres in one block."""
+    monkeypatch.setattr(dyadic, "SWEEP_BLOCK", block)
     delta = 2.0 ** -4
     rng = np.random.default_rng(0)
     ticks = np.arange(-0.3, 0.5, 0.55 * delta)
@@ -822,9 +824,20 @@ def test_verify_delta_s_set_shared_cells_in_blocks(monkeypatch, pairs):
         assert (chk.passed, chk.worst_ratio, chk.witness, chk.witness_level) == want
 
 
+def _distinct_cells_per_ball(hoods, cell_ids, n_cells):
+    """Distinct cell ids among each ball's point indices."""
+    sizes = np.fromiter(map(len, hoods), dtype=np.intp, count=len(hoods))
+    members = np.fromiter(itertools.chain.from_iterable(hoods), dtype=np.intp,
+                          count=int(sizes.sum()))
+    hit = np.zeros((len(hoods), n_cells), dtype=bool)
+    hit[np.repeat(np.arange(len(hoods)), sizes), cell_ids[members]] = True
+    return np.count_nonzero(hit, axis=1)
+
+
 def _verify_delta_s_set_tree_oracle(p, s, c):
-    """verify_delta_s_set before FFT disc counts: every level by k-d tree
-    ball queries."""
+    """verify_delta_s_set before FFT disc counts and the near-neighbour
+    sweep: every level by k-d tree ball queries, on shared-cell sets in
+    blocks of at most 2^20 (ball, point) pairs."""
     from scipy.spatial import cKDTree
 
     if not (0.0 <= s <= 2.0):
@@ -838,7 +851,7 @@ def _verify_delta_s_set_tree_oracle(p, s, c):
     if not point_per_cell:
         # points share delta-cells: count distinct cells inside each ball
         _, cell_ids = unique_rows(cell_indices(pts, delta), return_inverse=True)
-        block = max(1, covering._BALL_PAIRS // pts.shape[0])
+        block = max(1, (1 << 20) // pts.shape[0])
     tree = cKDTree(pts)
     worst = -math.inf
     witness = Point(float(pts[0, 0]), float(pts[0, 1]))
@@ -852,7 +865,7 @@ def _verify_delta_s_set_tree_oracle(p, s, c):
             counts = tree.query_ball_point(centers, r, return_length=True).astype(float)
         else:
             counts = np.concatenate([
-                covering._distinct_cells_per_ball(
+                _distinct_cells_per_ball(
                     tree.query_ball_point(centers[b0:b0 + block], r, return_sorted=False),
                     cell_ids, n_delta)
                 for b0 in range(0, centers.shape[0], block)
@@ -867,13 +880,15 @@ def _verify_delta_s_set_tree_oracle(p, s, c):
 
 
 def _check_against_tree_oracle(ds, s):
-    """verify_delta_s_set under its own FFT/tree rule and with the FFT on
-    every level whose centres are lattice nodes, both equal to the oracle."""
+    """verify_delta_s_set under its own FFT/sweep rule, with the FFT on
+    every level whose centres are lattice nodes, and with the sweep on
+    every level, all equal to the oracle."""
     want = _verify_delta_s_set_tree_oracle(ds, s, 16.0)
     assert verify_delta_s_set(ds, s, 16.0) == want
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(covering, "_FFT_CELLS_PER_CENTRE", math.inf)
-        assert verify_delta_s_set(ds, s, 16.0) == want
+    for pairs_per_cell in (0, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covering, "_PAIRS_PER_FFT_CELL", pairs_per_cell)
+            assert verify_delta_s_set(ds, s, 16.0) == want
 
 
 @st.composite

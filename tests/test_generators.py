@@ -89,6 +89,94 @@ class TestDiscreteSet:
             grid3.points[0, 0] = 99.0
 
 
+def _separation_tree_oracle(pts, delta):
+    """DiscreteSet's off-grid separation check before the near-neighbour
+    sweep, by each point's nearest other point from a k-d tree: the error
+    message, or None for a separated set."""
+    from scipy.spatial import cKDTree
+
+    d, _ = cKDTree(pts).query(pts, k=2)
+    if d[:, 1].min() < delta / 2.0 - 1e-12:
+        return f"minimum separation {d[:, 1].min():.3e} below delta/2 = {delta / 2:.3e}"
+    return None
+
+
+def _separation_message(pts, delta):
+    try:
+        DiscreteSet(pts, delta, check=False)._assert_separated()
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _off_grid_sets(draw):
+    """Points of the lattice of pitch delta / 2 or delta / 4, so that
+    neighbours lie exactly delta / 2 (or delta / 4) apart and none is a
+    node of the delta-lattice; float points drawn from a small pool, so
+    that some coincide; and single points."""
+    kind = draw(st.sampled_from(["half", "quarter", "pool", "one"]))
+    delta = 2.0 ** -draw(st.integers(3, 6))
+    if kind in ("half", "quarter"):
+        pitch = delta / (2 if kind == "half" else 4)
+        nodes = draw(st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                              min_size=1, max_size=80, unique=True))
+        # half a pitch off the nodes keeps every point off the delta-lattice
+        pts = (np.array(nodes, dtype=float) + 0.5) * pitch
+    else:
+        coord = st.floats(-1.3, 1.3, allow_nan=False)
+        pool = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+        size = 1 if kind == "one" else draw(st.integers(1, 60))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size,
+                              max_size=size))
+        pts = np.array([pool[i] for i in picks]) + 0.3 * delta
+        delta = draw(st.sampled_from([delta, 1e-3, 0.25]))
+    return pts, delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_off_grid_sets())
+def test_off_grid_separation_matches_tree_oracle(case):
+    pts, delta = case
+    off = pts / delta - np.rint(pts / delta)
+    assert np.abs(off).max() >= 1e-6  # the off-grid branch runs
+    assert _separation_message(pts, delta) == _separation_tree_oracle(pts, delta)
+
+
+def test_off_grid_separation_at_exactly_half_delta():
+    """Neighbours exactly delta / 2 apart pass; a pair one ulp closer
+    than delta / 2 - 1e-12 fails with the oracle's message."""
+    delta = 2.0 ** -4
+    row = np.stack([np.arange(9) * delta / 2 + delta / 4, np.full(9, 0.5)], axis=1)
+    assert _separation_message(row, delta) is None
+    close = np.array([[0.1, 0.1], [0.1 + np.nextafter(delta / 2 - 1e-12, 0.0), 0.1]])
+    got = _separation_message(close, delta)
+    assert got is not None and got == _separation_tree_oracle(close, delta)
+
+
+def test_coincident_off_grid_points_are_refused():
+    pts = np.array([[0.3, 0.3], [0.7, 0.1], [0.3, 0.3]])
+    assert _separation_message(pts, 2.0 ** -4) == (
+        "minimum separation 0.000e+00 below delta/2 = 3.125e-02")
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_off_grid_segment_checks_in_linear_time(transpose):
+    """2^14 points on a vertical (or horizontal) segment off the grid:
+    sweeping along the segment keeps the check well under a second,
+    where sweeping across it would compare every pair."""
+    import time
+
+    n = 2 ** 14
+    pts = np.stack([np.full(n, 0.3), np.arange(n) / (n + 1.0)], axis=1)
+    if transpose:
+        pts = pts[:, ::-1]
+    t0 = time.perf_counter()
+    DiscreteSet(pts, 2.0 ** -14)
+    assert time.perf_counter() - t0 < 1.0
+    assert _separation_message(pts, 2.0 ** -13) == _separation_tree_oracle(pts, 2.0 ** -13)
+
+
 # ---------------------------------------------------------------------------
 # iterated function systems
 # ---------------------------------------------------------------------------

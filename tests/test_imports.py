@@ -1,8 +1,8 @@
-"""Import hygiene: the package loads numpy only; scipy is imported inside
-the functions that build a k-d tree, and nowhere else.  Ball masses take no
-k-d tree, so Frostman fits and radial profiles run without scipy.  The CLI
-checks its reports in plain Python, so no validator package is loaded
-either."""
+"""Import hygiene: the package loads numpy only and imports no scipy
+anywhere, so ball masses, spread-set and separation checks and radial
+profiles all run on numpy alone (scipy serves only the tests' oracles).
+The CLI checks its reports in plain Python, so no validator package is
+loaded either."""
 
 import ast
 import inspect
@@ -69,19 +69,49 @@ def _scipy_imports(tree):
             yield node
 
 
-def test_scipy_imported_only_in_function_bodies():
+def test_no_scipy_import_in_the_package():
+    """Not at module level and not inside a function body either."""
     modules = sorted(PKG.glob("*.py"))
     assert modules
     offenders = []
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        in_functions = set()
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                in_functions.update(id(n) for n in ast.walk(fn))
-        offenders += [f"{path.name}:{node.lineno}" for node in _scipy_imports(tree)
-                      if id(node) not in in_functions]
+        offenders += [f"{path.name}:{node.lineno}" for node in _scipy_imports(tree)]
     assert offenders == []
+
+
+def test_spread_and_separation_checks_load_no_scipy():
+    """verify_delta_s_set on a lattice set, an off-lattice set and a set
+    whose points share delta-cells; the separation check of an off-grid
+    DiscreteSet; and thin_tube_audit's support gap."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PKG.parent), env.get("PYTHONPATH")) if p)
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import gmtlab as gm",
+        "ds = gm.gen_random_delta_s_set(1.5, 2.0 ** -7, 0)",
+        "gm.verify_delta_s_set(ds, 1.5, 16.0)",
+        "gm.verify_delta_s_set(gm.frostman_extract(ds, 1.5, 2.0 ** -5), 1.5, 16.0)",
+        "rng = np.random.default_rng(0)",
+        "ticks = np.arange(0.0, 0.5, 0.55 * 2.0 ** -4)",
+        "grid = np.stack(np.meshgrid(ticks, ticks), axis=-1).reshape(-1, 2)",
+        "shared = gm.DiscreteSet(grid + rng.uniform(0.0, 1e-3, grid.shape), 2.0 ** -4)",
+        "assert gm.count_cells(shared.points, shared.delta) < len(shared)",
+        "gm.verify_delta_s_set(shared, 1.0, 16.0)",
+        "seg = gm.segment_set(257)",
+        "gm.DiscreteSet(seg.points, seg.delta)",
+        "gm.DiscreteSet(seg.points[:, ::-1], seg.delta)",
+        "mu = gm.WeightedMeasure.uniform(gm.DiscreteSet([(0.1, 0.1), (0.2, 0.1)], 2.0 ** -4))",
+        "nu = gm.WeightedMeasure.uniform(gm.DiscreteSet([(0.9, 0.9), (0.9, 0.7)], 2.0 ** -4))",
+        "gm.thin_tube_audit(mu, nu, 0.5)",
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 _PUBLIC = [

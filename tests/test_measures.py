@@ -119,7 +119,7 @@ def test_ball_masses_tree_blocks_match_oracle(monkeypatch, block):
     w = np.random.default_rng(4).random(len(ds))
     m = WeightedMeasure(ds, w / w.sum())
     assert block < len(ds)
-    monkeypatch.setattr(measures, "_TREE_BLOCK", block)
+    monkeypatch.setattr(dyadic, "SWEEP_BLOCK", block)
     radii = [2.0 ** -lv for lv in range(1, 7)]
     for got, want in zip(ball_masses_at_support(m, radii),
                          _ball_masses_tree_oracle(m, radii)):
@@ -210,7 +210,7 @@ def test_ball_masses_sweep_matches_blocked_tree(case, weight_seed, block, pairs)
         if w.sum() == 0.0:
             w[0] = 1.0
         m = WeightedMeasure(ds, w / w.sum())
-    with mock.patch.object(measures, "_TREE_BLOCK", block), \
+    with mock.patch.object(dyadic, "SWEEP_BLOCK", block), \
             mock.patch.object(measures, "_BALL_PAIRS", pairs):
         _assert_sweep_matches_tree(m, radii)
 

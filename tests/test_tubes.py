@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmtlab.dyadic import level_of
 from gmtlab.errors import (
@@ -28,6 +30,7 @@ from gmtlab.tubes import (
     _anchors,
     _line_metric_cells,
     _max_dist_to_line,
+    _positive_separation,
     bootstrap_schedule,
     containment_multiplicity,
     fu_ren_audit,
@@ -585,3 +588,88 @@ class TestBootstrapSchedule:
             bootstrap_schedule(0.5, 1.0, 0.5)  # eps too large
         with pytest.raises(PreconditionError):
             bootstrap_schedule(0.5, 1.0, 0.01, k_constant=0.5)
+
+
+def _positive_separation_tree_oracle(mu, nu):
+    """_positive_separation before the near-neighbour sweep: each positive
+    point of mu's nearest positive point of nu from a k-d tree."""
+    from scipy.spatial import cKDTree
+
+    a = mu.support.points[mu.weights > 0]
+    b = nu.support.points[nu.weights > 0]
+    d, _ = cKDTree(b).query(a, k=1)
+    return float(np.min(d))
+
+
+def _measure(pts, zero_mask):
+    w = np.where(zero_mask, 0.0, 1.0)
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    return WeightedMeasure(DiscreteSet(np.array(pts), 2.0 ** -12, check=False),
+                           w / w.sum())
+
+
+@st.composite
+def _measure_pairs(draw):
+    """Two measures on lattice points, whose distances include exact
+    multiples of the pitch (3-4-5 triangles among them), or on float
+    points that may coincide across the two; some weights zero; and a
+    reach that is often one of the lattice distances exactly."""
+    lattice = draw(st.booleans())
+    if lattice:
+        h = 2.0 ** -draw(st.integers(3, 6))
+        coord = st.integers(-6, 6).map(lambda i: i * h)
+    else:
+        h = 0.1
+        coord = st.floats(-1.3, 1.3, allow_nan=False)
+    pool = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=40))
+    pick = st.lists(st.sampled_from(pool), min_size=1, max_size=40)
+    a, b = draw(pick), draw(pick)
+    za = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+    zb = draw(st.lists(st.booleans(), min_size=len(b), max_size=len(b)))
+    reach = draw(st.sampled_from([h, 2 * h, 5 * h, 4.0, 1e-9]))
+    return _measure(a, za), _measure(b, zb), reach
+
+
+@settings(max_examples=300, deadline=None)
+@given(_measure_pairs())
+def test_positive_separation_matches_tree_oracle(case):
+    """The least distance is the oracle's exactly when it is below the
+    reach, and at least the reach otherwise."""
+    mu, nu, reach = case
+    got = _positive_separation(mu, nu, reach)
+    want = _positive_separation_tree_oracle(mu, nu)
+    if want < reach:
+        assert got == want
+    else:
+        assert got >= reach
+
+
+def test_separation_message_matches_tree_oracle():
+    """thin_tube_audit quotes the exact gap when the supports are too
+    close: here 3/4 of the four resolutions it needs, along the sweep."""
+    mu = _measure([(0.125, 0.125)], [False])
+    nu = _measure([(0.125 + 3 * 2.0 ** -12, 0.125), (0.875, 0.25)],
+                  [False, False])
+    need = 4.0 * 2.0 ** -12
+    with pytest.raises(SeparationViolated) as exc:
+        thin_tube_audit(mu, nu, 0.5)
+    gap = _positive_separation_tree_oracle(mu, nu)
+    assert gap == 3 * 2.0 ** -12
+    assert str(exc.value) == f"supports are {gap!r} apart, need at least {need!r}"
+
+
+def test_positive_separation_of_vertical_segments():
+    """Two off-grid vertical segments of 2^14 points each: the sweep runs
+    along them."""
+    import time
+
+    n = 2 ** 14
+    t = np.arange(n) / (n + 1.0)
+    mu = _measure(np.stack([np.full(n, 0.3), t], axis=1), np.zeros(n, dtype=bool))
+    nu = _measure(np.stack([np.full(n, 0.3 + 2.0 ** -10), t], axis=1),
+                  np.zeros(n, dtype=bool))
+    t0 = time.perf_counter()
+    got = _positive_separation(mu, nu, 2.0 ** -8)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == _positive_separation_tree_oracle(mu, nu)

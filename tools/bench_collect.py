@@ -10,7 +10,8 @@ workload on seed 1, then `pytest tests/test_acceptance.py --junitxml` for
 the time of each acceptance criterion. Each run lasts the `run_seconds` of
 that checkout's BENCHMARK.json. Records the git sha (with a hash of the
 code's diff from it when the tracked files differ), nproc and the Python, numpy
-and scipy versions next to the results. Runs go one at a time, so each has
+and scipy versions (null for a package that is not installed) next to the
+results. Runs go one at a time, so each has
 the machine to itself. Standard library only.
 
 With --baseline, the revision is cloned into a temporary directory and
@@ -83,11 +84,13 @@ def _git(root: str, *args: str) -> str:
 
 
 def environment(root: str) -> dict:
-    def version(dist: str) -> str:
+    def version(dist: str):
+        """The installed version, or None (JSON null) when it is absent:
+        scipy is needed only by the tests' oracles."""
         try:
             return importlib.metadata.version(dist)
         except importlib.metadata.PackageNotFoundError:
-            return ""
+            return None
 
     # A dirty tree is named by the sha256 of its diff from HEAD, the output of
     #   git diff HEAD --binary -- . ':(exclude)BENCH_*.json' ':(exclude)*.md' | sha256sum
