@@ -19,10 +19,10 @@ from .dyadic import (
     NearSweep,
     cell_indices,
     count_cells,
-    disc_grid_shape,
     is_dyadic,
     lattice_disc_counts,
     lattice_nodes,
+    lattice_q2,
     level_of,
     quota_child_counts,
     unique_rows,
@@ -35,15 +35,6 @@ from .errors import (
 )
 from .generators import DiscreteSet, as_points
 from .geometry import Point
-
-# verify_delta_s_set counts a level's balls by FFT only while the sweep
-# would walk at least this many (centre, candidate) pairs per cell of the
-# transform grid: the sweep's cost grows with its pairs, the FFT's with its
-# grid. Timed level by level on the lattice sets of the acceptance gate and
-# of the spread benchmark, 8 came within 0.3% of the faster side's total,
-# 4 and 12 within 1.2%, and 32 took 15% longer.
-_PAIRS_PER_FFT_CELL = 8
-
 
 def covering_number(obj, level: int) -> int:
     """Occupied origin-anchored dyadic squares of side 2^-level."""
@@ -222,20 +213,6 @@ class DeltaSCheck:
     s: float
 
 
-def _fft_ball_counts(nodes: np.ndarray, cells: np.ndarray, q: int,
-                     pairs: int) -> Optional[np.ndarray]:
-    """Exact ball sizes at the nodes and at the centres of the level-q
-    squares `cells`, by FFT disc counts on the node lattice; None where
-    the transform grid would hold more than 1/_PAIRS_PER_FFT_CELL of the
-    sweep's `pairs`, or more than MAX_FFT_CELLS cells, so the caller
-    sweeps instead."""
-    centres = np.concatenate([nodes, cells * q + q // 2], axis=0)
-    rows, cols = disc_grid_shape(nodes, centres, q)
-    if rows * cols * _PAIRS_PER_FFT_CELL > pairs:
-        return None
-    return lattice_disc_counts(nodes, centres, q * q)
-
-
 def _swept_ball_counts(sweep: NearSweep, r: float,
                        cell_ids: Optional[np.ndarray]) -> np.ndarray:
     """Points, or with cell_ids the distinct cells of their points, within
@@ -267,15 +244,15 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     which keeps the points with dx*dx + dy*dy <= r*r, as a k-d tree does.
     On a set with one point per delta-cell, every point a node of the
     dyadic delta-lattice, the levels with r >= 2 delta have lattice-node
-    centres, and where the sweep would walk _PAIRS_PER_FFT_CELL or more
-    pairs per cell of the transform grid their ball sizes come from exact
-    FFT disc counts instead. On a set whose points share delta-cells a
-    ball counts the distinct cells of its points.
+    centres; there dyadic.lattice_disc_counts counts the same closed balls
+    exactly by FFT, unless it refuses the transform grid as dearer than the
+    sweep's pairs. On a set whose points share delta-cells a ball counts
+    the distinct cells of its points.
     """
     if not (0.0 <= s <= 2.0):
         raise PreconditionError(f"s {s!r} outside [0, 2]")
-    if c <= 0.0:
-        raise PreconditionError("constant must be positive")
+    if not (0.0 < c < math.inf):
+        raise PreconditionError(f"constant {c!r} must be positive and finite")
     pts = p.points
     delta = p.delta
     n_delta = count_cells(pts, delta)
@@ -297,7 +274,9 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
         sweep = NearSweep(pts, centers, r)
         counts = None
         if nodes is not None and r >= 2.0 * delta:
-            counts = _fft_ball_counts(nodes, sq, int(round(r / delta)), sweep.pairs)
+            q = int(round(r / delta))
+            counts = lattice_disc_counts(nodes, np.concatenate([nodes, sq * q + q // 2]),
+                                         lattice_q2(r * r, delta), sweep.pairs)
         if counts is None:
             counts = _swept_ball_counts(sweep, r, cell_ids)
         ratios = counts / (r ** s * n_delta)

@@ -1,6 +1,7 @@
 """Shared dyadic-grid utilities: cell indexing, exact lattice nodes,
 distinct integer rows, fixed-radius near neighbours, quota branching, and
-disc sums on integer lattices by FFT.
+disc sums on integer lattices by FFT, which alone size, price and refuse
+a transform.
 
 The quota-branching helper drives the random quota trees (the random set
 generator and the Furstenberg direction pencils) and the Frostman-style
@@ -283,6 +284,13 @@ def quota_tree(branch_log2: float, levels: int, rngs: list,
 
 # lattice_disc_sums refuses transform grids with more cells than this
 MAX_FFT_CELLS = 3 * 10 ** 7
+# given the pairs a near-neighbour sweep would walk, lattice_disc_sums also
+# refuses grids with more than 1/_PAIRS_PER_FFT_CELL as many cells: the
+# sweep's cost grows with its pairs, the FFT's with its grid. Timed level by
+# level on the lattice sets of the acceptance gate and of the spread
+# benchmark, 8 came within 0.3% of the faster side's total, 4 and 12 within
+# 1.2%, and 32 took 15% longer.
+_PAIRS_PER_FFT_CELL = 8
 
 
 def fast_len(n: int) -> int:
@@ -301,31 +309,33 @@ def fast_len(n: int) -> int:
     return best
 
 
-def disc_grid_shape(nodes: np.ndarray, centres: np.ndarray, q: int) -> tuple:
-    """Transform grid of lattice_disc_sums for a disc of lattice radius q:
-    each side of the box over nodes and centres, plus q, rounded up to a
-    fast length."""
-    side = (np.maximum(nodes.max(axis=0), centres.max(axis=0))
-            - np.minimum(nodes.min(axis=0), centres.min(axis=0)) + 1)
-    return tuple(fast_len(int(k) + q) for k in side)
+def lattice_q2(bound: float, pitch: float) -> int:
+    """Squared lattice radius of the sweep's closed ball dx*dx + dy*dy <=
+    bound on a dyadic lattice: node offsets are exact multiples of the
+    pitch, so the test holds exactly when i*i + j*j <= the result."""
+    return math.floor(bound / (pitch * pitch))
 
 
 def lattice_disc_sums(nodes: np.ndarray, weights: np.ndarray,
-                      centres: np.ndarray, q2: int) -> Optional[np.ndarray]:
+                      centres: np.ndarray, q2: int,
+                      pairs: float = math.inf) -> Optional[np.ndarray]:
     """Summed weight of the nodes within squared lattice distance q2 of
     each centre (di^2 + dj^2 <= q2), by one circular FFT convolution.
 
     nodes and centres are integer rows (i, j); weights has one entry per
     node. Sides padded to the box side plus q = isqrt(q2) keep the
     circular wrap-around out of every cell that is read. Float sums carry
-    rounding noise of the transform. None if the grid would exceed
-    MAX_FFT_CELLS.
+    rounding noise of the transform. None, so that the caller sweeps, if
+    the grid would exceed MAX_FFT_CELLS or, given the `pairs` a sweep would
+    walk, pairs / _PAIRS_PER_FFT_CELL.
     """
     q = math.isqrt(q2)
-    shape = disc_grid_shape(nodes, centres, q)
-    if shape[0] * shape[1] > MAX_FFT_CELLS:
-        return None
     lo = np.minimum(nodes.min(axis=0), centres.min(axis=0))
+    side = np.maximum(nodes.max(axis=0), centres.max(axis=0)) - lo + 1
+    shape = tuple(fast_len(int(k) + q) for k in side)
+    cells = shape[0] * shape[1]
+    if cells > MAX_FFT_CELLS or cells * _PAIRS_PER_FFT_CELL > pairs:
+        return None
     at = nodes - lo
     # the disc is even, so its spectrum is real; rfft2 and irfft2 run one
     # axis at a time, each input dropped once transformed, so fewer than
@@ -348,13 +358,13 @@ def lattice_disc_sums(nodes: np.ndarray, weights: np.ndarray,
     return sums[at[:, 0], at[:, 1]]
 
 
-def lattice_disc_counts(nodes: np.ndarray, centres: np.ndarray,
-                        q2: int) -> Optional[np.ndarray]:
+def lattice_disc_counts(nodes: np.ndarray, centres: np.ndarray, q2: int,
+                        pairs: float = math.inf) -> Optional[np.ndarray]:
     """Number of nodes within squared lattice distance q2 of each centre:
     lattice_disc_sums with unit weights, rounded to integers. Raises
-    InvariantViolation if a sum is not within 0.25 of an integer; None if
-    the grid would exceed MAX_FFT_CELLS."""
-    sums = lattice_disc_sums(nodes, np.ones(nodes.shape[0]), centres, q2)
+    InvariantViolation if a sum is not within 0.25 of an integer; None
+    where lattice_disc_sums refuses the grid."""
+    sums = lattice_disc_sums(nodes, np.ones(nodes.shape[0]), centres, q2, pairs)
     if sums is None:
         return None
     counts = np.rint(sums)

@@ -381,9 +381,9 @@ def orthogonal_exceptional_profile(y: DiscreteSet, sigma: float) -> dict:
     counts as dimension 0.
     """
     dim_y = box_dimension(y, *_clamped_window((2, MAX_LEVEL), y.delta)).slope
-    if sigma > min(dim_y, 1.0) - 0.1 + 1e-9:
+    if not (-math.inf < sigma <= min(dim_y, 1.0) - 0.1 + 1e-9):
         raise PreconditionError(
-            f"sigma {sigma!r} above min(dim Y, 1) - 0.1 = "
+            f"sigma {sigma!r} is not finite or above min(dim Y, 1) - 0.1 = "
             f"{min(dim_y, 1.0) - 0.1:.3f}"
         )
     n_dir = 1 << 10

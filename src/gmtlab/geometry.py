@@ -157,6 +157,17 @@ def line_residuals(points, angles, offsets) -> np.ndarray:
     return np.abs(res, out=res)
 
 
+def count_near_lines(points: np.ndarray, angles, offsets, tol: float) -> np.ndarray:
+    """Points of an (n, 2) array within tol of each of m lines: the sums of
+    line_residuals(points, angles, offsets) <= tol, taken (1 << 22) // m
+    points at a time so that about 2^22 residuals are held at once."""
+    counts = np.zeros(np.size(angles), dtype=np.int64)
+    block = max(1, (1 << 22) // max(1, counts.size))
+    for s in range(0, points.shape[0], block):
+        counts += (line_residuals(points[s:s + block], angles, offsets) <= tol).sum(axis=0)
+    return counts
+
+
 @dataclass(frozen=True)
 class Tube:
     """Closed width/2-neighborhood of a line."""

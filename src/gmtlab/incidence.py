@@ -19,7 +19,7 @@ from .errors import (
     TooFewPoints,
 )
 from .generators import DiscreteSet
-from .geometry import LINE_EQ_TOL, Line, Point, line_residuals
+from .geometry import LINE_EQ_TOL, Line, Point, count_near_lines
 
 # largest common denominator for the exact integer path
 _DENOM_BITS = 21
@@ -496,12 +496,7 @@ def _count_on_lines_float(p: DiscreteSet, l: LineSet) -> np.ndarray:
     ang, off = l.angle_offset_arrays()
     pts = p.points
     scale = max(1.0, float(np.max(np.abs(pts))) if len(p) else 1.0)
-    tol = LINE_EQ_TOL * scale
-    counts = np.zeros(len(l), dtype=np.int64)
-    block = max(1, (1 << 22) // max(1, len(l)))
-    for s in range(0, len(p), block):
-        counts += (line_residuals(pts[s:s + block], ang, off) <= tol).sum(axis=0)
-    return counts
+    return count_near_lines(pts, ang, off, LINE_EQ_TOL * scale)
 
 
 def _rich_profile_from_counts(k: np.ndarray, n: int) -> dict:
@@ -573,8 +568,8 @@ def beck_analyze(p: DiscreteSet, c_threshold: float = 64.0) -> BeckReport:
     n = len(p)
     if n < 3:
         raise TooFewPoints("dichotomy analysis needs at least three points")
-    if c_threshold < 2.0:
-        raise PreconditionError(f"c_threshold {c_threshold!r} below 2")
+    if not (2.0 <= c_threshold < math.inf):
+        raise PreconditionError(f"c_threshold {c_threshold!r} must be finite and at least 2")
     _refuse_coincident(p)
     rat = _rationalize(p.points)
     if rat is None:

@@ -11,12 +11,12 @@ import numpy as np
 
 from .covering import _check_level_window, fit_log2_slope
 from .dyadic import (
-    MAX_FFT_CELLS,
     NearSweep,
-    disc_grid_shape,
+    is_dyadic,
     lattice_disc_counts,
     lattice_disc_sums,
     lattice_nodes,
+    lattice_q2,
 )
 from .errors import (
     AllMassAtCenter,
@@ -31,8 +31,8 @@ WEIGHT_TOL = 1e-9
 BALL_TOL = 1e-12
 
 # supports up to this size take the near-neighbour sweep unconditionally;
-# larger ones take it only when they are off-lattice or their FFT grid is
-# too large
+# larger ones take it only when they are off-lattice or lattice_disc_sums
+# refuses their FFT grid
 _SMALL_SUPPORT = 4096
 # the sweep sums its balls in batches of at most about this many
 # (ball, member) pairs, which bounds the member weights gathered at once
@@ -145,10 +145,11 @@ class DirectionMeasure:
 
 
 def ball_mass(m: WeightedMeasure, b: Ball) -> float:
-    """Mass carried by the closed ball."""
-    pts = m.support.points
-    d = np.hypot(pts[:, 0] - b.center.x, pts[:, 1] - b.center.y)
-    return float(m.weights[d <= b.radius + BALL_TOL].sum())
+    """Mass of the points with dx*dx + dy*dy <= (r + BALL_TOL)**2."""
+    dx = m.support.points[:, 0] - b.center.x
+    dy = m.support.points[:, 1] - b.center.y
+    bound = (b.radius + BALL_TOL) * (b.radius + BALL_TOL)
+    return float(m.weights[dx * dx + dy * dy <= bound].sum())
 
 
 def tube_mass(m: WeightedMeasure, t: Tube) -> float:
@@ -159,22 +160,26 @@ def tube_mass(m: WeightedMeasure, t: Tube) -> float:
 
 def _ball_masses_fft(m: WeightedMeasure, radii) -> Optional[list]:
     """Per-radius arrays of ball mass at every support point, from FFT disc
-    sums over the lattice nodes. A uniform measure takes integer counts
-    times its one weight, so equal balls get equal masses. None if some
-    support point is not exactly a node of the delta-lattice, or the
-    lattice is too large."""
+    sums over the lattice nodes, each disc the sweep's closed ball. A uniform
+    measure takes integer counts times its one weight, so equal balls get
+    equal masses. None if some support point is not a node of the dyadic
+    delta-lattice, or lattice_disc_sums refuses a grid; the largest radius
+    goes first, so that happens before any transform runs."""
     h = m.support.delta
-    nodes = lattice_nodes(m.support.points, h)
+    nodes = lattice_nodes(m.support.points, h) if is_dyadic(h) else None
     if nodes is None:
         return None
-    q2s = [int(math.floor((r / h) ** 2 * (1.0 + 1e-9))) for r in radii]
-    rows, cols = disc_grid_shape(nodes, nodes, math.isqrt(max(q2s, default=0)))
-    if rows * cols > MAX_FFT_CELLS:
-        return None
     w = m.weights
-    if np.all(w == w[0]):
-        return [lattice_disc_counts(nodes, nodes, q2) * w[0] for q2 in q2s]
-    return [np.maximum(lattice_disc_sums(nodes, w, nodes, q2), 0.0) for q2 in q2s]
+    uniform = bool(np.all(w == w[0]))
+    out = [None] * len(radii)
+    for k in sorted(range(len(radii)), key=radii.__getitem__, reverse=True):
+        q2 = lattice_q2((radii[k] + BALL_TOL) * (radii[k] + BALL_TOL), h)
+        sums = (lattice_disc_counts(nodes, nodes, q2) if uniform
+                else lattice_disc_sums(nodes, w, nodes, q2))
+        if sums is None:
+            return None
+        out[k] = sums * w[0] if uniform else np.maximum(sums, 0.0)
+    return out
 
 
 def _ball_masses_sweep(m: WeightedMeasure, radii) -> list:
@@ -238,13 +243,14 @@ def ball_masses_at_support(m: WeightedMeasure, radii) -> list:
     """For each radius, the array of closed-ball masses centered at every
     support point.
 
-    A support of more than _SMALL_SUPPORT points, each exactly a node of
-    the delta-lattice, takes FFT disc sums; every other support takes the
-    near-neighbour sweep (dyadic.NearSweep), whose masses equal a k-d tree
-    query's summed by ndarray.sum, bit for bit."""
+    A ball holds the points with dx*dx + dy*dy <= (r + BALL_TOL)**2. A
+    support of more than _SMALL_SUPPORT points, each a node of the dyadic
+    delta-lattice, takes FFT disc sums unless dyadic.lattice_disc_sums
+    refuses the grid; every other support takes the near-neighbour sweep
+    (dyadic.NearSweep), bit for bit a k-d tree query summed by ndarray.sum."""
     radii = [float(r) for r in radii]
-    if any(r <= 0 for r in radii):
-        raise PreconditionError("radii must be positive")
+    if not all(0.0 < r < math.inf for r in radii):
+        raise PreconditionError("radii must be positive and finite")
     if len(m) > _SMALL_SUPPORT:
         res = _ball_masses_fft(m, radii)
         if res is not None:
@@ -343,12 +349,12 @@ def mass_shell_decompose(m: WeightedMeasure, r: float, t: float, c: float) -> Ma
     Point y lands in shell j when 2^{-j-1}*c*r^t < mass(B(y,r)) <= 2^{-j}*c*r^t.
     Shells deeper than 4*log2(1/r) are merged into a single tail shell.
     """
-    if r < m.support.delta * (1.0 - 1e-12):
-        raise PreconditionError(f"radius {r!r} below support resolution")
+    if not (m.support.delta * (1.0 - 1e-12) <= r < math.inf):
+        raise PreconditionError(f"radius {r!r} is not finite or below support resolution")
     if not (1.0 < t <= 2.0):
         raise PreconditionError(f"exponent t {t!r} outside (1, 2]")
-    if c < 1.0:
-        raise PreconditionError(f"constant c {c!r} below 1")
+    if not (1.0 <= c < math.inf):
+        raise PreconditionError(f"constant c {c!r} must be finite and at least 1")
     masses = ball_masses_at_support(m, [r])[0]
     top = c * r ** t
     occupied = np.nonzero(masses > 0)[0]

@@ -22,7 +22,7 @@ from .errors import (
     TooManyPoints,
 )
 from .generators import DiscreteSet
-from .geometry import Line, Point, Tube, line_residuals
+from .geometry import Line, Point, Tube, count_near_lines, line_residuals
 from .measures import WeightedMeasure
 
 _CONTAIN_TOL = 1e-12
@@ -99,17 +99,14 @@ def uniform_tube_family(r: float) -> TubeFamily:
         raise PreconditionError(f"scale {r!r} outside [2^-14, 2^-2]")
     m_cols = 2 * math.ceil(1.1 * math.pi / r)
     step = math.pi / m_cols
-    angles = []
-    offsets = []
-    for k in range(m_cols):
-        phase = 0.5 * (k % 2)
-        j_lo = math.ceil((-1.0 - 1e-12) / r - phase)
-        j_hi = math.floor((1.0 + 1e-12) / r - phase)
-        offs = (np.arange(j_lo, j_hi + 1) + phase) * r
-        angles.append(np.full(offs.size, k * step))
-        offsets.append(offs)
+    # even columns hold the offsets of phase 0, odd ones those of phase 1/2
+    rows = [(np.arange(math.ceil((-1.0 - 1e-12) / r - phase),
+                       math.floor((1.0 + 1e-12) / r - phase) + 1) + phase) * r
+            for phase in (0.0, 0.5)]
+    sizes = np.tile([rows[0].size, rows[1].size], m_cols // 2)
     fam = TubeFamily(
-        np.concatenate(angles), np.concatenate(offsets),
+        np.repeat(np.arange(m_cols) * step, sizes),
+        np.tile(np.concatenate(rows), m_cols // 2),
         width=2.0 * r, direction_net_step=step, scale=r,
         label=f"uniform r={r!r}",
     )
@@ -205,9 +202,9 @@ def heaviest_tube(m: WeightedMeasure, through: Point, width: float,
     Directions run over the uniform net of step = width starting at angle 0;
     ties break toward the smallest angle.
     """
-    if width < m.support.delta * (1.0 - 1e-12):
+    if not (m.support.delta * (1.0 - 1e-12) <= width < math.inf):
         raise PreconditionError(
-            f"width {width!r} below the support resolution {m.support.delta!r}"
+            f"width {width!r} not finite or below the resolution {m.support.delta!r}"
         )
     n_dir = int(math.ceil(math.pi / width))
     w = m.weights
@@ -292,8 +289,8 @@ def thin_tube_audit(mu: WeightedMeasure, nu: WeightedMeasure, sigma: float,
     """
     if not (0.0 <= sigma <= 2.0):
         raise PreconditionError(f"sigma {sigma!r} outside [0, 2]")
-    if k_constant <= 0.0:
-        raise PreconditionError(f"k_constant {k_constant!r} must be positive")
+    if not (0.0 < k_constant < math.inf):
+        raise PreconditionError(f"k_constant {k_constant!r} must be positive and finite")
     need = 4.0 * max(mu.support.delta, nu.support.delta)
     gap = _positive_separation(mu, nu, need)
     if gap < need * (1.0 - 1e-12):
@@ -410,8 +407,8 @@ def verify_tube_set(fam: TubeFamily, sigma: float, c: float) -> TubeSetCheck:
     dyadic rho in [r, 1], with balls centered at each member axis."""
     if not (0.0 <= sigma <= 2.0):
         raise PreconditionError(f"sigma {sigma!r} outside [0, 2]")
-    if c < 1.0:
-        raise PreconditionError(f"constant {c!r} below 1")
+    if not (1.0 <= c < math.inf):
+        raise PreconditionError(f"constant {c!r} must be finite and at least 1")
     p = len(fam)
     if p == 0:
         raise EmptyInput("empty tube family")
@@ -501,8 +498,8 @@ def fu_ren_audit(inst: FuRenInstance) -> dict:
             if not verify_tube_set(fam, inst.sigma, big_c).passed:
                 failed.append(f"tube set at point {i}")
                 continue
-            perp = line_residuals(pts, fam.angles, fam.offsets)
-            counts = (perp <= fam.width / 2.0 + _CONTAIN_TOL).sum(axis=0)
+            counts = count_near_lines(pts, fam.angles, fam.offsets,
+                                      fam.width / 2.0 + _CONTAIN_TOL)
             if np.any(counts < floor):
                 failed.append(f"tube count at point {i}")
     met = not failed
@@ -529,8 +526,8 @@ def bootstrap_schedule(sigma: float, s: float, eps: float,
         raise PreconditionError("need 0 < sigma < s <= 2")
     if not (0.0 < eps < 0.1):
         raise PreconditionError(f"eps {eps!r} outside (0, 0.1)")
-    if k_constant < 1.0 or frostman_constant < 1.0:
-        raise PreconditionError("constants must be at least 1")
+    if not (1.0 <= k_constant < math.inf and 1.0 <= frostman_constant < math.inf):
+        raise PreconditionError("constants must be finite and at least 1")
     gap = s - sigma
     eta = min(eps, gap / 4.0, 0.5 * (gap / (14.0 - 8.0 * gap)) ** 2)
     kappa = 14.0 * eta / gap

@@ -322,6 +322,26 @@ class TestExitCodes:
         rep = _report(str(out), "tubes")
         assert rep["config"]["seed"] == 0 and rep["config"]["probes"] == 1
 
+    @pytest.mark.parametrize("args", [
+        ["audit-constants", "--sigma", "0.5", "--s", "1.0", "--eps", "0.01",
+         "--k-constant", "nan"],
+        ["audit-constants", "--sigma", "0.5", "--s", "1.0", "--eps", "0.01",
+         "--frostman-constant", "inf"],
+        ["beck", "--c", "nan"],
+        ["beck", "--c", "inf"],
+        ["ortho", "--sigma", "nan"],
+        ["ortho", "--sigma=-inf"],
+    ])
+    def test_nan_and_infinite_values_exit_2(self, args, gen_dir, tmp_path, capsys):
+        """Each guard also refuses NaN and infinity, which a bare x < lo
+        test lets through."""
+        if args[0] in ("beck", "ortho"):
+            args = args + ["--input", os.path.join(gen_dir, "points.csv")]
+        out = tmp_path / "x"
+        assert _run(args + ["--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_target_is_2(self, gen_dir, tmp_path):
         rc = _run(["project", "--target", "mystery",
                    "--x-input", os.path.join(gen_dir, "points.csv"),

@@ -743,6 +743,14 @@ def test_verify_delta_s_set_accepts_generated(rand_half_set):
     assert check.worst_ratio <= 16.0 + 1e-9
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0])
+def test_verify_delta_s_set_refuses_a_constant_not_positive_and_finite(c):
+    """NaN once passed the c <= 0 guard and gave a failed check with
+    constant nan."""
+    with pytest.raises(PreconditionError):
+        verify_delta_s_set(gen_grid(5), 1.0, c)
+
+
 def test_verify_delta_s_set_rejects_clustered():
     """512 points crammed into one tiny square are not a (delta, 1.5)-set."""
     rng = np.random.default_rng(5)
@@ -887,7 +895,7 @@ def _check_against_tree_oracle(ds, s):
     assert verify_delta_s_set(ds, s, 16.0) == want
     for pairs_per_cell in (0, math.inf):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(covering, "_PAIRS_PER_FFT_CELL", pairs_per_cell)
+            mp.setattr(dyadic, "_PAIRS_PER_FFT_CELL", pairs_per_cell)
             assert verify_delta_s_set(ds, s, 16.0) == want
 
 
@@ -928,16 +936,17 @@ def test_verify_delta_s_set_counts_disc_boundary_nodes():
     assert counts[0] == np.sum(np.sum((nodes - 8) ** 2, axis=1) <= 64)
 
 
-def _spread_sets():
-    """The four sets of the benchmark's spread workload at seed 1."""
-    return [gen_random_delta_s_set(1.5, 2.0 ** -9,
-                                   random.Random(f"spread:1:{i}").randrange(1 << 31))
-            for i in range(4)]
+def _spread_set(i):
+    """Set i of the benchmark's spread workload: sets 0-3 at seed 1, 4-7 at
+    seed 2."""
+    seed, k = divmod(i, 4)
+    return gen_random_delta_s_set(
+        1.5, 2.0 ** -9, random.Random(f"spread:{seed + 1}:{k}").randrange(1 << 31))
 
 
-@pytest.mark.parametrize("i", range(4))
+@pytest.mark.parametrize("i", range(8))
 def test_verify_delta_s_set_matches_tree_oracle_on_spread_sets(i):
-    ds = _spread_sets()[i]
+    ds = _spread_set(i)
     assert verify_delta_s_set(ds, 1.5, 16.0) == _verify_delta_s_set_tree_oracle(ds, 1.5, 16.0)
     ext = frostman_extract(ds, 1.5, 2.0 ** -7)
     assert verify_delta_s_set(ext, 1.5, 16.0) == _verify_delta_s_set_tree_oracle(ext, 1.5, 16.0)
@@ -959,7 +968,7 @@ def test_verify_delta_s_set_refuses_non_integral_fft_counts(monkeypatch):
 
     monkeypatch.setattr(dyadic, "lattice_disc_sums", perturbed)
     with pytest.raises(InvariantViolation, match="integers"):
-        verify_delta_s_set(_spread_sets()[0], 1.5, 16.0)
+        verify_delta_s_set(_spread_set(0), 1.5, 16.0)
 
 
 def _next_prime(n):

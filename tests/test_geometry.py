@@ -20,6 +20,7 @@ from gmtlab.geometry import (
     Line,
     Point,
     Tube,
+    count_near_lines,
     line_distance,
     line_residuals,
 )
@@ -282,3 +283,14 @@ def test_line_residuals_lattice_points_at_half_width(level, angle):
         got = line_residuals(pts, tube.axis.angle, tube.axis.offset())[:, 0]
         assert np.array_equal(got, _residuals_tube_oracle(pts, tube))
         assert np.all(got <= width / 2.0 + 1e-12)
+
+
+@pytest.mark.parametrize("n, m", [(0, 3), (5, 0), (700, 1), (5000, 1000)])
+def test_count_near_lines_matches_the_whole_residual_matrix(n, m):
+    """(1 << 22) // 1000 points per block, so 5000 points take two."""
+    rng = np.random.default_rng(n + m)
+    pts = rng.uniform(-1.0, 1.0, (n, 2))
+    angles, offsets = rng.uniform(0.0, math.pi, m), rng.uniform(-1.0, 1.0, m)
+    want = (_residuals_family_oracle(pts, angles, offsets) <= 0.05).sum(axis=0)
+    got = count_near_lines(pts, angles, offsets, 0.05)
+    assert got.dtype == np.int64 and np.array_equal(got, want)

@@ -379,6 +379,81 @@ def test_near_node_support_takes_the_sweep():
     assert measures._ball_masses_sweep(m, [h])[0][0] == pytest.approx(want, rel=1e-12)
 
 
+def test_fft_ball_is_the_sweeps_closed_ball_just_inside_a_node_ring():
+    """r just below 5h on the 80 x 80 grid: the 12 nodes at distance 5h of
+    node (40, 40) lie beyond r + BALL_TOL, so every route counts 69 of 6400
+    (a disc test with slack admitted them and counted 81)."""
+    h = 2.0 ** -7
+    nodes = np.stack(np.meshgrid(np.arange(80), np.arange(80), indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+    m = WeightedMeasure.uniform(DiscreteSet(nodes * h, h))
+    assert len(m) > measures._SMALL_SUPPORT
+    r = 5 * h * math.sqrt(1 - 4e-10)
+    i = 40 * 80 + 40
+    assert measures._ball_masses_fft(m, [r]) is not None
+    assert ball_masses_at_support(m, [r])[0][i] * 6400 == 69
+    assert measures._ball_masses_sweep(m, [r])[0][i] * 6400 == 69
+    assert ball_mass(m, Ball(Point(40 * h, 40 * h), r)) * 6400 == 69
+
+
+def test_lattice_of_a_pitch_that_is_not_dyadic_takes_the_sweep():
+    """Offsets on a 3 * 2^-9 lattice need not be exact multiples of the
+    pitch, so the FFT disc test would not be the sweep's; every point is
+    a node, yet the masses come from the sweep."""
+    h = 3.0 * 2.0 ** -9
+    nodes = np.stack(np.meshgrid(np.arange(80), np.arange(80), indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+    m = WeightedMeasure.uniform(DiscreteSet(nodes * h, h))
+    assert dyadic.lattice_nodes(m.support.points, h) is not None
+    assert measures._ball_masses_fft(m, [5 * h]) is None
+    got = ball_masses_at_support(m, [5 * h])[0]
+    assert np.array_equal(got, measures._ball_masses_sweep(m, [5 * h])[0])
+
+
+@st.composite
+def _big_lattice_measures(draw):
+    """2^13 nodes of a box of the 2^-k lattice (so uniform weights are
+    powers of two and their sums exact), uniform or randomly weighted."""
+    k = draw(st.sampled_from([7, 8]))
+    rows = draw(st.integers(64, 128))
+    cols = draw(st.integers(-(-8192 // rows), 128))
+    i0, j0 = draw(st.integers(-128, 0)), draw(st.integers(-128, 0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    nodes = np.stack(np.meshgrid(np.arange(rows) + i0, np.arange(cols) + j0,
+                                 indexing="ij"), axis=-1).reshape(-1, 2)
+    nodes = nodes[rng.permutation(nodes.shape[0])[:8192]]
+    ds = DiscreteSet(nodes * 2.0 ** -k, 2.0 ** -k)
+    if draw(st.booleans()):
+        return WeightedMeasure.uniform(ds)
+    w = rng.random(len(ds))
+    return WeightedMeasure(ds, w / w.sum())
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-9])
+@settings(max_examples=6, deadline=None)
+@given(_big_lattice_measures(), st.lists(st.integers(2, 6), min_size=1, max_size=3))
+def test_fft_sweep_and_ball_mass_count_one_closed_ball(eps, m, qs):
+    """Radii q h (1 - eps), at and just inside lattice distances: the FFT
+    route of ball_masses_at_support, the sweep and ball_mass agree, uniform
+    masses exactly and weighted ones within 1e-12."""
+    h = m.support.delta
+    radii = [q * h * (1.0 - eps) for q in qs]
+    assert len(m) > measures._SMALL_SUPPORT
+    assert measures._ball_masses_fft(m, radii) is not None
+    fft = ball_masses_at_support(m, radii)
+    sweep = measures._ball_masses_sweep(m, radii)
+    uniform = bool(np.all(m.weights == m.weights[0]))
+    pts = m.support.points
+    for r, got, want in zip(radii, fft, sweep):
+        if uniform:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
+        for i in range(0, len(m), 1021):
+            assert ball_mass(m, Ball(Point(*pts[i]), r)) == want[i]
+
+
 # ---------------------------------------------------------------------------
 # frostman fits
 # ---------------------------------------------------------------------------
@@ -623,3 +698,16 @@ class TestMassShells:
     def test_rejects_radius_below_resolution(self, grid3_uniform):
         with pytest.raises(PreconditionError):
             mass_shell_decompose(grid3_uniform, 2.0 ** -9, 2.0, 16.0)
+
+    @pytest.mark.parametrize("r, c", [(math.nan, 16.0), (math.inf, 16.0),
+                                      (0.5, math.nan), (0.5, math.inf)])
+    def test_rejects_nan_and_infinite_radius_or_constant(self, grid3_uniform, r, c):
+        with pytest.raises(PreconditionError):
+            mass_shell_decompose(grid3_uniform, r, 2.0, c)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_ball_masses_at_support_refuses_non_finite_radii(grid3_uniform, r):
+    """NaN once passed the r <= 0 guard and gave masses of 0."""
+    with pytest.raises(PreconditionError):
+        ball_masses_at_support(grid3_uniform, [0.5, r])

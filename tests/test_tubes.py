@@ -109,6 +109,26 @@ class TestUniformFamily:
         assert fam.offsets.min() <= -0.9
         assert fam.offsets.max() >= 0.9
 
+    @pytest.mark.parametrize("r", [2.0 ** -k for k in range(2, 10)] + [0.1, 0.2, 0.03])
+    def test_matches_per_column_oracle(self, r):
+        """The family built column by column, as before the two offset
+        rows were tiled; 2^-9 is the finest scale tested (2^-14 would
+        hold about 3.7e9 members)."""
+        m_cols = 2 * math.ceil(1.1 * math.pi / r)
+        step = math.pi / m_cols
+        angles, offsets = [], []
+        for k in range(m_cols):
+            phase = 0.5 * (k % 2)
+            j_lo = math.ceil((-1.0 - 1e-12) / r - phase)
+            j_hi = math.floor((1.0 + 1e-12) / r - phase)
+            offs = (np.arange(j_lo, j_hi + 1) + phase) * r
+            angles.append(np.full(offs.size, k * step))
+            offsets.append(offs)
+        fam = uniform_tube_family(r)
+        assert fam.angles.tobytes() == np.concatenate(angles).tobytes()
+        assert fam.offsets.tobytes() == np.concatenate(offsets).tobytes()
+        assert fam.direction_net_step == step
+
 
 # ---------------------------------------------------------------------------
 # probe containment
@@ -548,6 +568,31 @@ class TestFuRenInstance:
         assert rep["implied_bound"] == pytest.approx(0.9)
         assert rep["consistent"]
 
+    def test_audit_counts_tube_members_in_blocks(self):
+        """16,641 grid points against 512 tubes: the whole residual matrix
+        and its product temporary took about 130 MiB; blocks of
+        (1 << 22) // 512 points hold about half of that."""
+        import tracemalloc
+
+        r = 2.0 ** -7
+        py = gen_grid(129)
+        assert py.delta == r
+        px = DiscreteSet(py.points[[0, 8000]], r, check=False)
+        x, y = px.points[1]
+        a = np.arange(512) * (math.pi / 512)
+        fam = TubeFamily(a, x * -np.sin(a) + y * np.cos(a), width=2 * r,
+                         direction_net_step=math.pi / 512, scale=r)
+        inst = FuRenInstance(px, py, {1: fam}, s=0.5, t=2.0, sigma=1.0,
+                             zeta=0.5, eta=0.9)
+        tracemalloc.start()
+        try:
+            rep = fu_ren_audit(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(f.startswith("tube set") for f in rep["failed"])
+        assert peak < 96 * 2 ** 20
+
     def test_tube_must_contain_its_point(self):
         r = 2.0 ** -4
         base = gen_grid(5)
@@ -673,3 +718,26 @@ def test_positive_separation_of_vertical_segments():
     got = _positive_separation(mu, nu, 2.0 ** -8)
     assert time.perf_counter() - t0 < 1.0
     assert got == _positive_separation_tree_oracle(mu, nu)
+
+
+_NON_FINITE_CALLS = {
+    "thin_tube_audit-k_constant":
+        lambda v: thin_tube_audit(*_collinear_pair(), 0.5, k_constant=v),
+    "verify_tube_set-c": lambda v: verify_tube_set(uniform_tube_family(0.25), 0.5, v),
+    "heaviest_tube-width":
+        lambda v: heaviest_tube(_collinear_pair()[1], Point(0.0, 0.0), v),
+    "bootstrap_schedule-k_constant":
+        lambda v: bootstrap_schedule(0.5, 1.0, 0.01, k_constant=v),
+    "bootstrap_schedule-frostman_constant":
+        lambda v: bootstrap_schedule(0.5, 1.0, 0.01, frostman_constant=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", list(_NON_FINITE_CALLS))
+def test_nan_and_infinite_arguments_are_refused(name, value):
+    """A guard written x < lo lets NaN through: thin_tube_audit passed
+    with worst ratio -1, verify_tube_set failed with constant nan, and
+    heaviest_tube raised a bare ValueError."""
+    with pytest.raises(PreconditionError):
+        _NON_FINITE_CALLS[name](value)
