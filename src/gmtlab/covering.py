@@ -20,7 +20,7 @@ from .dyadic import (
     cell_indices,
     count_cells,
     is_dyadic,
-    lattice_disc_counts,
+    lattice_disc_sums,
     lattice_nodes,
     lattice_q2,
     level_of,
@@ -244,10 +244,10 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     which keeps the points with dx*dx + dy*dy <= r*r, as a k-d tree does.
     On a set with one point per delta-cell, every point a node of the
     dyadic delta-lattice, the levels with r >= 2 delta have lattice-node
-    centres; there dyadic.lattice_disc_counts counts the same closed balls
-    exactly by FFT, unless it refuses the transform grid as dearer than the
-    sweep's pairs. On a set whose points share delta-cells a ball counts
-    the distinct cells of its points.
+    centres; there dyadic.lattice_disc_sums of unit weights counts the same
+    closed balls exactly by FFT, unless it refuses the transform grid as
+    dearer than the sweep's pairs. On a set whose points share delta-cells
+    a ball counts the distinct cells of its points.
     """
     if not (0.0 <= s <= 2.0):
         raise PreconditionError(f"s {s!r} outside [0, 2]")
@@ -275,8 +275,9 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
         counts = None
         if nodes is not None and r >= 2.0 * delta:
             q = int(round(r / delta))
-            counts = lattice_disc_counts(nodes, np.concatenate([nodes, sq * q + q // 2]),
-                                         lattice_q2(r * r, delta), sweep.pairs)
+            counts = lattice_disc_sums(nodes, np.ones(nodes.shape[0], dtype=np.int64),
+                                       np.concatenate([nodes, sq * q + q // 2]),
+                                       lattice_q2(r * r, delta), sweep.pairs)
         if counts is None:
             counts = _swept_ball_counts(sweep, r, cell_ids)
         ratios = counts / (r ** s * n_delta)

@@ -4,7 +4,7 @@ pairwise-distance energy, direction pushforwards, and mass shells."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -13,57 +13,61 @@ from .covering import _check_level_window, fit_log2_slope
 from .dyadic import (
     NearSweep,
     is_dyadic,
-    lattice_disc_counts,
     lattice_disc_sums,
     lattice_nodes,
     lattice_q2,
 )
 from .errors import (
     AllMassAtCenter,
-    EmptyInput,
     InvariantViolation,
     PreconditionError,
 )
 from .generators import DiscreteSet
 from .geometry import Ball, Point, Tube, line_residuals
 
-WEIGHT_TOL = 1e-9
 BALL_TOL = 1e-12
 
 # supports up to this size take the near-neighbour sweep unconditionally;
 # larger ones take it only when they are off-lattice or lattice_disc_sums
 # refuses their FFT grid
 _SMALL_SUPPORT = 4096
-# the sweep sums its balls in batches of at most about this many
-# (ball, member) pairs, which bounds the member weights gathered at once
-_BALL_PAIRS = 1 << 20
 
 
 @dataclass
 class WeightedMeasure:
-    """Probability measure carried by the points of a DiscreteSet."""
+    """Probability measure carried by the points of a DiscreteSet: point i
+    has mass counts[i] / total, its non-negative integer multiplicity over
+    their sum. Every mass reported is an exact integer sum of counts
+    divided once by the total, on every route."""
 
     support: DiscreteSet
-    weights: np.ndarray
+    counts: np.ndarray
+    total: int = field(init=False)
 
     def __post_init__(self):
-        w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64)).reshape(-1)
-        if w.shape[0] != len(self.support):
+        c = np.asarray(self.counts)
+        if c.dtype.kind not in "iu":
+            raise PreconditionError(f"counts must be integers, not {c.dtype}")
+        c = c.astype(np.int64, copy=False).reshape(-1)
+        if c.shape[0] != len(self.support):
             raise PreconditionError(
-                f"{w.shape[0]} weights for {len(self.support)} support points"
+                f"{c.shape[0]} counts for {len(self.support)} support points"
             )
-        if not np.all(np.isfinite(w)):
-            raise PreconditionError("weights must be finite")
-        if np.any(w < 0):
-            raise PreconditionError("weights must be nonnegative")
-        if abs(float(w.sum()) - 1.0) > WEIGHT_TOL:
-            raise PreconditionError(f"weights sum to {w.sum()!r}, expected 1")
-        self.weights = w
+        # a float sum of non-negative integers is exact below 2^53, and a
+        # sum that rounds is at least 2^53
+        total = float(c.sum(dtype=np.float64))
+        if not 1.0 <= total < 2.0 ** 53 or c.min() < 0:
+            raise PreconditionError("counts must be non-negative and total in [1, 2^53)")
+        self.counts, self.total = c, int(total)
 
     @classmethod
     def uniform(cls, support: DiscreteSet) -> "WeightedMeasure":
-        n = len(support)
-        return cls(support, np.full(n, 1.0 / n))
+        return cls(support, np.ones(len(support), dtype=np.int64))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Each point's mass, counts / total."""
+        return self.counts / self.total
 
     def __len__(self) -> int:
         return len(self.support)
@@ -107,19 +111,30 @@ class MassShells:
 
 @dataclass
 class DirectionMeasure:
-    """Atomic measure on the circle of directions seen from a center point."""
+    """Atomic measure on the circle of directions seen from a center point:
+    the atom at angles[i] carries counts[i] of the source measure's total,
+    and `leaked` counts lie too near the center to have a direction."""
 
     angles: np.ndarray  # sorted, in [0, 2*pi)
-    masses: np.ndarray
-    leaked_mass: float
+    counts: np.ndarray
+    leaked: int
+    total: int
     center: Point
 
     def __len__(self) -> int:
         return int(self.angles.size)
 
     @property
+    def masses(self) -> np.ndarray:
+        return self.counts / self.total
+
+    @property
+    def leaked_mass(self) -> float:
+        return self.leaked / self.total
+
+    @property
     def total_mass(self) -> float:
-        return float(self.masses.sum())
+        return int(self.counts.sum()) / self.total
 
     def to_circle_set(self) -> DiscreteSet:
         """Embed the atoms on the unit circle for covering analysis."""
@@ -137,11 +152,9 @@ class DirectionMeasure:
         )
 
     def as_circle_measure(self) -> WeightedMeasure:
-        """Atoms embedded on the unit circle, renormalized to total mass 1."""
-        total = self.total_mass
-        if total <= 0:
-            raise EmptyInput("direction measure carries no mass")
-        return WeightedMeasure(self.to_circle_set(), self.masses / total)
+        """Atoms embedded on the unit circle with their counts, so renormalized
+        to total mass 1 over the counts kept."""
+        return WeightedMeasure(self.to_circle_set(), self.counts)
 
 
 def ball_mass(m: WeightedMeasure, b: Ball) -> float:
@@ -149,36 +162,32 @@ def ball_mass(m: WeightedMeasure, b: Ball) -> float:
     dx = m.support.points[:, 0] - b.center.x
     dy = m.support.points[:, 1] - b.center.y
     bound = (b.radius + BALL_TOL) * (b.radius + BALL_TOL)
-    return float(m.weights[dx * dx + dy * dy <= bound].sum())
+    return int(m.counts[dx * dx + dy * dy <= bound].sum()) / m.total
 
 
 def tube_mass(m: WeightedMeasure, t: Tube) -> float:
     """Mass inside the closed tube."""
     dist = line_residuals(m.support.points, t.axis.angle, t.axis.offset())[:, 0]
-    return float(m.weights[dist <= t.width / 2.0 + BALL_TOL].sum())
+    return int(m.counts[dist <= t.width / 2.0 + BALL_TOL].sum()) / m.total
 
 
 def _ball_masses_fft(m: WeightedMeasure, radii) -> Optional[list]:
     """Per-radius arrays of ball mass at every support point, from FFT disc
-    sums over the lattice nodes, each disc the sweep's closed ball. A uniform
-    measure takes integer counts times its one weight, so equal balls get
-    equal masses. None if some support point is not a node of the dyadic
-    delta-lattice, or lattice_disc_sums refuses a grid; the largest radius
-    goes first, so that happens before any transform runs."""
+    sums of the counts over the lattice nodes, each disc the sweep's closed
+    ball. None if some support point is not a node of the dyadic
+    delta-lattice, or lattice_disc_sums refuses a grid or the total; the
+    largest radius goes first, so that happens before any transform runs."""
     h = m.support.delta
     nodes = lattice_nodes(m.support.points, h) if is_dyadic(h) else None
     if nodes is None:
         return None
-    w = m.weights
-    uniform = bool(np.all(w == w[0]))
     out = [None] * len(radii)
     for k in sorted(range(len(radii)), key=radii.__getitem__, reverse=True):
         q2 = lattice_q2((radii[k] + BALL_TOL) * (radii[k] + BALL_TOL), h)
-        sums = (lattice_disc_counts(nodes, nodes, q2) if uniform
-                else lattice_disc_sums(nodes, w, nodes, q2))
+        sums = lattice_disc_sums(nodes, m.counts, nodes, q2)
         if sums is None:
             return None
-        out[k] = sums * w[0] if uniform else np.maximum(sums, 0.0)
+        out[k] = sums / m.total
     return out
 
 
@@ -187,67 +196,32 @@ def _ball_masses_sweep(m: WeightedMeasure, radii) -> list:
     the near-neighbour sweep over the support.
 
     A ball's members are the points with dx*dx + dy*dy <= (r + BALL_TOL)**2,
-    the test a k-d tree makes for the Euclidean norm. Its mass is
-    ndarray.sum over the members' weights in ascending index order: balls
-    with c members are gathered into one C-contiguous (balls, c) array and
-    summed along rows, which gives each ball the same pairwise sum as
-    w[members].sum(), bit for bit.
+    the test a k-d tree makes for the Euclidean norm. Each block of balls
+    sums its members' counts as one product (d2 <= bound) @ counts, exact
+    in any order since the counts total less than 2^53.
     """
     pts = m.support.points
-    n = pts.shape[0]
-    w = m.weights
-    uniform = bool(np.all(w == w[0]))
+    counts = m.counts.astype(np.float64)
     bounds = [(r + BALL_TOL) * (r + BALL_TOL) for r in radii]
-    out = np.empty((len(radii), n))
-    flat = out.reshape(-1)
-    # a uniform measure's ball mass depends only on its member count
-    mass_of_count = np.full(n + 1, np.nan) if uniform else None
-    pending, held = [], 0
+    out = np.empty((len(radii), pts.shape[0]))
     for centres, cand, d2 in NearSweep(pts, pts, max(radii, default=0.0) + BALL_TOL):
-        wc = w[cand]
+        cc = counts[cand]
         for k, bound in enumerate(bounds):
-            inside = d2 <= bound
-            counts = np.count_nonzero(inside, axis=1)
-            if uniform:
-                for c in np.unique(counts[np.isnan(mass_of_count[counts])]).tolist():
-                    mass_of_count[c] = np.full(c, w[0]).sum()
-                flat[k * n + centres] = mass_of_count[counts]
-                continue
-            members = wc[np.nonzero(inside)[1]]
-            pending.append((k * n + centres, counts, members))
-            held += members.size
-            if held >= _BALL_PAIRS:
-                _flush_ball_sums(flat, pending)
-                pending, held = [], 0
-    if pending:
-        _flush_ball_sums(flat, pending)
+            out[k, centres] = (d2 <= bound) @ cc
+    out /= m.total
     return list(out)
-
-
-def _flush_ball_sums(flat: np.ndarray, pending: list) -> None:
-    """Write each pending ball's member-weight sum to flat[target], summing
-    the balls of one member count together as the rows of one array."""
-    targets = np.concatenate([t for t, _, _ in pending])
-    counts = np.concatenate([c for _, c, _ in pending])
-    members = np.concatenate([mw for _, _, mw in pending])
-    starts = np.cumsum(counts) - counts
-    by_count = np.argsort(counts, kind="stable")
-    cuts = np.flatnonzero(np.diff(counts[by_count])) + 1
-    for balls in np.split(by_count, cuts):
-        c = int(counts[balls[0]])
-        rows = members[starts[balls, None] + np.arange(c)]
-        flat[targets[balls]] = rows.sum(axis=1)
 
 
 def ball_masses_at_support(m: WeightedMeasure, radii) -> list:
     """For each radius, the array of closed-ball masses centered at every
     support point.
 
-    A ball holds the points with dx*dx + dy*dy <= (r + BALL_TOL)**2. A
-    support of more than _SMALL_SUPPORT points, each a node of the dyadic
-    delta-lattice, takes FFT disc sums unless dyadic.lattice_disc_sums
-    refuses the grid; every other support takes the near-neighbour sweep
-    (dyadic.NearSweep), bit for bit a k-d tree query summed by ndarray.sum."""
+    A ball holds the points with dx*dx + dy*dy <= (r + BALL_TOL)**2, and
+    its mass is the count it holds over the total. A support of more than
+    _SMALL_SUPPORT points, each a node of the dyadic delta-lattice, takes
+    FFT disc sums unless dyadic.lattice_disc_sums refuses the grid or the
+    total; every other support takes the near-neighbour sweep
+    (dyadic.NearSweep). Both routes give the same masses, ball_mass's."""
     radii = [float(r) for r in radii]
     if not all(0.0 < r < math.inf for r in radii):
         raise PreconditionError("radii must be positive and finite")
@@ -265,22 +239,22 @@ def frostman_fit(m: WeightedMeasure, level_min: int, level_max: int) -> Frostman
     taken; the exponent is the least-squares slope of log2 max-mass against
     log2 radius, clamped to [0, 2]. The constant is the worst mass / r^exponent
     over all tested centers and radii, clamped up to 1.
+
+    Ties: masses are exact counts over the total, so equal balls tie
+    exactly. The witness is the lowest support index (np.argmax) at the
+    largest radius of the worst ratio, as a smaller radius replaces it only
+    on a strictly larger one; clamped at 1, it is the heaviest largest ball.
     """
     _check_level_window(level_min, level_max, m.support.delta)
     levels = list(range(level_min, level_max + 1))
     radii = [2.0 ** -lv for lv in levels]
     per_level = ball_masses_at_support(m, radii)
-    maxima = []
-    argmaxes = []
-    for masses in per_level:
-        j = int(np.argmax(masses))
-        argmaxes.append(j)
-        maxima.append(float(masses[j]))
+    maxima = [float(masses.max()) for masses in per_level]
     logr = np.array([-float(lv) for lv in levels])
     slope, _, _ = fit_log2_slope(logr, np.maximum(maxima, 1e-300))
     exponent = min(2.0, max(0.0, slope))
     constant = 1.0
-    worst = (Point(*m.support.points[argmaxes[0]]), radii[0])
+    worst = (Point(*m.support.points[int(np.argmax(per_level[0]))]), radii[0])
     for lv, r, masses in zip(levels, radii, per_level):
         ratios = masses / r ** exponent
         j = int(np.argmax(ratios))
@@ -320,27 +294,25 @@ def radial_pushforward(m: WeightedMeasure, x: Point) -> DirectionMeasure:
     and their mass reported as leaked, never silently renormalized.
     """
     pts = m.support.points
-    w = m.weights
+    c = m.counts
     dx = pts[:, 0] - x.x
     dy = pts[:, 1] - x.y
     dist = np.hypot(dx, dy)
     cutoff = 2.0 * m.support.delta
-    positive = w > 0
     near = dist < cutoff * (1.0 - 1e-12)
-    leaked = float(w[near & positive].sum())
-    keep = positive & ~near
+    leaked = int(c[near].sum())
+    keep = (c > 0) & ~near
     if not np.any(keep):
         raise AllMassAtCenter(
             f"every positive-mass point is within {cutoff!r} of the center"
         )
     angles = np.arctan2(dy[keep], dx[keep]) % (2.0 * math.pi)
     uniq, inv = np.unique(angles, return_inverse=True)
-    masses = np.zeros(uniq.size)
-    np.add.at(masses, inv, w[keep])
-    out = DirectionMeasure(uniq, masses, leaked, x)
-    if abs(out.total_mass + leaked - 1.0) > WEIGHT_TOL:
-        raise InvariantViolation("direction mass plus leaked mass is not 1")
-    return out
+    # float sums of counts are exact below 2^53
+    counts = np.bincount(inv, c[keep], minlength=uniq.size).astype(np.int64)
+    if int(counts.sum()) + leaked != m.total:
+        raise InvariantViolation("direction counts plus leaked counts are not the total")
+    return DirectionMeasure(uniq, counts, leaked, m.total, x)
 
 
 def mass_shell_decompose(m: WeightedMeasure, r: float, t: float, c: float) -> MassShells:

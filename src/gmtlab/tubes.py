@@ -200,34 +200,36 @@ def heaviest_tube(m: WeightedMeasure, through: Point, width: float,
     support points where the bool row restrict_to holds, if given.
 
     Directions run over the uniform net of step = width starting at angle 0;
-    ties break toward the smallest angle.
+    each tube's count is an exact integer sum, and ties break toward the
+    smallest angle.
     """
     if not (m.support.delta * (1.0 - 1e-12) <= width < math.inf):
         raise PreconditionError(
             f"width {width!r} not finite or below the resolution {m.support.delta!r}"
         )
     n_dir = int(math.ceil(math.pi / width))
-    w = m.weights
+    # float sums of counts are exact below 2^53
+    c = m.counts.astype(np.float64)
     if restrict_to is not None:
-        w = np.where(restrict_to, w, 0.0)
+        c = np.where(restrict_to, c, 0.0)
     # centred at the through-point, every candidate axis has offset 0
     rel = m.support.points - np.array([through.x, through.y])
-    best_mass = -1.0
+    best_count = -1.0
     best_j = 0
     block = max(1, (1 << 24) // max(1, len(m)))
     for j0 in range(0, n_dir, block):
         ang = np.arange(j0, min(n_dir, j0 + block)) * width
         perp = line_residuals(rel, ang, np.zeros(ang.size))
-        masses = w @ (perp <= width / 2.0 + _CONTAIN_TOL)
-        jloc = int(np.argmax(masses))
-        if masses[jloc] > best_mass:
-            best_mass = float(masses[jloc])
+        counts = c @ (perp <= width / 2.0 + _CONTAIN_TOL)
+        jloc = int(np.argmax(counts))
+        if counts[jloc] > best_count:
+            best_count = float(counts[jloc])
             best_j = j0 + jloc
     angle = best_j * width
     axis = Line.from_angle_offset(
         angle, through.x * -math.sin(angle) + through.y * math.cos(angle)
     )
-    return Tube(axis, width), best_mass
+    return Tube(axis, width), best_count / m.total
 
 
 @dataclass
@@ -266,11 +268,10 @@ class ThinTubeAudit:
 def _positive_separation(mu: WeightedMeasure, nu: WeightedMeasure,
                          reach: float) -> float:
     """Least distance between the positive-mass points of the two
-    measures; exact when below reach, and at least reach otherwise."""
-    a = mu.support.points[mu.weights > 0]
-    b = nu.support.points[nu.weights > 0]
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise EmptyInput("a measure carries no positive mass")
+    measures (each has one, as its counts total at least 1); exact when
+    below reach, and at least reach otherwise."""
+    a = mu.support.points[mu.counts > 0]
+    b = nu.support.points[nu.counts > 0]
     least = math.inf
     for _, _, d2 in NearSweep(b, a, reach):
         least = min(least, float(d2.min(initial=math.inf)))
@@ -299,7 +300,7 @@ def thin_tube_audit(mu: WeightedMeasure, nu: WeightedMeasure, sigma: float,
         )
     levels = range(0, level_of(nu.support.delta) + 1)
     widths = tuple(2.0 ** -lv for lv in levels)
-    xs = np.nonzero(mu.weights > 0)[0]
+    xs = np.nonzero(mu.counts > 0)[0]
     g = np.ones((len(mu), len(nu)), dtype=bool)
 
     def row_scan(i):

@@ -176,3 +176,49 @@ def test_environment_records_an_absent_package_as_null(monkeypatch, tmp_path):
     assert env["scipy"] is None
     assert env["numpy"] == real("numpy")
     assert json.loads(json.dumps(env))["scipy"] is None
+
+
+def _junit(times: dict, failed=()) -> str:
+    """A junit report of acceptance criteria with the given times."""
+    cases = "".join(
+        f'<testcase classname="tests.test_acceptance" name="test_criterion_{n:02d}_x" '
+        f'time="{t}">' + ('<failure message="no"/>' if n in failed else "") + "</testcase>"
+        for n, t in times.items())
+    return f'<testsuites><testsuite name="pytest">{cases}</testsuite></testsuites>'
+
+
+def test_run_acceptance_pairs_alternates_the_sides(monkeypatch):
+    calls = []
+
+    def run_acceptance(root):
+        calls.append(root)
+        return {"returncode": 0, "criteria": {}}
+
+    monkeypatch.setattr(bench_collect, "run_acceptance", run_acceptance)
+    done = bench_collect.run_acceptance_pairs("cur", "base")
+    assert calls == ["cur", "base", "base", "cur"]
+    assert [(p["pair"], p["current_first"]) for p in done] == [(0, True), (1, False)]
+    assert all(p["current"]["criteria"] == {} for p in done)
+
+
+def test_summarize_acceptance_pairs_each_criterion_on_synthetic_junit():
+    """Criterion 1 takes 20 and 30 s on the current side against 25 and
+    25 s; criterion 4 fails once on the baseline, which leaves one ratio;
+    criterion 5 runs only on the current side."""
+    def side(times, failed=()):
+        return {"returncode": 0, "criteria": bench_collect.parse_junit(_junit(times, failed))}
+
+    pairs = [
+        {"current": side({1: 20.0, 4: 8.0, 5: 1.0}), "baseline": side({1: 25.0, 4: 10.0})},
+        {"current": side({1: 30.0, 4: 9.0, 5: 1.0}),
+         "baseline": side({1: 25.0, 4: 12.0}, failed={4})},
+    ]
+    out = bench_collect.summarize_acceptance(pairs)
+    assert list(out) == ["1", "4", "5"]
+    one = out["1"]
+    assert one["pairs"] == 2 and one["wins"] == 1 and one["better"] == "lower"
+    assert one["ratio"]["median"] == pytest.approx(1.0)
+    assert one["baseline"]["median"] == 25.0
+    assert out["4"]["ratio"] == {"median": 0.8, "q1": 0.8, "q3": 0.8}
+    assert out["4"]["wins"] == 1
+    assert out["5"]["ratio"] is None and out["5"]["wins"] == 0

@@ -932,7 +932,8 @@ def test_verify_delta_s_set_counts_disc_boundary_nodes():
     nodes = np.rint(ds.points / ds.delta).astype(np.int64)
     assert nodes.min() == 0 and nodes.max() == 32
     _check_against_tree_oracle(ds, 2.0)
-    counts = dyadic.lattice_disc_counts(nodes, np.array([[8, 8]]), 64)
+    counts = dyadic.lattice_disc_sums(nodes, np.ones(len(nodes), dtype=np.int64),
+                                      np.array([[8, 8]]), 64)
     assert counts[0] == np.sum(np.sum((nodes - 8) ** 2, axis=1) <= 64)
 
 
@@ -959,14 +960,10 @@ def test_verify_delta_s_set_matches_tree_oracle_on_dense_sets(s, level):
 
 
 def test_verify_delta_s_set_refuses_non_integral_fft_counts(monkeypatch):
-    true_sums = dyadic.lattice_disc_sums
-
-    def perturbed(*args):
-        sums = true_sums(*args)
-        sums[0] += 0.3
-        return sums
-
-    monkeypatch.setattr(dyadic, "lattice_disc_sums", perturbed)
+    """Every FFT sum pushed 0.3 off its integer trips lattice_disc_sums'
+    integer check."""
+    true_irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: true_irfft(*a, **k) + 0.3)
     with pytest.raises(InvariantViolation, match="integers"):
         verify_delta_s_set(_spread_set(0), 1.5, 16.0)
 
@@ -990,17 +987,20 @@ def _next_prime(n):
 )
 def test_lattice_disc_sums_match_brute_force(length, nodes, centres, q2, seed):
     """Transform sides rounded up to a fast length, left at the box side
-    plus q (no slack at all), and rounded up to a prime."""
+    plus q (no slack at all), and rounded up to a prime; random integer
+    weights of up to 2^32 each, and unit weights."""
     nodes = np.array(nodes, dtype=np.int64)
     centres = np.array(centres, dtype=np.int64)
-    weights = np.random.default_rng(seed).random(nodes.shape[0])
+    weights = np.random.default_rng(seed).integers(0, 2 ** 32, nodes.shape[0])
+    ones = np.ones(nodes.shape[0], dtype=np.int64)
     inside = ((centres[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2) <= q2
     with pytest.MonkeyPatch.context() as mp:
         if length is not None:
             mp.setattr(dyadic, "fast_len", length)
         sums = dyadic.lattice_disc_sums(nodes, weights, centres, q2)
-        counts = dyadic.lattice_disc_counts(nodes, centres, q2)
-    assert np.allclose(sums, inside @ weights, rtol=0.0, atol=1e-9)
+        counts = dyadic.lattice_disc_sums(nodes, ones, centres, q2)
+    assert sums.dtype == counts.dtype == np.int64
+    assert np.array_equal(sums, inside @ weights)
     assert np.array_equal(counts, inside.sum(axis=1))
 
 
@@ -1020,8 +1020,19 @@ def test_fast_len_is_the_next_5_smooth_length():
 def test_lattice_disc_sums_refuses_large_grids(monkeypatch):
     nodes = np.array([[0, 0], [99, 99]])
     monkeypatch.setattr(dyadic, "MAX_FFT_CELLS", 100 * 100)
-    assert dyadic.lattice_disc_sums(nodes, np.ones(2), nodes, 1) is None
-    assert dyadic.lattice_disc_counts(nodes, nodes, 1) is None
+    assert dyadic.lattice_disc_sums(nodes, np.ones(2, dtype=np.int64), nodes, 1) is None
+
+
+def test_lattice_disc_sums_refuses_totals_above_the_cap():
+    """Weights totalling MAX_FFT_TOTAL are summed exactly; one more and the
+    caller sweeps."""
+    nodes = np.array([[0, 0], [3, 4], [40, 0]])
+    cap = dyadic.MAX_FFT_TOTAL
+    weights = np.array([cap - 3, 2, 1])
+    sums = dyadic.lattice_disc_sums(nodes, weights, nodes, 25)
+    assert sums.tolist() == [cap - 1, cap - 1, 1]
+    weights[2] += 1
+    assert dyadic.lattice_disc_sums(nodes, weights, nodes, 25) is None
 
 
 def test_frostman_extract_subset_and_floor(rand_half_set):

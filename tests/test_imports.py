@@ -42,8 +42,8 @@ def test_ball_masses_and_radial_profile_load_no_scipy():
         "from gmtlab import measures",
         "ds = gm.gen_random_delta_s_set(1.5, 2.0 ** -7, 0)",
         "assert len(ds) <= measures._SMALL_SUPPORT",
-        "w = np.random.default_rng(0).random(len(ds))",
-        "m = gm.WeightedMeasure(ds, w / w.sum())",
+        "c = np.random.default_rng(0).integers(1, 1000, len(ds))",
+        "m = gm.WeightedMeasure(ds, c)",
         "gm.frostman_fit(m, 1, 6)",
         "gm.mass_shell_decompose(m, 0.125, 2.0, 64.0)",
         "x = gm.gen_random_delta_s_set(0.4, 2.0 ** -10, 1)",
@@ -165,8 +165,8 @@ _CLASS_ATTRS = {
     "DimensionEstimate": [
         "counts", "intercept", "level_range", "r_squared", "slope"],
     "DirectionMeasure": [
-        "angles", "as_circle_measure", "center", "leaked_mass", "masses",
-        "to_circle_set", "total_mass"],
+        "angles", "as_circle_measure", "center", "counts", "leaked",
+        "leaked_mass", "masses", "to_circle_set", "total", "total_mass"],
     "DiscreteSet": ["check", "delta", "label", "meta", "points"],
     "ExperimentResult": [
         "as_json", "best_dimension", "best_x", "margin", "per_x_table",
@@ -193,7 +193,7 @@ _CLASS_ATTRS = {
     "Tube": ["axis", "width"],
     "TubeFamily": [
         "angles", "direction_net_step", "label", "offsets", "scale", "width"],
-    "WeightedMeasure": ["support", "uniform", "weights"],
+    "WeightedMeasure": ["counts", "support", "total", "uniform", "weights"],
 }
 
 

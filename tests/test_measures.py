@@ -52,18 +52,41 @@ def grid3_uniform(grid3):
 
 class TestWeightedMeasure:
     def test_uniform_weights(self, grid3_uniform):
+        assert grid3_uniform.counts.dtype == np.int64
+        assert np.all(grid3_uniform.counts == 1) and grid3_uniform.total == 9
         assert grid3_uniform.weights.sum() == pytest.approx(1.0)
         assert np.all(grid3_uniform.weights == 1.0 / 9.0)
 
     def test_rejects_negative_weights(self, grid3):
-        w = np.full(9, 1.0 / 9.0)
-        w[0] = -w[0]
+        c = np.ones(9, dtype=np.int64)
+        c[0] = -1
         with pytest.raises(PreconditionError):
-            WeightedMeasure(grid3, w)
+            WeightedMeasure(grid3, c)
 
     def test_rejects_unnormalized(self, grid3):
-        with pytest.raises(PreconditionError):
-            WeightedMeasure(grid3, np.full(9, 0.2))
+        """A measure is built from integer counts: float weights, summing
+        to 1 or not, and booleans are refused."""
+        for weights in (np.full(9, 0.2), np.full(9, 1.0 / 9.0), np.ones(9, dtype=bool)):
+            with pytest.raises(PreconditionError):
+                WeightedMeasure(grid3, weights)
+
+    @pytest.mark.parametrize("counts, total", [
+        ([1] + [0] * 8, 1),
+        ([2 ** 53 - 9] + [1] * 8, 2 ** 53 - 1),
+        ([0] * 9, None),
+        ([2 ** 53 - 8] + [1] * 8, None),
+        ([2 ** 62] * 9, None),
+        (np.full(9, 2 ** 63, dtype=np.uint64), None),
+    ])
+    def test_counts_total_between_one_and_two_to_the_53(self, grid3, counts, total):
+        """Below 2^53 every float sum of counts is exact; a total of 2^53
+        or more, or one that overflows int64, is refused."""
+        if total is None:
+            with pytest.raises(PreconditionError):
+                WeightedMeasure(grid3, np.asarray(counts))
+        else:
+            m = WeightedMeasure(grid3, np.asarray(counts))
+            assert m.total == total and m.counts.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -100,24 +123,25 @@ def test_ball_masses_at_support_matches_direct(grid3_uniform):
 
 
 def _ball_masses_tree_oracle(m, radii):
-    """_ball_masses_tree before blocking: one query for every centre."""
+    """_ball_masses_tree before blocking, as a count oracle: one query for
+    every centre, its members' counts summed in Python integers and
+    divided by the total."""
     from scipy.spatial import cKDTree
 
     pts = m.support.points
     tree = cKDTree(pts)
-    w = m.weights
+    c = m.counts.tolist()
     out = []
     for r in radii:
         hoods = tree.query_ball_point(pts, r + measures.BALL_TOL)
-        out.append(np.array([w[ix].sum() for ix in hoods]))
+        out.append(np.array([sum(c[i] for i in ix) / m.total for ix in hoods]))
     return out
 
 
 @pytest.mark.parametrize("block", [1, 7, 64, 256])
 def test_ball_masses_tree_blocks_match_oracle(monkeypatch, block):
     ds = gen_random_delta_s_set(1.2, 2.0 ** -7, seed=4)
-    w = np.random.default_rng(4).random(len(ds))
-    m = WeightedMeasure(ds, w / w.sum())
+    m = _random_counts(ds, 4)
     assert block < len(ds)
     monkeypatch.setattr(dyadic, "SWEEP_BLOCK", block)
     radii = [2.0 ** -lv for lv in range(1, 7)]
@@ -128,19 +152,20 @@ def test_ball_masses_tree_blocks_match_oracle(monkeypatch, block):
 
 def _ball_masses_blocked_tree_oracle(m, radii, block=64):
     """_ball_masses_tree before the x-sorted sweep, with its block size as
-    a parameter: cKDTree queries of block centres at a time, and one
-    Python sum over each ball's members."""
+    a parameter, as a count oracle: cKDTree queries of block centres at a
+    time, and each ball's member count summed in Python integers and
+    divided by the total."""
     from scipy.spatial import cKDTree
 
     pts = m.support.points
     tree = cKDTree(pts)
-    w = m.weights
+    c = m.counts.tolist()
     out = []
     for r in radii:
         masses = np.empty(pts.shape[0])
         for s in range(0, pts.shape[0], block):
             hoods = tree.query_ball_point(pts[s:s + block], r + measures.BALL_TOL)
-            masses[s:s + block] = [w[ix].sum() for ix in hoods]
+            masses[s:s + block] = [sum(c[i] for i in ix) / m.total for ix in hoods]
         out.append(masses)
     return out
 
@@ -189,41 +214,42 @@ def _sweep_supports(draw):
     return DiscreteSet(pts, delta, check=False), radii
 
 
+def _multiplicities(rng, n, bits=40):
+    """Random counts of up to `bits` bits, about a tenth of them zero and
+    at least one positive."""
+    c = rng.integers(0, 2 ** rng.integers(1, bits + 1, n))
+    c[rng.random(n) < 0.1] = 0
+    c[0] += c.sum() == 0
+    return c
+
+
 @given(
     _sweep_supports(),
     st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)),
     st.sampled_from([1, 7, 64]),
-    st.sampled_from([1, 5000, measures._BALL_PAIRS]),
 )
 @settings(max_examples=200, deadline=None)
-def test_ball_masses_sweep_matches_blocked_tree(case, weight_seed, block, pairs):
-    """Uniform (weight_seed None) and weighted measures, the weights over
-    nine orders of magnitude so that the summation order shows; radii
-    unsorted, repeated and larger than the set."""
+def test_ball_masses_sweep_matches_blocked_tree(case, count_seed, block):
+    """Uniform (count_seed None) and random-multiplicity measures, the
+    counts over twelve orders of magnitude; radii unsorted, repeated and
+    larger than the set."""
     ds, radii = case
-    if weight_seed is None:
+    if count_seed is None:
         m = WeightedMeasure.uniform(ds)
     else:
-        rng = np.random.default_rng(weight_seed)
-        w = rng.random(len(ds)) * 10.0 ** rng.integers(-6, 3, len(ds))
-        w[rng.random(len(ds)) < 0.1] = 0.0
-        if w.sum() == 0.0:
-            w[0] = 1.0
-        m = WeightedMeasure(ds, w / w.sum())
-    with mock.patch.object(dyadic, "SWEEP_BLOCK", block), \
-            mock.patch.object(measures, "_BALL_PAIRS", pairs):
+        m = WeightedMeasure(ds, _multiplicities(np.random.default_rng(count_seed), len(ds)))
+    with mock.patch.object(dyadic, "SWEEP_BLOCK", block):
         _assert_sweep_matches_tree(m, radii)
 
 
-@pytest.mark.parametrize("pairs", [1, 5000])
-def test_ball_masses_sweep_matches_blocked_tree_on_a_weighted_set(monkeypatch, pairs):
-    """1,000 off-lattice points, each ball at radius 1 holding hundreds of
-    weights, so the flushed batches hold many member counts."""
+@pytest.mark.parametrize("block", [1, 5000])
+def test_ball_masses_sweep_matches_blocked_tree_on_a_weighted_set(monkeypatch, block):
+    """1,000 off-lattice points with random counts, each ball at radius 1
+    holding hundreds of them; sweep blocks of one centre, and of all."""
     rng = np.random.default_rng(7)
     ds = DiscreteSet(rng.random((1000, 2)), 1e-6, check=False)
-    w = rng.random(1000)
-    m = WeightedMeasure(ds, w / w.sum())
-    monkeypatch.setattr(measures, "_BALL_PAIRS", pairs)
+    m = WeightedMeasure(ds, _multiplicities(rng, 1000))
+    monkeypatch.setattr(dyadic, "SWEEP_BLOCK", block)
     _assert_sweep_matches_tree(m, [2.0 ** -lv for lv in range(0, 9)])
 
 
@@ -237,27 +263,25 @@ def test_ball_masses_sweep_on_lattice_distances(shave):
     ds = DiscreteSet(nodes * h, h, check=False)
     radii = [q * h - shave for q in (1, 5, 10, 13)]
     _assert_sweep_matches_tree(WeightedMeasure.uniform(ds), radii)
-    _assert_sweep_matches_tree(_random_weights(ds, 3), radii)
+    _assert_sweep_matches_tree(_random_counts(ds, 3), radii)
 
 
-def test_ball_masses_sweep_memory_follows_the_pair_budget(monkeypatch):
+def test_ball_masses_sweep_memory_follows_the_pair_budget():
     """At radius 2 every ball of 1,000 points holds all of them, a million
-    (ball, member) pairs in all; a budget of 5,000 pairs keeps the gathered
-    weights to a few blocks' worth."""
+    (ball, member) pairs in all; each block's counts are summed as it is
+    swept, so memory stays at a few blocks' worth."""
     import tracemalloc
 
     rng = np.random.default_rng(8)
     ds = DiscreteSet(rng.random((1000, 2)), 1e-6, check=False)
-    w = rng.random(1000)
-    m = WeightedMeasure(ds, w / w.sum())
-    monkeypatch.setattr(measures, "_BALL_PAIRS", 5000)
+    m = WeightedMeasure(ds, _multiplicities(rng, 1000))
     tracemalloc.start()
     try:
         measures._ball_masses_sweep(m, [2.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 3.5 MB measured; 31.6 MB with every pair held until the end
+    # 1.6 MiB measured; 31.6 MB with every pair held until the end
     assert peak < 8 * 2 ** 20
 
 
@@ -290,7 +314,9 @@ def test_ball_masses_match_blocked_tree_on_radial_circle_measures(monkeypatch, s
 
 
 def _ball_masses_fft_oracle(m, radii):
-    """_ball_masses_fft before numpy.fft: scipy's fftconvolve per radius."""
+    """_ball_masses_fft before numpy.fft, as a count oracle: scipy's
+    fftconvolve of the counts per radius, rounded and divided by the
+    total."""
     from scipy.signal import fftconvolve
 
     # that version's lattice test: every point within 1e-6 delta of a node
@@ -306,34 +332,32 @@ def _ball_masses_fft_oracle(m, radii):
     if (shape[0] + 2 * qmax) * (shape[1] + 2 * qmax) > MAX_FFT_CELLS:
         return None
     grid = np.zeros((int(shape[0]), int(shape[1])))
-    np.add.at(grid, (idx[:, 0], idx[:, 1]), m.weights)
+    np.add.at(grid, (idx[:, 0], idx[:, 1]), m.counts)
     out = []
     for r in radii:
         q = int(math.floor(r / h * (1.0 + 1e-9)))
         span = np.arange(-q, q + 1)
         kern = (span[:, None] ** 2 + span[None, :] ** 2) <= (r / h) ** 2 * (1.0 + 1e-9)
         conv = fftconvolve(grid, kern.astype(np.float64), mode="same")
-        out.append(np.maximum(conv[idx[:, 0], idx[:, 1]], 0.0))
+        out.append(np.rint(conv[idx[:, 0], idx[:, 1]]) / m.total)
     return out
 
 
-def _random_weights(ds, seed):
-    w = np.random.default_rng(seed).random(len(ds))
-    return WeightedMeasure(ds, w / w.sum())
+def _random_counts(ds, seed):
+    return WeightedMeasure(ds, np.random.default_rng(seed).integers(1, 1000, len(ds)))
 
 
 def test_ball_masses_fft_matches_fftconvolve_oracle():
     """More than _SMALL_SUPPORT lattice points, so ball_masses_at_support
-    itself takes the FFT path; uniform and random weights."""
+    itself takes the FFT path; uniform and random counts."""
     ds = gen_random_delta_s_set(1.8, 2.0 ** -7, seed=2)
     assert len(ds) > measures._SMALL_SUPPORT
     radii = [2.0 ** -lv for lv in range(1, 8)] + [3.0 * 2.0 ** -6]
-    for m in (WeightedMeasure.uniform(ds), _random_weights(ds, 2)):
+    for m in (WeightedMeasure.uniform(ds), _random_counts(ds, 2)):
         want = _ball_masses_fft_oracle(m, radii)
         assert want is not None
         for got, ref in zip(ball_masses_at_support(m, radii), want):
-            assert got.shape == ref.shape
-            assert np.max(np.abs(got - ref)) <= 1e-12
+            assert np.array_equal(got, ref)
 
 
 def _lattice_box_subset(rows, cols, seed):
@@ -350,14 +374,14 @@ def _lattice_box_subset(rows, cols, seed):
     lambda: _lattice_box_subset(45, 70, 1),
 ])
 def test_ball_masses_fft_matches_tree(make):
-    m = _random_weights(make(), 5)
+    m = _random_counts(make(), 5)
     radii = [2.0 ** -lv for lv in range(2, 7)]
     fft = measures._ball_masses_fft(m, radii)
     assert fft is not None
     for got, want in zip(fft, measures._ball_masses_sweep(m, radii)):
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(got, want)
     for got, want in zip(fft, _ball_masses_fft_oracle(m, radii)):
-        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(got, want)
 
 
 def test_near_node_support_takes_the_sweep():
@@ -373,10 +397,10 @@ def test_near_node_support_takes_the_sweep():
     m = WeightedMeasure.uniform(DiscreteSet(pts, h))
     assert len(m) > measures._SMALL_SUPPORT
     assert measures._ball_masses_fft(m, [h]) is None
-    want = 2.0 / 6400.0
-    assert ball_masses_at_support(m, [h])[0][0] == pytest.approx(want, rel=1e-12)
-    assert ball_mass(m, Ball(Point(0.0, 0.0), h)) == pytest.approx(want, rel=1e-12)
-    assert measures._ball_masses_sweep(m, [h])[0][0] == pytest.approx(want, rel=1e-12)
+    want = 2 / 6400
+    assert ball_masses_at_support(m, [h])[0][0] == want
+    assert ball_mass(m, Ball(Point(0.0, 0.0), h)) == want
+    assert measures._ball_masses_sweep(m, [h])[0][0] == want
 
 
 def test_fft_ball_is_the_sweeps_closed_ball_just_inside_a_node_ring():
@@ -391,9 +415,9 @@ def test_fft_ball_is_the_sweeps_closed_ball_just_inside_a_node_ring():
     r = 5 * h * math.sqrt(1 - 4e-10)
     i = 40 * 80 + 40
     assert measures._ball_masses_fft(m, [r]) is not None
-    assert ball_masses_at_support(m, [r])[0][i] * 6400 == 69
-    assert measures._ball_masses_sweep(m, [r])[0][i] * 6400 == 69
-    assert ball_mass(m, Ball(Point(40 * h, 40 * h), r)) * 6400 == 69
+    assert ball_masses_at_support(m, [r])[0][i] == 69 / 6400
+    assert measures._ball_masses_sweep(m, [r])[0][i] == 69 / 6400
+    assert ball_mass(m, Ball(Point(40 * h, 40 * h), r)) == 69 / 6400
 
 
 def test_lattice_of_a_pitch_that_is_not_dyadic_takes_the_sweep():
@@ -412,8 +436,8 @@ def test_lattice_of_a_pitch_that_is_not_dyadic_takes_the_sweep():
 
 @st.composite
 def _big_lattice_measures(draw):
-    """2^13 nodes of a box of the 2^-k lattice (so uniform weights are
-    powers of two and their sums exact), uniform or randomly weighted."""
+    """2^13 nodes of a box of the 2^-k lattice, uniform or with random
+    multiplicities."""
     k = draw(st.sampled_from([7, 8]))
     rows = draw(st.integers(64, 128))
     cols = draw(st.integers(-(-8192 // rows), 128))
@@ -426,8 +450,8 @@ def _big_lattice_measures(draw):
     ds = DiscreteSet(nodes * 2.0 ** -k, 2.0 ** -k)
     if draw(st.booleans()):
         return WeightedMeasure.uniform(ds)
-    w = rng.random(len(ds))
-    return WeightedMeasure(ds, w / w.sum())
+    # 2^13 counts below 2^26 total under the FFT's cap of 2^40
+    return WeightedMeasure(ds, _multiplicities(rng, len(ds), bits=26))
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-10, 1e-9])
@@ -435,23 +459,47 @@ def _big_lattice_measures(draw):
 @given(_big_lattice_measures(), st.lists(st.integers(2, 6), min_size=1, max_size=3))
 def test_fft_sweep_and_ball_mass_count_one_closed_ball(eps, m, qs):
     """Radii q h (1 - eps), at and just inside lattice distances: the FFT
-    route of ball_masses_at_support, the sweep and ball_mass agree, uniform
-    masses exactly and weighted ones within 1e-12."""
+    route of ball_masses_at_support, the sweep and ball_mass give equal
+    masses."""
     h = m.support.delta
     radii = [q * h * (1.0 - eps) for q in qs]
     assert len(m) > measures._SMALL_SUPPORT
     assert measures._ball_masses_fft(m, radii) is not None
     fft = ball_masses_at_support(m, radii)
     sweep = measures._ball_masses_sweep(m, radii)
-    uniform = bool(np.all(m.weights == m.weights[0]))
     pts = m.support.points
     for r, got, want in zip(radii, fft, sweep):
-        if uniform:
-            assert np.array_equal(got, want)
-        else:
-            assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.array_equal(got, want)
         for i in range(0, len(m), 1021):
             assert ball_mass(m, Ball(Point(*pts[i]), r)) == want[i]
+
+
+@settings(max_examples=12, deadline=None)
+@given(_big_lattice_measures(), st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       st.integers(-2, 2), st.integers(0, 2 ** 32 - 1))
+def test_every_route_gives_count_over_total_on_each_side_of_the_fft_cap(m, qs, offset, seed):
+    """The counts topped up on one node to MAX_FFT_TOTAL + offset, the
+    FFT's worst case: at or under the cap the FFT answers, over it the
+    sweep does, and either way every route's mass is the k-d tree's count
+    over the total."""
+    from scipy.spatial import cKDTree
+
+    counts = m.counts.copy()
+    counts[np.random.default_rng(seed).integers(len(m))] += (
+        dyadic.MAX_FFT_TOTAL + offset - int(counts.sum()))
+    m = WeightedMeasure(m.support, counts)
+    h, pts, c = m.support.delta, m.support.points, counts.tolist()
+    radii = [q * h for q in qs]
+    fft = measures._ball_masses_fft(m, radii)
+    assert (fft is None) == (offset > 0)
+    got = ball_masses_at_support(m, radii)
+    tree = cKDTree(pts)
+    for k, r in enumerate(radii):
+        assert np.array_equal(got[k], measures._ball_masses_sweep(m, [r])[0])
+        assert fft is None or np.array_equal(got[k], fft[k])
+        for i in range(0, len(m), 97):
+            want = sum(c[j] for j in tree.query_ball_point(pts[i], r + measures.BALL_TOL))
+            assert got[k][i] == want / m.total == ball_mass(m, Ball(Point(*pts[i]), r))
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +510,16 @@ def test_fft_sweep_and_ball_mass_count_one_closed_ball(eps, m, qs):
 @pytest.mark.parametrize("length", [lambda n: n, lambda n: n + 7,
                                     lambda n, fast=dyadic.fast_len: 2 * fast(n)])
 def test_frostman_fit_uniform_witness_ignores_transform_length(monkeypatch, length):
-    """A uniform measure's FFT masses are integer counts times one weight,
-    so centres with equal balls tie exactly and np.argmax takes the first,
-    whatever the transform length (float sums let rounding noise choose)."""
+    """FFT masses are rounded counts over the total, so centres with equal
+    balls tie exactly and np.argmax takes the first, whatever the transform
+    length (float sums let rounding noise choose)."""
     m = WeightedMeasure.uniform(gen_random_delta_s_set(2.0, 2.0 ** -7, 0))
     assert len(m) > measures._SMALL_SUPPORT
     want = frostman_fit(m, 1, 7)
     monkeypatch.setattr(dyadic, "fast_len", length)
     assert frostman_fit(m, 1, 7) == want
     masses = ball_masses_at_support(m, [2.0 ** -6])[0]
-    assert np.array_equal(masses * len(m), np.rint(masses * len(m)))
+    assert np.array_equal(masses, np.rint(masses * len(m)) / len(m))
 
 
 def test_frostman_fit_full_grid():
@@ -488,7 +536,7 @@ def test_frostman_fit_segment():
 
 def test_frostman_fit_point_mass_is_exponent_zero():
     ds = DiscreteSet(np.array([[0.5, 0.5], [0.9, 0.9]]), 2.0 ** -8, check=False)
-    m = WeightedMeasure(ds, np.array([1.0, 0.0]))
+    m = WeightedMeasure(ds, np.array([1, 0]))
     fit = frostman_fit(m, 2, 7)
     assert fit.exponent == pytest.approx(0.0, abs=1e-9)
 
@@ -558,7 +606,7 @@ def _energy_cdist_oracle(m, sigma):
     lambda: WeightedMeasure.uniform(circle_set(512)),
     lambda: WeightedMeasure.uniform(gen_random_delta_s_set(1.2, 2.0 ** -7, seed=0)),
     # off-lattice points, random weights, several row blocks
-    lambda: _random_weights(DiscreteSet(
+    lambda: _random_counts(DiscreteSet(
         np.random.default_rng(1).uniform(-0.7, 0.7, (2600, 2)), 2.0 ** -20,
         check=False), 1),
 ])
@@ -656,6 +704,22 @@ class TestRadialPushforward:
         dm = radial_pushforward(WeightedMeasure.uniform(ds), Point(-1.0, 0.0))
         assert len(dm) == 1
         assert dm.masses[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("seed", [None, 3])
+    def test_counts_are_conserved_exactly(self, seed):
+        """Kept plus leaked counts are the total, as integers, and the
+        circle measure carries the kept counts unchanged."""
+        ds = gen_grid(9)
+        m = (WeightedMeasure.uniform(ds) if seed is None
+             else WeightedMeasure(ds, _multiplicities(np.random.default_rng(seed), len(ds))))
+        dm = radial_pushforward(m, Point(0.0, 0.0))
+        assert dm.counts.dtype == np.int64 and dm.total == m.total and dm.leaked > 0
+        assert int(dm.counts.sum()) + dm.leaked == m.total
+        assert dm.total_mass == int(dm.counts.sum()) / m.total
+        assert dm.leaked_mass == dm.leaked / m.total
+        cm = dm.as_circle_measure()
+        assert np.array_equal(cm.counts, dm.counts)
+        assert np.array_equal(cm.weights, dm.counts / dm.counts.sum())
 
     def test_circle_embedding_roundtrip(self):
         dm = radial_pushforward(

@@ -15,7 +15,7 @@ from gmtlab.errors import (
     PreconditionError,
     SeparationViolated,
 )
-from gmtlab.generators import DiscreteSet, circle_set, gen_grid
+from gmtlab.generators import DiscreteSet, circle_set, gen_grid, gen_random_delta_s_set
 from gmtlab.geometry import Line, Point, line_residuals
 from gmtlab.measures import (
     WeightedMeasure,
@@ -367,6 +367,21 @@ class TestHeaviestTube:
         with pytest.raises(PreconditionError):
             heaviest_tube(m, Point(0.5, 0.5), 2.0 ** -4)
 
+    def test_ties_break_toward_the_smallest_angle(self):
+        """Directions 17, 19 and 21 of the width-2^-7 net each hold 24 of
+        the 1,087 points. A float sum of 1/n weights made direction 19
+        heavier by rounding; integer counts tie, and 17 wins."""
+        m = WeightedMeasure.uniform(gen_random_delta_s_set(1.5, 2.0 ** -7, 1))
+        x = Point(1.2263578446997732, 0.5829224404981834)
+        width = 2.0 ** -7
+        rel = m.support.points - np.array([x.x, x.y])
+        ang = np.arange(math.ceil(math.pi / width)) * width
+        counts = (line_residuals(rel, ang, np.zeros(ang.size)) <= width / 2.0 + 1e-12).sum(axis=0)
+        assert np.flatnonzero(counts == counts.max()).tolist() == [17, 19, 21]
+        tube, mass = heaviest_tube(m, x, width)
+        assert tube.axis.angle == 17 * width
+        assert mass == 24 / len(m) == tube_mass(m, tube)
+
 
 # ---------------------------------------------------------------------------
 # thin-tube audit
@@ -640,18 +655,16 @@ def _positive_separation_tree_oracle(mu, nu):
     point of mu's nearest positive point of nu from a k-d tree."""
     from scipy.spatial import cKDTree
 
-    a = mu.support.points[mu.weights > 0]
-    b = nu.support.points[nu.weights > 0]
+    a = mu.support.points[mu.counts > 0]
+    b = nu.support.points[nu.counts > 0]
     d, _ = cKDTree(b).query(a, k=1)
     return float(np.min(d))
 
 
 def _measure(pts, zero_mask):
-    w = np.where(zero_mask, 0.0, 1.0)
-    if w.sum() == 0.0:
-        w[0] = 1.0
-    return WeightedMeasure(DiscreteSet(np.array(pts), 2.0 ** -12, check=False),
-                           w / w.sum())
+    c = np.where(zero_mask, 0, 1)
+    c[0] += c.sum() == 0
+    return WeightedMeasure(DiscreteSet(np.array(pts), 2.0 ** -12, check=False), c)
 
 
 @st.composite

@@ -23,6 +23,8 @@ quartiles of the per-pair ratio current / baseline, and the pairs the
 current side won: a drift in the host's speed moves both runs of a pair,
 so the ratios hold across files where absolute numbers do not. The same
 figures are recorded over all pairs and over each seed's pairs alone.
+The acceptance gate then runs in two pairs, one in each order, and each
+criterion's passing times get the same paired figures.
 """
 
 from __future__ import annotations
@@ -218,21 +220,58 @@ def clone_rev(root: str, rev: str, dest: str) -> str:
     return sha
 
 
+def _run_pair(entry: dict, root: str, base_root: str, run) -> dict:
+    """entry with run(checkout) of each side added under "current" and
+    "baseline", in the order entry["current_first"] gives."""
+    sides = [("current", root), ("baseline", base_root)]
+    for side, where in sides if entry["current_first"] else sides[::-1]:
+        entry[side] = run(where)
+    return entry
+
+
 def run_pairs(root: str, base_root: str, pairs: int, seconds: float) -> dict:
     """Alternating current and baseline runs of every workload."""
     out = {}
     for workload in WORKLOADS:
         done = []
         for k, (seed, current_first) in enumerate(pair_schedule(pairs)):
-            sides = [("current", root), ("baseline", base_root)]
-            entry = {"pair": k, "seed": seed, "current_first": current_first}
-            for side, where in sides if current_first else sides[::-1]:
-                entry[side] = run_workload(where, workload, seed, 0, seconds)
+            entry = _run_pair({"pair": k, "seed": seed, "current_first": current_first},
+                              root, base_root,
+                              lambda where: run_workload(where, workload, seed, 0, seconds))
             done.append(entry)
             print(f"{workload} pair {k}: exit {entry['current']['returncode']}, "
                   f"{entry['baseline']['returncode']}", file=sys.stderr)
         out[workload] = done
     return out
+
+
+def run_acceptance_pairs(root: str, base_root: str) -> list:
+    """Two pairs of current and baseline runs of the acceptance gate, one in
+    each order: a gate run takes about a minute per side."""
+    done = []
+    for k in range(2):
+        done.append(_run_pair({"pair": k, "current_first": k % 2 == 0},
+                              root, base_root, run_acceptance))
+        print(f"acceptance pair {k}: exit {done[-1]['current']['returncode']}, "
+              f"{done[-1]['baseline']['returncode']}", file=sys.stderr)
+    return done
+
+
+def summarize_acceptance(pairs: list) -> dict:
+    """paired_stats of each criterion's time over the acceptance pairs,
+    keyed by the criterion number as a string. A time counts only where
+    the criterion passed, so a failed or skipped run gives no ratio."""
+    def times(side: str, number: int) -> list:
+        out = []
+        for p in pairs:
+            case = p[side]["criteria"].get(number, {})
+            out.append(case.get("time_s") if case.get("outcome") == "passed" else None)
+        return out
+
+    numbers = sorted({n for p in pairs for side in ("current", "baseline")
+                      for n in p[side]["criteria"]})
+    return {str(n): paired_stats(times("current", n), times("baseline", n), "lower")
+            for n in numbers}
 
 
 def main(argv=None) -> int:
@@ -269,13 +308,16 @@ def main(argv=None) -> int:
             base_root = os.path.join(tmp, "baseline")
             sha = clone_rev(root, args.baseline, base_root)
             paired = run_pairs(root, base_root, args.pairs, seconds)
+            gate = run_acceptance_pairs(root, base_root)
         out["baseline"] = {"rev": args.baseline, "git_sha": sha, "pairs": args.pairs}
         out["paired"] = {w: {"metrics": summarize_pairs(done, better),
                              "by_seed": summarize_by_seed(done, better), "runs": done}
                          for w, done in paired.items()}
+        out["paired_acceptance"] = {"criteria": summarize_acceptance(gate), "runs": gate}
         failed += [e[side] for done in paired.values() for e in done
                    for side in ("current", "baseline")
                    if e[side]["returncode"] != 0 or "error" in e[side]]
+        failed += [e["current"] for e in gate if e["current"]["returncode"] != 0]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
