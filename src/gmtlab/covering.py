@@ -17,12 +17,10 @@ import numpy as np
 from .dyadic import (
     MAX_LEVEL,
     NearSweep,
+    ball_sums,
     cell_indices,
     count_cells,
     is_dyadic,
-    lattice_disc_sums,
-    lattice_nodes,
-    lattice_q2,
     level_of,
     quota_child_counts,
     unique_rows,
@@ -213,20 +211,15 @@ class DeltaSCheck:
     s: float
 
 
-def _swept_ball_counts(sweep: NearSweep, r: float,
-                       cell_ids: Optional[np.ndarray]) -> np.ndarray:
-    """Points, or with cell_ids the distinct cells of their points, within
+def _swept_ball_counts(sweep: NearSweep, r: float, cell_ids: np.ndarray) -> np.ndarray:
+    """Distinct cells, given each point's cell id, of the points within
     distance r of each centre of the sweep."""
     counts = np.empty(sweep.centres.shape[0])
     for centres, cand, d2 in sweep:
-        inside = d2 <= r * r
-        if cell_ids is None:
-            counts[centres] = np.count_nonzero(inside, axis=1)
-            continue
         # a mask over the distinct cells of the window's points
         cells, at = np.unique(cell_ids[cand], return_inverse=True)
         hit = np.zeros((centres.size, cells.size), dtype=bool)
-        rows, cols = np.nonzero(inside)
+        rows, cols = np.nonzero(d2 <= r * r)
         hit[rows, at[cols]] = True
         counts[centres] = np.count_nonzero(hit, axis=1)
     return counts
@@ -240,14 +233,14 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     level (this samples the true worst center within a bounded factor).
     Returns the worst observed ratio and its witness center/level.
 
-    Ball sizes are counted by the near-neighbour sweep (dyadic.NearSweep),
-    which keeps the points with dx*dx + dy*dy <= r*r, as a k-d tree does.
-    On a set with one point per delta-cell, every point a node of the
-    dyadic delta-lattice, the levels with r >= 2 delta have lattice-node
-    centres; there dyadic.lattice_disc_sums of unit weights counts the same
-    closed balls exactly by FFT, unless it refuses the transform grid as
-    dearer than the sweep's pairs. On a set whose points share delta-cells
-    a ball counts the distinct cells of its points.
+    A ball holds the points with dx*dx + dy*dy <= r*r, as in a k-d tree.
+    On a set with one point per delta-cell, a ball's size is its number
+    of points, dyadic.ball_sums of unit weights on the delta-lattice,
+    which counts a level by FFT when its points and centres are lattice
+    nodes (never at r = delta, whose square centres are not) and the
+    transform is cheaper than the sweep. On a set whose points share
+    delta-cells, the near-neighbour sweep (dyadic.NearSweep) counts the
+    distinct cells of a ball's points.
     """
     if not (0.0 <= s <= 2.0):
         raise PreconditionError(f"s {s!r} outside [0, 2]")
@@ -256,13 +249,11 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     pts = p.points
     delta = p.delta
     n_delta = count_cells(pts, delta)
-    point_per_cell = n_delta == pts.shape[0]
-    nodes = (lattice_nodes(pts, delta)
-             if point_per_cell and is_dyadic(delta) else None)
     cell_ids = None
-    if not point_per_cell:
+    if n_delta < pts.shape[0]:
         # points share delta-cells: count distinct cells inside each ball
         _, cell_ids = unique_rows(cell_indices(pts, delta), return_inverse=True)
+    ones = np.ones(pts.shape[0], dtype=np.int64)
     worst = -math.inf
     witness = Point(float(pts[0, 0]), float(pts[0, 1]))
     witness_level = 0
@@ -271,15 +262,10 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
         r = 2.0 ** -lv
         sq = unique_rows(cell_indices(pts, r))
         centers = np.concatenate([pts, (sq + 0.5) * r], axis=0)
-        sweep = NearSweep(pts, centers, r)
-        counts = None
-        if nodes is not None and r >= 2.0 * delta:
-            q = int(round(r / delta))
-            counts = lattice_disc_sums(nodes, np.ones(nodes.shape[0], dtype=np.int64),
-                                       np.concatenate([nodes, sq * q + q // 2]),
-                                       lattice_q2(r * r, delta), sweep.pairs)
-        if counts is None:
-            counts = _swept_ball_counts(sweep, r, cell_ids)
+        if cell_ids is None:
+            counts = ball_sums(pts, ones, centers, [r], delta)[0]
+        else:
+            counts = _swept_ball_counts(NearSweep(pts, centers, r), r, cell_ids)
         ratios = counts / (r ** s * n_delta)
         imax = int(np.argmax(ratios))
         if ratios[imax] > worst:

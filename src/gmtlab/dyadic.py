@@ -1,7 +1,8 @@
 """Shared dyadic-grid utilities: cell indexing, exact lattice nodes,
 distinct integer rows, fixed-radius near neighbours, quota branching, and
-disc sums on integer lattices by FFT, which alone size, price and refuse
-a transform.
+closed-ball sums of integer weights. ball_sums is the one place that
+chooses between the near-neighbour sweep and disc sums by FFT on integer
+lattices, which alone size, price and refuse a transform.
 
 The quota-branching helper drives the random quota trees (the random set
 generator and the Furstenberg direction pencils) and the Frostman-style
@@ -115,26 +116,36 @@ class NearSweep:
     coordinate lies within reach of the block's span; the slack covers
     rounding at the window's edges, and extra candidates cost only time.
     So every point with dx*dx + dy*dy <= reach**2 from a centre is among
-    its block's candidates. `pairs` counts the (centre, candidate) pairs
-    of all blocks before any distance is taken. Iterating yields, block by
-    block, the centre indices, the candidate indices in ascending order
-    and the (centres, candidates) array of their dx*dx + dy*dy, which the
-    next block overwrites.
+    its block's candidates. pairs(reaches) counts, before any distance is
+    taken, the (centre, candidate) pairs of all blocks that a sweep at
+    each reach would walk. Iterating yields, block by block, the centre
+    indices, the candidate indices in ascending order and the (centres,
+    candidates) array of their dx*dx + dy*dy, which the next block
+    overwrites.
     """
 
     def __init__(self, points: np.ndarray, centres: np.ndarray, reach: float):
         self.points, self.centres = points, centres
         spread = [np.ptp(points[:, k]) for k in (0, 1)]
         self._axis = int(spread[1] > spread[0])
-        keys = np.sort(points[:, self._axis])
+        self._keys = keys = np.sort(points[:, self._axis])
         ckeys = np.sort(centres[:, self._axis])
-        scale = max(abs(keys[0]), abs(keys[-1]), abs(ckeys[0]), abs(ckeys[-1]))
-        pad = reach * (1.0 + 2.0 ** -20) + 4.0 * float(np.spacing(scale))
         self._starts = np.arange(0, ckeys.size, SWEEP_BLOCK)
         self._ends = np.minimum(self._starts + SWEEP_BLOCK, ckeys.size)
-        self._lo = np.searchsorted(keys, ckeys[self._starts] - pad, "left")
-        self._hi = np.searchsorted(keys, ckeys[self._ends - 1] + pad, "right")
-        self.pairs = int(np.dot(self._hi - self._lo, self._ends - self._starts))
+        self._edges = ckeys[self._starts], ckeys[self._ends - 1]
+        scale = max(abs(keys[0]), abs(keys[-1]), abs(ckeys[0]), abs(ckeys[-1]))
+        self._slack = 4.0 * float(np.spacing(scale))
+        self._lo, self._hi = self._windows(reach)
+
+    def _windows(self, reach):
+        # each block's window [lo, hi) of sorted keys, a row per reach if an array
+        pad = np.multiply.outer(reach, 1.0 + 2.0 ** -20) + self._slack
+        return (np.searchsorted(self._keys, self._edges[0] - pad, "left"),
+                np.searchsorted(self._keys, self._edges[1] + pad, "right"))
+
+    def pairs(self, reaches) -> np.ndarray:
+        lo, hi = self._windows(np.asarray(reaches, dtype=float)[:, None])
+        return (hi - lo) @ (self._ends - self._starts)
 
     def __iter__(self):
         # argsort lists the keys in the same order as the sort above, so
@@ -284,12 +295,12 @@ def quota_tree(branch_log2: float, levels: int, rngs: list,
 
 # lattice_disc_sums refuses transform grids with more cells than this
 MAX_FFT_CELLS = 3 * 10 ** 7
-# given the pairs a near-neighbour sweep would walk, lattice_disc_sums also
-# refuses grids with more than 1/_PAIRS_PER_FFT_CELL as many cells: the
-# sweep's cost grows with its pairs, the FFT's with its grid. Timed level by
-# level on the lattice sets of the acceptance gate and of the spread
-# benchmark, 8 came within 0.3% of the faster side's total, 4 and 12 within
-# 1.2%, and 32 took 15% longer.
+# given the pairs a near-neighbour sweep at the grid's radius would walk,
+# lattice_disc_sums also refuses grids with more than 1/_PAIRS_PER_FFT_CELL
+# as many cells: the sweep's cost grows with its pairs, the FFT's with its
+# grid. Timed level by level on the lattice sets of the acceptance gate and
+# of the spread benchmark, 8 came within 0.3% of the faster side's total,
+# 4 and 12 within 1.2%, and 32 took 15% longer.
 _PAIRS_PER_FFT_CELL = 8
 # lattice_disc_sums refuses weights that total more than this: its rounding
 # error scales with the total. On spread sets (s 1.5-2, delta 2^-7 to 2^-10,
@@ -322,29 +333,41 @@ def lattice_q2(bound: float, pitch: float) -> int:
 
 
 def lattice_disc_sums(nodes: np.ndarray, weights: np.ndarray,
-                      centres: np.ndarray, q2: int,
-                      pairs: float = math.inf) -> Optional[np.ndarray]:
-    """Summed weight of the nodes within squared lattice distance q2 of
-    each centre (di^2 + dj^2 <= q2), by one circular FFT convolution.
+                      centres: np.ndarray, q2s, pairs=None) -> list:
+    """Per q2 of q2s, the summed weight of the nodes within squared lattice
+    distance q2 of each centre (di^2 + dj^2 <= q2), by one circular FFT
+    convolution: an int64 array over the centres, or None, so that the
+    caller sweeps, if the weights total more than MAX_FFT_TOTAL or the
+    grid would exceed MAX_FFT_CELLS or, given the `pairs` (one per q2) a
+    sweep at that radius would walk, pairs / _PAIRS_PER_FFT_CELL.
 
     nodes and centres are integer rows (i, j); weights holds one
     non-negative integer per node. Sides padded to the box side plus
     q = isqrt(q2) keep the circular wrap-around out of every cell that is
     read. The sums are rounded to int64; InvariantViolation if one strays
-    more than 0.25 from an integer. None, so that the caller sweeps, if the
-    weights total more than MAX_FFT_TOTAL, or the grid would exceed
-    MAX_FFT_CELLS or, given the `pairs` a sweep would walk,
-    pairs / _PAIRS_PER_FFT_CELL.
+    more than 0.25 from an integer.
     """
-    q = math.isqrt(q2)
     lo = np.minimum(nodes.min(axis=0), centres.min(axis=0))
     side = np.maximum(nodes.max(axis=0), centres.max(axis=0)) - lo + 1
-    shape = tuple(fast_len(int(k) + q) for k in side)
-    cells = shape[0] * shape[1]
-    if (cells > MAX_FFT_CELLS or cells * _PAIRS_PER_FFT_CELL > pairs
-            or int(weights.sum()) > MAX_FFT_TOTAL):
-        return None
-    at = nodes - lo
+    fits = int(weights.sum()) <= MAX_FFT_TOTAL
+    out = []
+    for q2, walk in zip(q2s, [math.inf] * len(q2s) if pairs is None else pairs):
+        q = math.isqrt(q2)
+        box = [int(k) + q for k in side]
+        # fast_len only rounds up, so a box priced out needs no transform length
+        shape = ((fast_len(box[0]), fast_len(box[1]))
+                 if fits and box[0] * box[1] * _PAIRS_PER_FFT_CELL <= walk else None)
+        cells = math.inf if shape is None else shape[0] * shape[1]
+        out.append(None if cells > MAX_FFT_CELLS or cells * _PAIRS_PER_FFT_CELL > walk
+                   else _disc_sums(nodes, weights, centres, lo, q2, shape))
+    return out
+
+
+def _disc_sums(nodes: np.ndarray, weights: np.ndarray, centres: np.ndarray,
+               lo: np.ndarray, q2: int, shape: tuple) -> np.ndarray:
+    """lattice_disc_sums for one q2, on a grid of the given shape whose
+    cell (0, 0) is node lo."""
+    q = math.isqrt(q2)
     # the disc is even, so its spectrum is real; rfft2 and irfft2 run one
     # axis at a time, each input dropped once transformed, so fewer than
     # three grid-sized arrays are alive at once
@@ -354,6 +377,7 @@ def lattice_disc_sums(nodes: np.ndarray, weights: np.ndarray,
         span[:, None] ** 2 + span[None, :] ** 2 <= q2)
     disc = np.fft.rfft(disc, axis=1)
     disc = np.fft.fft(disc, axis=0).real.copy()
+    at = nodes - lo
     spec = np.bincount(at[:, 0] * shape[1] + at[:, 1], weights,
                        minlength=shape[0] * shape[1]).reshape(shape)
     spec = np.fft.rfft(spec, axis=1)
@@ -370,3 +394,45 @@ def lattice_disc_sums(nodes: np.ndarray, weights: np.ndarray,
         raise InvariantViolation(
             f"FFT disc sums strayed {stray:.3g} from integers (squared radius {q2})")
     return counts.astype(np.int64)
+
+
+def ball_sums(points: np.ndarray, weights: np.ndarray, centres: np.ndarray,
+              radii, pitch: float) -> list:
+    """Summed weight of the points with dx*dx + dy*dy <= radius**2 about
+    each centre: one int64 array over the centres per radius, in order.
+
+    weights holds one non-negative integer per point, totalling under
+    2^53. If every point and every centre is a node of the dyadic lattice
+    of the given pitch, lattice_disc_sums counts each radius by FFT unless
+    it prices that radius's grid above the pairs a NearSweep at that
+    radius alone would walk. The other radii share one sweep at the
+    largest of them, each block summing (d2 <= radius**2) @ weights. Both
+    routes count the same closed balls, so the sums do not depend on it.
+    """
+    if len(radii) == 0:
+        return []
+    sweep = NearSweep(points, centres, max(radii))
+    nodes = lattice_nodes(points, pitch) if is_dyadic(pitch) else None
+    at = nodes if nodes is None or centres is points else lattice_nodes(centres, pitch)
+    out = ([None] * len(radii) if at is None else
+           lattice_disc_sums(nodes, weights, at, [lattice_q2(r * r, pitch) for r in radii],
+                             sweep.pairs(radii).tolist()))
+    swept = [k for k, sums in enumerate(out) if sums is None]
+    if swept:
+        reach = max(radii[k] for k in swept)
+        if reach < max(radii):
+            sweep = NearSweep(points, centres, reach)
+        w = weights.astype(np.float64)  # float sums of integers are exact below 2^53
+        sums = np.empty((len(swept), centres.shape[0]))
+        last = radii[swept[-1]]
+        for block, cand, d2 in sweep:
+            wc = w[cand]
+            for j, k in enumerate(swept[:-1]):
+                sums[j, block] = (d2 <= radii[k] * radii[k]) @ wc
+            # the last radius writes its 0/1 mask over d2, which the next
+            # block overwrites anyway, and so casts no mask to a float copy
+            np.less_equal(d2, last * last, out=d2)
+            sums[-1, block] = d2 @ wc
+        for j, k in enumerate(swept):
+            out[k] = sums[j].astype(np.int64)
+    return out

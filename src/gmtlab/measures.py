@@ -10,13 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .covering import _check_level_window, fit_log2_slope
-from .dyadic import (
-    NearSweep,
-    is_dyadic,
-    lattice_disc_sums,
-    lattice_nodes,
-    lattice_q2,
-)
+from .dyadic import ball_sums
 from .errors import (
     AllMassAtCenter,
     InvariantViolation,
@@ -26,11 +20,6 @@ from .generators import DiscreteSet
 from .geometry import Ball, Point, Tube, line_residuals
 
 BALL_TOL = 1e-12
-
-# supports up to this size take the near-neighbour sweep unconditionally;
-# larger ones take it only when they are off-lattice or lattice_disc_sums
-# refuses their FFT grid
-_SMALL_SUPPORT = 4096
 
 
 @dataclass
@@ -171,65 +160,20 @@ def tube_mass(m: WeightedMeasure, t: Tube) -> float:
     return int(m.counts[dist <= t.width / 2.0 + BALL_TOL].sum()) / m.total
 
 
-def _ball_masses_fft(m: WeightedMeasure, radii) -> Optional[list]:
-    """Per-radius arrays of ball mass at every support point, from FFT disc
-    sums of the counts over the lattice nodes, each disc the sweep's closed
-    ball. None if some support point is not a node of the dyadic
-    delta-lattice, or lattice_disc_sums refuses a grid or the total; the
-    largest radius goes first, so that happens before any transform runs."""
-    h = m.support.delta
-    nodes = lattice_nodes(m.support.points, h) if is_dyadic(h) else None
-    if nodes is None:
-        return None
-    out = [None] * len(radii)
-    for k in sorted(range(len(radii)), key=radii.__getitem__, reverse=True):
-        q2 = lattice_q2((radii[k] + BALL_TOL) * (radii[k] + BALL_TOL), h)
-        sums = lattice_disc_sums(nodes, m.counts, nodes, q2)
-        if sums is None:
-            return None
-        out[k] = sums / m.total
-    return out
-
-
-def _ball_masses_sweep(m: WeightedMeasure, radii) -> list:
-    """Per-radius arrays of closed-ball mass at every support point, from
-    the near-neighbour sweep over the support.
-
-    A ball's members are the points with dx*dx + dy*dy <= (r + BALL_TOL)**2,
-    the test a k-d tree makes for the Euclidean norm. Each block of balls
-    sums its members' counts as one product (d2 <= bound) @ counts, exact
-    in any order since the counts total less than 2^53.
-    """
-    pts = m.support.points
-    counts = m.counts.astype(np.float64)
-    bounds = [(r + BALL_TOL) * (r + BALL_TOL) for r in radii]
-    out = np.empty((len(radii), pts.shape[0]))
-    for centres, cand, d2 in NearSweep(pts, pts, max(radii, default=0.0) + BALL_TOL):
-        cc = counts[cand]
-        for k, bound in enumerate(bounds):
-            out[k, centres] = (d2 <= bound) @ cc
-    out /= m.total
-    return list(out)
-
-
 def ball_masses_at_support(m: WeightedMeasure, radii) -> list:
     """For each radius, the array of closed-ball masses centered at every
     support point.
 
     A ball holds the points with dx*dx + dy*dy <= (r + BALL_TOL)**2, and
-    its mass is the count it holds over the total. A support of more than
-    _SMALL_SUPPORT points, each a node of the dyadic delta-lattice, takes
-    FFT disc sums unless dyadic.lattice_disc_sums refuses the grid or the
-    total; every other support takes the near-neighbour sweep
-    (dyadic.NearSweep). Both routes give the same masses, ball_mass's."""
+    its mass is the count it holds over the total: dyadic.ball_sums of the
+    counts on the dyadic delta-lattice, by FFT or by sweep, the same
+    masses as ball_mass's either way."""
     radii = [float(r) for r in radii]
     if not all(0.0 < r < math.inf for r in radii):
         raise PreconditionError("radii must be positive and finite")
-    if len(m) > _SMALL_SUPPORT:
-        res = _ball_masses_fft(m, radii)
-        if res is not None:
-            return res
-    return _ball_masses_sweep(m, radii)
+    pts = m.support.points
+    sums = ball_sums(pts, m.counts, pts, [r + BALL_TOL for r in radii], m.support.delta)
+    return [s / m.total for s in sums]
 
 
 def frostman_fit(m: WeightedMeasure, level_min: int, level_max: int) -> FrostmanFit:

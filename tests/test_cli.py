@@ -4,6 +4,7 @@ Most commands run in-process through main() for speed; one test drives
 the installed console script end to end through a real subprocess.
 """
 
+import importlib
 import json
 import os
 import shutil
@@ -444,6 +445,21 @@ def test_console_script_smoke(tmp_path):
     assert "report written" in proc.stdout
     rep = _report(out, "generate")
     assert rep["results"]["n_points"] == 64
+
+
+def test_console_script_target_runs(tmp_path):
+    """The target of the [project.scripts] entry that the smoke test above
+    runs once installed: it resolves to cli.main, which runs a small
+    generate."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["gmtlab"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is main
+    out = str(tmp_path / "cli")
+    assert entry(["generate", "--kind", "circle", "--n", "64", "--out", out]) == 0
+    assert _report(out, "generate")["results"]["n_points"] == 64
 
 
 def test_module_entry_point_matches(tmp_path):

@@ -932,8 +932,8 @@ def test_verify_delta_s_set_counts_disc_boundary_nodes():
     nodes = np.rint(ds.points / ds.delta).astype(np.int64)
     assert nodes.min() == 0 and nodes.max() == 32
     _check_against_tree_oracle(ds, 2.0)
-    counts = dyadic.lattice_disc_sums(nodes, np.ones(len(nodes), dtype=np.int64),
-                                      np.array([[8, 8]]), 64)
+    [counts] = dyadic.lattice_disc_sums(nodes, np.ones(len(nodes), dtype=np.int64),
+                                        np.array([[8, 8]]), [64])
     assert counts[0] == np.sum(np.sum((nodes - 8) ** 2, axis=1) <= 64)
 
 
@@ -951,6 +951,44 @@ def test_verify_delta_s_set_matches_tree_oracle_on_spread_sets(i):
     assert verify_delta_s_set(ds, 1.5, 16.0) == _verify_delta_s_set_tree_oracle(ds, 1.5, 16.0)
     ext = frostman_extract(ds, 1.5, 2.0 ** -7)
     assert verify_delta_s_set(ext, 1.5, 16.0) == _verify_delta_s_set_tree_oracle(ext, 1.5, 16.0)
+
+
+def _fft_answered(run, pairs_per_cell=None):
+    """run(), and per squared radius passed to dyadic.lattice_disc_sums
+    whether it answered (None sends the caller to the sweep). pairs_per_cell, if given,
+    replaces dyadic._PAIRS_PER_FFT_CELL: 0 admits the FFT wherever points
+    and centres are lattice nodes, math.inf refuses it everywhere."""
+    real, answered = dyadic.lattice_disc_sums, []
+
+    def spy(*args):
+        sums = real(*args)
+        answered.extend(s is not None for s in sums)
+        return sums
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyadic, "lattice_disc_sums", spy)
+        if pairs_per_cell is not None:
+            mp.setattr(dyadic, "_PAIRS_PER_FFT_CELL", pairs_per_cell)
+        return run(), answered
+
+
+# levels of each spread set's check that the FFT counts, coarsest first:
+# every level but the finest on sets 0, 2, 3, 5 and 6 (their square
+# centres at r = delta are no lattice nodes), and on sets 1, 4 and 7 every
+# level but the two finest, whose grids the sweep's pairs price out
+_SPREAD_FFT_LEVELS = [9, 8, 9, 9, 8, 9, 9, 8]
+
+
+@pytest.mark.parametrize("i", range(8))
+def test_verify_delta_s_set_keeps_its_routes_on_spread_sets(i):
+    """The set's levels 0-8 reach lattice_disc_sums, which answers the
+    coarsest ones; its extract's points are no nodes of the extract's
+    delta-lattice, so the FFT never runs there."""
+    ds = _spread_set(i)
+    ext = frostman_extract(ds, 1.5, 2.0 ** -7)
+    fft = _SPREAD_FFT_LEVELS[i]
+    for case, routes in ((ds, [True] * fft + [False] * (9 - fft)), (ext, [])):
+        assert _fft_answered(lambda: verify_delta_s_set(case, 1.5, 16.0))[1] == routes
 
 
 @pytest.mark.parametrize("s, level", [(2.0, 7), (1.8, 8)])
@@ -982,26 +1020,29 @@ def _next_prime(n):
              max_size=80),
     st.lists(st.tuples(st.integers(-50, 50), st.integers(-50, 50)), min_size=1,
              max_size=40),
-    st.integers(0, 2000),
+    st.lists(st.integers(0, 2000), min_size=1, max_size=3),
     st.integers(0, 2 ** 32 - 1),
 )
-def test_lattice_disc_sums_match_brute_force(length, nodes, centres, q2, seed):
+def test_lattice_disc_sums_match_brute_force(length, nodes, centres, q2s, seed):
     """Transform sides rounded up to a fast length, left at the box side
     plus q (no slack at all), and rounded up to a prime; random integer
-    weights of up to 2^32 each, and unit weights."""
+    weights of up to 2^32 each, and unit weights; one to three squared
+    radii, unsorted and perhaps repeated, sharing one box."""
     nodes = np.array(nodes, dtype=np.int64)
     centres = np.array(centres, dtype=np.int64)
     weights = np.random.default_rng(seed).integers(0, 2 ** 32, nodes.shape[0])
     ones = np.ones(nodes.shape[0], dtype=np.int64)
-    inside = ((centres[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2) <= q2
+    d2 = ((centres[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2)
     with pytest.MonkeyPatch.context() as mp:
         if length is not None:
             mp.setattr(dyadic, "fast_len", length)
-        sums = dyadic.lattice_disc_sums(nodes, weights, centres, q2)
-        counts = dyadic.lattice_disc_sums(nodes, ones, centres, q2)
-    assert sums.dtype == counts.dtype == np.int64
-    assert np.array_equal(sums, inside @ weights)
-    assert np.array_equal(counts, inside.sum(axis=1))
+        sums = dyadic.lattice_disc_sums(nodes, weights, centres, q2s)
+        counts = dyadic.lattice_disc_sums(nodes, ones, centres, q2s)
+    assert len(sums) == len(counts) == len(q2s)
+    for q2, s, c in zip(q2s, sums, counts):
+        assert s.dtype == c.dtype == np.int64
+        assert np.array_equal(s, (d2 <= q2) @ weights)
+        assert np.array_equal(c, (d2 <= q2).sum(axis=1))
 
 
 def test_fast_len_is_the_next_5_smooth_length():
@@ -1020,7 +1061,7 @@ def test_fast_len_is_the_next_5_smooth_length():
 def test_lattice_disc_sums_refuses_large_grids(monkeypatch):
     nodes = np.array([[0, 0], [99, 99]])
     monkeypatch.setattr(dyadic, "MAX_FFT_CELLS", 100 * 100)
-    assert dyadic.lattice_disc_sums(nodes, np.ones(2, dtype=np.int64), nodes, 1) is None
+    assert dyadic.lattice_disc_sums(nodes, np.ones(2, dtype=np.int64), nodes, [1]) == [None]
 
 
 def test_lattice_disc_sums_refuses_totals_above_the_cap():
@@ -1029,10 +1070,102 @@ def test_lattice_disc_sums_refuses_totals_above_the_cap():
     nodes = np.array([[0, 0], [3, 4], [40, 0]])
     cap = dyadic.MAX_FFT_TOTAL
     weights = np.array([cap - 3, 2, 1])
-    sums = dyadic.lattice_disc_sums(nodes, weights, nodes, 25)
+    [sums] = dyadic.lattice_disc_sums(nodes, weights, nodes, [25])
     assert sums.tolist() == [cap - 1, cap - 1, 1]
     weights[2] += 1
-    assert dyadic.lattice_disc_sums(nodes, weights, nodes, 25) is None
+    assert dyadic.lattice_disc_sums(nodes, weights, nodes, [25]) == [None]
+
+
+@st.composite
+def _ball_sum_cases(draw):
+    """Random nodes of the 2^-k lattice, or a full box of them, one node
+    perhaps moved off by 1e-7 or a third of the pitch. Centres: the points
+    themselves (the same array), other nodes (some far from every point,
+    so their balls are empty), or the centres of the occupied
+    pitch-squares, which are no nodes. Radii: lattice distances, some
+    Pythagorean, and arbitrary floats, unsorted and repeated. Integer
+    weights of up to 2^30, about a fifth of them zero."""
+    k = draw(st.integers(2, 6))
+    h = 2.0 ** -k
+    coord = st.integers(-24, 24)
+    if draw(st.booleans()):
+        nodes = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=120, unique=True))
+    else:
+        i0, j0 = draw(coord), draw(coord)
+        rows, cols = draw(st.integers(1, 11)), draw(st.integers(1, 11))
+        nodes = [(i, j) for i in range(i0, i0 + rows) for j in range(j0, j0 + cols)]
+    points = np.array(nodes, dtype=float) * h
+    shift = draw(st.sampled_from([0.0, 1e-7, 1.0 / 3.0]))
+    points[draw(st.integers(0, len(nodes) - 1)), 0] += shift * h
+    kind = draw(st.sampled_from(["points", "nodes", "squares"]))
+    if kind == "points":
+        centres = points
+    elif kind == "nodes":
+        far = st.integers(-80, 80)
+        centres = np.array(draw(st.lists(st.tuples(far, far), min_size=1, max_size=40)),
+                           dtype=float) * h
+    else:
+        centres = (unique_rows(cell_indices(points, h)) + 0.5) * h
+    radii = draw(st.lists(st.one_of(st.sampled_from([1, 2, 3, 5, 10, 13, 40]).map(lambda q: q * h),
+                                    st.floats(1e-3, 3.0)),
+                          min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = rng.integers(0, 2 ** 30, len(nodes)) * (rng.random(len(nodes)) >= 0.2)
+    return points, weights, centres, radii, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ball_sum_cases())
+def test_ball_sums_match_brute_force_on_either_route(case):
+    points, weights, centres, radii, h = case
+    w = weights.tolist()
+    dx = points[None, :, 0] - centres[:, None, 0]
+    dy = points[None, :, 1] - centres[:, None, 1]
+    d2 = dx * dx + dy * dy
+    want = [[sum(x for x, hit in zip(w, row) if hit) for row in (d2 <= r * r).tolist()]
+            for r in radii]
+    on_nodes = lattice_nodes(points, h) is not None and lattice_nodes(centres, h) is not None
+    for pairs_per_cell in (0, math.inf):
+        got, answered = _fft_answered(
+            lambda: dyadic.ball_sums(points, weights, centres, radii, h), pairs_per_cell)
+        assert answered == ([pairs_per_cell == 0] * len(radii) if on_nodes else [])
+        assert len(got) == len(radii)
+        for g, expect in zip(got, want):
+            assert g.dtype == np.int64 and g.tolist() == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=150),
+    st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=150),
+    st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=4),
+)
+def test_near_sweep_pairs_are_the_pairs_each_reach_walks(points, centres, reaches):
+    """pairs(reaches) of a sweep counts, per reach, the (centre, candidate)
+    pairs that iterating a sweep at that reach yields, and those hold every
+    point within the reach of each centre. (Reaches below about 2^-537,
+    where dx*dx underflows to 0, are left out: a point that close passes
+    the distance test from outside the window.)"""
+    points, centres = np.array(points), np.array(centres)
+    pairs = dyadic.NearSweep(points, centres, max(reaches)).pairs(reaches)
+    for reach, want in zip(reaches, pairs.tolist()):
+        walked = 0
+        for block, cand, d2 in dyadic.NearSweep(points, centres, reach):
+            walked += d2.size
+            near = ((points[None, :, :] - centres[block, None, :]) ** 2).sum(axis=2) <= reach * reach
+            assert not near[:, np.setdiff1d(np.arange(len(points)), cand)].any()
+        assert walked == want
+
+
+def test_ball_sums_of_no_radii():
+    """No radii give no arrays, on the lattice too, where the FFT's price
+    needs a sweep at the largest radius."""
+    points = np.array([(i, j) for i in range(9) for j in range(9)], dtype=float) / 16.0
+    ones = np.ones(len(points), dtype=np.int64)
+    for centres in (points, points[:5] + 1.0 / 32.0):
+        for pairs_per_cell in (0, dyadic._PAIRS_PER_FFT_CELL, math.inf):
+            assert _fft_answered(lambda: dyadic.ball_sums(points, ones, centres, [], 1.0 / 16.0),
+                                 pairs_per_cell) == ([], [])
 
 
 def test_frostman_extract_subset_and_floor(rand_half_set):

@@ -39,12 +39,22 @@ def test_ball_masses_and_radial_profile_load_no_scipy():
         "import sys",
         "import numpy as np",
         "import gmtlab as gm",
-        "from gmtlab import measures",
-        "ds = gm.gen_random_delta_s_set(1.5, 2.0 ** -7, 0)",
-        "assert len(ds) <= measures._SMALL_SUPPORT",
+        "from gmtlab import dyadic",
+        "real, answered = dyadic.lattice_disc_sums, []",
+        "def spy(*args):",
+        "    sums = real(*args)",
+        "    answered.extend(s is not None for s in sums)",
+        "    return sums",
+        "dyadic.lattice_disc_sums = spy",
+        "ds = gm.gen_random_delta_s_set(1.0, 2.0 ** -9, 0)",
         "c = np.random.default_rng(0).integers(1, 1000, len(ds))",
         "m = gm.WeightedMeasure(ds, c)",
-        "gm.frostman_fit(m, 1, 6)",
+        "gm.frostman_fit(m, 1, 8)",
+        "assert answered and not any(answered), answered",  # priced: the sweep
+        "answered.clear()",
+        "grid = gm.gen_random_delta_s_set(2.0, 2.0 ** -6, 0)",
+        "gm.frostman_fit(gm.WeightedMeasure.uniform(grid), 1, 5)",
+        "assert answered and all(answered), answered",  # the full grid: the FFT
         "gm.mass_shell_decompose(m, 0.125, 2.0, 64.0)",
         "x = gm.gen_random_delta_s_set(0.4, 2.0 ** -10, 1)",
         "y = gm.gen_random_delta_s_set(1.5, 2.0 ** -8, 2)",

@@ -45,6 +45,33 @@ def grid3_uniform(grid3):
     return WeightedMeasure.uniform(grid3)
 
 
+def _masses_by_route(m, radii, pairs_per_cell=None):
+    """ball_masses_at_support, and per radius whether the FFT answered
+    (empty when the support is off the lattice, so the FFT never runs).
+    pairs_per_cell, if given, replaces dyadic._PAIRS_PER_FFT_CELL: 0 admits
+    the FFT wherever the grid and the total fit its caps, math.inf refuses
+    it everywhere, so that the sweep answers."""
+    real = dyadic.lattice_disc_sums
+    answered = []
+
+    def spy(*args):
+        sums = real(*args)
+        answered.extend(s is not None for s in sums)
+        return sums
+
+    with mock.patch.object(dyadic, "lattice_disc_sums", spy), mock.patch.object(
+            dyadic, "_PAIRS_PER_FFT_CELL",
+            dyadic._PAIRS_PER_FFT_CELL if pairs_per_cell is None else pairs_per_cell):
+        masses = ball_masses_at_support(m, radii)
+    return masses, answered
+
+
+def _swept_masses(m, radii):
+    masses, answered = _masses_by_route(m, radii, math.inf)
+    assert not any(answered)
+    return masses
+
+
 # ---------------------------------------------------------------------------
 # construction and restriction
 # ---------------------------------------------------------------------------
@@ -171,7 +198,7 @@ def _ball_masses_blocked_tree_oracle(m, radii, block=64):
 
 
 def _assert_sweep_matches_tree(m, radii):
-    got = measures._ball_masses_sweep(m, radii)
+    got = _swept_masses(m, radii)
     want = _ball_masses_blocked_tree_oracle(m, radii)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -277,7 +304,7 @@ def test_ball_masses_sweep_memory_follows_the_pair_budget():
     m = WeightedMeasure(ds, _multiplicities(rng, 1000))
     tracemalloc.start()
     try:
-        measures._ball_masses_sweep(m, [2.0])
+        ball_masses_at_support(m, [2.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -286,16 +313,19 @@ def test_ball_masses_sweep_memory_follows_the_pair_budget():
 
 
 def test_ball_masses_sweep_of_no_radii():
-    assert measures._ball_masses_sweep(WeightedMeasure.uniform(gen_grid(3)), []) == []
+    assert _swept_masses(WeightedMeasure.uniform(gen_grid(3)), []) == []
 
 
 def test_ball_masses_at_support_of_no_radii_on_any_support():
-    """A lattice support above _SMALL_SUPPORT points, which takes the FFT,
-    gives no arrays for no radii, as a small one does."""
+    """A lattice support, where the FFT is priced against the sweep's pairs
+    per radius, gives no arrays for no radii, as an off-lattice one does."""
     big = gen_random_delta_s_set(1.5, 2.0 ** -9, 1)
-    assert len(big) > measures._SMALL_SUPPORT
-    for ds in (gen_grid(3), big):
-        assert ball_masses_at_support(WeightedMeasure.uniform(ds), []) == []
+    assert dyadic.lattice_nodes(big.points, big.delta) is not None
+    off = DiscreteSet(np.random.default_rng(0).random((50, 2)), 1e-6, check=False)
+    for ds in (gen_grid(3), big, off):
+        for pairs_per_cell in (None, 0, math.inf):
+            m = WeightedMeasure.uniform(ds)
+            assert _masses_by_route(m, [], pairs_per_cell) == ([], [])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -307,14 +337,14 @@ def test_ball_masses_match_blocked_tree_on_radial_circle_measures(monkeypatch, s
     for i in range(wl.pool):
         item = wl.make_item(i)
         circle = radial_pushforward(item["z"], item["centre"]).as_circle_measure()
-        assert len(circle) <= measures._SMALL_SUPPORT
-        got = ball_masses_at_support(circle, radii)
+        got, answered = _masses_by_route(circle, radii)
+        assert answered == []  # off the lattice: the sweep
         for g, w in zip(got, _ball_masses_blocked_tree_oracle(circle, radii)):
             assert np.array_equal(g, w)
 
 
 def _ball_masses_fft_oracle(m, radii):
-    """_ball_masses_fft before numpy.fft, as a count oracle: scipy's
+    """The FFT route of ball masses before numpy.fft, as a count oracle: scipy's
     fftconvolve of the counts per radius, rounded and divided by the
     total."""
     from scipy.signal import fftconvolve
@@ -348,15 +378,16 @@ def _random_counts(ds, seed):
 
 
 def test_ball_masses_fft_matches_fftconvolve_oracle():
-    """More than _SMALL_SUPPORT lattice points, so ball_masses_at_support
-    itself takes the FFT path; uniform and random counts."""
+    """Lattice points whose every radius ball_masses_at_support itself
+    sends to the FFT; uniform and random counts."""
     ds = gen_random_delta_s_set(1.8, 2.0 ** -7, seed=2)
-    assert len(ds) > measures._SMALL_SUPPORT
     radii = [2.0 ** -lv for lv in range(1, 8)] + [3.0 * 2.0 ** -6]
     for m in (WeightedMeasure.uniform(ds), _random_counts(ds, 2)):
         want = _ball_masses_fft_oracle(m, radii)
         assert want is not None
-        for got, ref in zip(ball_masses_at_support(m, radii), want):
+        masses, answered = _masses_by_route(m, radii)
+        assert answered == [True] * len(radii)
+        for got, ref in zip(masses, want):
             assert np.array_equal(got, ref)
 
 
@@ -376,12 +407,44 @@ def _lattice_box_subset(rows, cols, seed):
 def test_ball_masses_fft_matches_tree(make):
     m = _random_counts(make(), 5)
     radii = [2.0 ** -lv for lv in range(2, 7)]
-    fft = measures._ball_masses_fft(m, radii)
-    assert fft is not None
-    for got, want in zip(fft, measures._ball_masses_sweep(m, radii)):
+    fft, answered = _masses_by_route(m, radii, 0)
+    assert answered == [True] * len(radii)
+    for got, want in zip(fft, _swept_masses(m, radii)):
         assert np.array_equal(got, want)
     for got, want in zip(fft, _ball_masses_fft_oracle(m, radii)):
         assert np.array_equal(got, want)
+
+
+def test_full_grid_masses_take_the_fft():
+    """The full 64 x 64 grid of the 2^-6 lattice, 4,096 points: the FFT's
+    price admits every radius 2^-1 ... 2^-5, and its masses are the
+    sweep's."""
+    m = WeightedMeasure.uniform(gen_random_delta_s_set(2.0, 2.0 ** -6, 0))
+    assert len(m) == 64 * 64
+    radii = [2.0 ** -lv for lv in range(1, 6)]
+    fft, answered = _masses_by_route(m, radii)
+    assert answered == [True] * len(radii)
+    for got, want in zip(fft, _swept_masses(m, radii)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("args, routes", [
+    ((1.5, 2.0 ** -7, 0), [True] * 5 + [False]),
+    ((1.0, 2.0 ** -9, 0), [False] * 6),
+])
+def test_masses_are_priced_radius_by_radius(args, routes):
+    """Each radius's grid is priced against the pairs a sweep at that
+    radius alone would walk. On the 1,087 nodes of a (1.5, 2^-7)-set the
+    FFT answers 2^-1 ... 2^-5 and the sweep 2^-6; the 512 nodes of a
+    (1.0, 2^-9)-set spread over the square sweep every radius. Either way
+    the masses are the forced sweep's."""
+    ds = gen_random_delta_s_set(*args)
+    m = WeightedMeasure(ds, np.random.default_rng(0).integers(1, 1000, len(ds)))
+    radii = [2.0 ** -lv for lv in range(1, 7)]
+    got, answered = _masses_by_route(m, radii)
+    assert answered == routes
+    for g, want in zip(got, _swept_masses(m, radii)):
+        assert np.array_equal(g, want)
 
 
 def test_near_node_support_takes_the_sweep():
@@ -395,12 +458,12 @@ def test_near_node_support_takes_the_sweep():
     pts[80, 0] = h * (1.0 + 1e-7)
     assert nodes[80].tolist() == [1, 0]
     m = WeightedMeasure.uniform(DiscreteSet(pts, h))
-    assert len(m) > measures._SMALL_SUPPORT
-    assert measures._ball_masses_fft(m, [h]) is None
+    masses, answered = _masses_by_route(m, [h], 0)
+    assert answered == []
     want = 2 / 6400
-    assert ball_masses_at_support(m, [h])[0][0] == want
+    assert masses[0][0] == want
     assert ball_mass(m, Ball(Point(0.0, 0.0), h)) == want
-    assert measures._ball_masses_sweep(m, [h])[0][0] == want
+    assert _swept_masses(m, [h])[0][0] == want
 
 
 def test_fft_ball_is_the_sweeps_closed_ball_just_inside_a_node_ring():
@@ -411,12 +474,13 @@ def test_fft_ball_is_the_sweeps_closed_ball_just_inside_a_node_ring():
     nodes = np.stack(np.meshgrid(np.arange(80), np.arange(80), indexing="ij"),
                      axis=-1).reshape(-1, 2)
     m = WeightedMeasure.uniform(DiscreteSet(nodes * h, h))
-    assert len(m) > measures._SMALL_SUPPORT
     r = 5 * h * math.sqrt(1 - 4e-10)
     i = 40 * 80 + 40
-    assert measures._ball_masses_fft(m, [r]) is not None
+    masses, answered = _masses_by_route(m, [r], 0)
+    assert answered == [True]
+    assert masses[0][i] == 69 / 6400
     assert ball_masses_at_support(m, [r])[0][i] == 69 / 6400
-    assert measures._ball_masses_sweep(m, [r])[0][i] == 69 / 6400
+    assert _swept_masses(m, [r])[0][i] == 69 / 6400
     assert ball_mass(m, Ball(Point(40 * h, 40 * h), r)) == 69 / 6400
 
 
@@ -429,9 +493,9 @@ def test_lattice_of_a_pitch_that_is_not_dyadic_takes_the_sweep():
                      axis=-1).reshape(-1, 2)
     m = WeightedMeasure.uniform(DiscreteSet(nodes * h, h))
     assert dyadic.lattice_nodes(m.support.points, h) is not None
-    assert measures._ball_masses_fft(m, [5 * h]) is None
-    got = ball_masses_at_support(m, [5 * h])[0]
-    assert np.array_equal(got, measures._ball_masses_sweep(m, [5 * h])[0])
+    got, answered = _masses_by_route(m, [5 * h], 0)
+    assert answered == []
+    assert np.array_equal(got[0], _swept_masses(m, [5 * h])[0])
 
 
 @st.composite
@@ -463,10 +527,9 @@ def test_fft_sweep_and_ball_mass_count_one_closed_ball(eps, m, qs):
     masses."""
     h = m.support.delta
     radii = [q * h * (1.0 - eps) for q in qs]
-    assert len(m) > measures._SMALL_SUPPORT
-    assert measures._ball_masses_fft(m, radii) is not None
-    fft = ball_masses_at_support(m, radii)
-    sweep = measures._ball_masses_sweep(m, radii)
+    fft, answered = _masses_by_route(m, radii, 0)
+    assert answered == [True] * len(radii)
+    sweep = _swept_masses(m, radii)
     pts = m.support.points
     for r, got, want in zip(radii, fft, sweep):
         assert np.array_equal(got, want)
@@ -490,13 +553,13 @@ def test_every_route_gives_count_over_total_on_each_side_of_the_fft_cap(m, qs, o
     m = WeightedMeasure(m.support, counts)
     h, pts, c = m.support.delta, m.support.points, counts.tolist()
     radii = [q * h for q in qs]
-    fft = measures._ball_masses_fft(m, radii)
-    assert (fft is None) == (offset > 0)
+    fft, answered = _masses_by_route(m, radii, 0)
+    assert answered == [offset <= 0] * len(radii)
     got = ball_masses_at_support(m, radii)
     tree = cKDTree(pts)
     for k, r in enumerate(radii):
-        assert np.array_equal(got[k], measures._ball_masses_sweep(m, [r])[0])
-        assert fft is None or np.array_equal(got[k], fft[k])
+        assert np.array_equal(got[k], _swept_masses(m, [r])[0])
+        assert np.array_equal(got[k], fft[k])
         for i in range(0, len(m), 97):
             want = sum(c[j] for j in tree.query_ball_point(pts[i], r + measures.BALL_TOL))
             assert got[k][i] == want / m.total == ball_mass(m, Ball(Point(*pts[i]), r))
@@ -514,7 +577,7 @@ def test_frostman_fit_uniform_witness_ignores_transform_length(monkeypatch, leng
     balls tie exactly and np.argmax takes the first, whatever the transform
     length (float sums let rounding noise choose)."""
     m = WeightedMeasure.uniform(gen_random_delta_s_set(2.0, 2.0 ** -7, 0))
-    assert len(m) > measures._SMALL_SUPPORT
+    assert all(_masses_by_route(m, [2.0 ** -lv for lv in range(1, 8)])[1])
     want = frostman_fit(m, 1, 7)
     monkeypatch.setattr(dyadic, "fast_len", length)
     assert frostman_fit(m, 1, 7) == want
