@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import (
+    MAX_FFT_CELLS,
     MAX_LEVEL,
     NearSweep,
     ball_sums,
@@ -225,6 +226,44 @@ def _swept_ball_counts(sweep: NearSweep, r: float, cell_ids: np.ndarray) -> np.n
     return counts
 
 
+def _cell_bounds(cells: np.ndarray, delta: float, reads: int):
+    """Upper bounds on the distinct delta-cells of the points in closed
+    balls, given the occupied delta-cells (distinct integer rows): a map
+    from (centres, r) to the occupied cells, per centre, that meet the
+    square [c - r, c + r]^2 widened by one cell on each side against
+    rounding, by four reads of a summed-area table (Crow, SIGGRAPH 1984).
+    A ball's points, and so their cells, lie in that square.
+
+    The table has at most min(reads, MAX_FFT_CELLS) entries, reads being
+    the most bounds the caller will read, so that it costs no more to
+    build than to read. Where the cells' box needs more, the table is
+    built over squares of side 2^k delta, for the least k that fits, each
+    holding its occupied delta-cells: a looser bound, down to |P|_delta
+    itself at 3 x 3 entries, which always fit."""
+    lo, hi = cells.min(axis=0).tolist(), cells.max(axis=0).tolist()
+    most = max(min(reads, MAX_FFT_CELLS), 9)
+    k = 0
+    while math.prod((h >> k) - (l >> k) + 2 for l, h in zip(lo, hi)) > most:
+        k += 1
+    coarse, per = unique_rows(cells >> k, return_counts=True)
+    base = coarse.min(axis=0)
+    # table[a, b]: the delta-cells in coarse squares (i, j) - base < (a, b)
+    table = np.zeros(coarse.max(axis=0) - base + 2, dtype=np.int64)
+    table[tuple((coarse - base + 1).T)] = per
+    np.cumsum(table, axis=0, out=table)
+    np.cumsum(table, axis=1, out=table)
+    end = np.array(table.shape) - 1
+
+    def bounds(centres: np.ndarray, r: float) -> np.ndarray:
+        # the widened square's first and last delta-cells, then their squares
+        first = (np.floor((centres - r) / delta).astype(np.int64) - 1) >> k
+        last = (np.floor((centres + r) / delta).astype(np.int64) + 1) >> k
+        (a0, a1), (b0, b1) = np.clip(first - base, 0, end).T, np.clip(last - base + 1, 0, end).T
+        return table[b0, b1] - table[a0, b1] - table[b0, a1] + table[a0, a1]
+
+    return bounds
+
+
 def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     """Check the covering inequality |P ∩ B(x, r)|_delta <= C r^s |P|_delta.
 
@@ -233,14 +272,26 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     level (this samples the true worst center within a bounded factor).
     Returns the worst observed ratio and its witness center/level.
 
+    The levels are walked from the finest, r = 2^-level_of(delta), to
+    r = 1, each level's occupied squares the halved rows of the next
+    finer level's. A level is counted only if it can hold the worst ratio
+    found so far: a summed-area table of the occupied delta-cells, no
+    larger than the walk's reads of it, bounds every centre's count by
+    the occupied cells its widened square meets, and a level whose
+    largest bound, divided by r^s |P|_delta exactly as the counts are,
+    falls strictly below the worst ratio is skipped. The finest level is
+    always counted. Within a level the first centre of the largest ratio
+    is the witness, and a tie between levels goes to the coarser one.
+
     A ball holds the points with dx*dx + dy*dy <= r*r, as in a k-d tree.
     On a set with one point per delta-cell, a ball's size is its number
-    of points, dyadic.ball_sums of unit weights on the delta-lattice,
-    which counts a level by FFT when its points and centres are lattice
-    nodes (never at r = delta, whose square centres are not) and the
-    transform is cheaper than the sweep. On a set whose points share
-    delta-cells, the near-neighbour sweep (dyadic.NearSweep) counts the
-    distinct cells of a ball's points.
+    of points, dyadic.ball_sums of unit weights on the lattice of pitch
+    min(delta, r/2), which holds the points and, on a dyadic delta, also
+    the square centres of the finest level; ball_sums counts a level by
+    FFT when its points and centres are lattice nodes and the transform
+    is cheaper than the sweep. On a set whose points share delta-cells,
+    the near-neighbour sweep (dyadic.NearSweep) counts the distinct cells
+    of a ball's points.
     """
     if not (0.0 <= s <= 2.0):
         raise PreconditionError(f"s {s!r} outside [0, 2]")
@@ -248,27 +299,31 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
         raise PreconditionError(f"constant {c!r} must be positive and finite")
     pts = p.points
     delta = p.delta
-    n_delta = count_cells(pts, delta)
-    cell_ids = None
-    if n_delta < pts.shape[0]:
-        # points share delta-cells: count distinct cells inside each ball
-        _, cell_ids = unique_rows(cell_indices(pts, delta), return_inverse=True)
+    cells, cell_ids = unique_rows(cell_indices(pts, delta), return_inverse=True)
+    n_delta = cells.shape[0]
     ones = np.ones(pts.shape[0], dtype=np.int64)
     worst = -math.inf
     witness = Point(float(pts[0, 0]), float(pts[0, 1]))
     witness_level = 0
     top = level_of(delta)
-    for lv in range(0, top + 1):
+    sq = unique_rows(cell_indices(pts, 2.0 ** -top))
+    # no level has more centres than the finest
+    bounds = _cell_bounds(cells, delta, (top + 1) * (pts.shape[0] + sq.shape[0]))
+    for lv in range(top, -1, -1):
         r = 2.0 ** -lv
-        sq = unique_rows(cell_indices(pts, r))
         centers = np.concatenate([pts, (sq + 0.5) * r], axis=0)
-        if cell_ids is None:
-            counts = ball_sums(pts, ones, centers, [r], delta)[0]
-        else:
+        sq = unique_rows(sq // 2)  # the next coarser level's squares
+        scale = r ** s * n_delta
+        if bounds(centers, r).max() / scale < worst:
+            continue
+        if n_delta < pts.shape[0]:
+            # points share delta-cells: count distinct cells inside each ball
             counts = _swept_ball_counts(NearSweep(pts, centers, r), r, cell_ids)
-        ratios = counts / (r ** s * n_delta)
+        else:
+            counts = ball_sums(pts, ones, centers, [r], min(delta, r / 2))[0]
+        ratios = counts / scale
         imax = int(np.argmax(ratios))
-        if ratios[imax] > worst:
+        if ratios[imax] >= worst:
             worst = float(ratios[imax])
             witness = Point(float(centers[imax, 0]), float(centers[imax, 1]))
             witness_level = lv

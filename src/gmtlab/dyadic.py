@@ -138,8 +138,11 @@ class NearSweep:
         self._lo, self._hi = self._windows(reach)
 
     def _windows(self, reach):
-        # each block's window [lo, hi) of sorted keys, a row per reach if an array
-        pad = np.multiply.outer(reach, 1.0 + 2.0 ** -20) + self._slack
+        # each block's window [lo, hi) of sorted keys, a row per reach if an
+        # array. The pad is at least 2^-500: an offset that small squares to
+        # a normal 2^-1000, so a point outside the window has a d2 above any
+        # smaller reach**2, even one that underflows or loses precision
+        pad = np.maximum(np.multiply.outer(reach, 1.0 + 2.0 ** -20), 2.0 ** -500) + self._slack
         return (np.searchsorted(self._keys, self._edges[0] - pad, "left"),
                 np.searchsorted(self._keys, self._edges[1] + pad, "right"))
 

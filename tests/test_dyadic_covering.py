@@ -972,23 +972,140 @@ def _fft_answered(run, pairs_per_cell=None):
         return run(), answered
 
 
-# levels of each spread set's check that the FFT counts, coarsest first:
-# every level but the finest on sets 0, 2, 3, 5 and 6 (their square
-# centres at r = delta are no lattice nodes), and on sets 1, 4 and 7 every
-# level but the two finest, whose grids the sweep's pairs price out
-_SPREAD_FFT_LEVELS = [9, 8, 9, 9, 8, 9, 9, 8]
+# each spread set's check, walking from the finest level: the levels it
+# counts (the coarser ones skipped by the cell bound), and of those the
+# finest ones that sweep. The finest level reaches lattice_disc_sums on the
+# half-pitch lattice, where the sweep's pairs price its grid out, as they
+# do level 8 of sets 1, 4 and 7; the FFT counts every other level
+_SPREAD_COUNTED_LEVELS = [5, 5, 5, 4, 5, 4, 6, 5]
+_SPREAD_SWEPT_LEVELS = [1, 2, 1, 1, 2, 1, 1, 2]
 
 
 @pytest.mark.parametrize("i", range(8))
 def test_verify_delta_s_set_keeps_its_routes_on_spread_sets(i):
-    """The set's levels 0-8 reach lattice_disc_sums, which answers the
-    coarsest ones; its extract's points are no nodes of the extract's
-    delta-lattice, so the FFT never runs there."""
+    """The set's counted levels reach lattice_disc_sums, which answers all
+    but the finest one or two; its extract's points are no nodes of the
+    extract's delta-lattice, so the FFT never runs there."""
     ds = _spread_set(i)
     ext = frostman_extract(ds, 1.5, 2.0 ** -7)
-    fft = _SPREAD_FFT_LEVELS[i]
-    for case, routes in ((ds, [True] * fft + [False] * (9 - fft)), (ext, [])):
-        assert _fft_answered(lambda: verify_delta_s_set(case, 1.5, 16.0))[1] == routes
+    swept = _SPREAD_SWEPT_LEVELS[i]
+    routes = [False] * swept + [True] * (_SPREAD_COUNTED_LEVELS[i] - swept)
+    for case, want in ((ds, routes), (ext, [])):
+        assert _fft_answered(lambda: verify_delta_s_set(case, 1.5, 16.0))[1] == want
+
+
+def test_verify_delta_s_set_counts_the_finest_dense_level_by_fft():
+    """On a set with one point per delta-cell, the finest level's square
+    centres are nodes of the lattice of pitch delta/2, and on a dense set
+    the FFT counts that level too: every counted level, finest first,
+    takes the FFT, and the check is the forced sweep's."""
+    ds = gen_random_delta_s_set(2.0, 2.0 ** -8, 0)
+    check, answered = _fft_answered(lambda: verify_delta_s_set(ds, 2.0, 16.0))
+    assert answered == [True] * 4  # levels 8-5; the bound skips 4-0
+    swept, answered = _fft_answered(lambda: verify_delta_s_set(ds, 2.0, 16.0), math.inf)
+    assert answered == [False] * 4
+    assert check == swept == _verify_delta_s_set_tree_oracle(ds, 2.0, 16.0)
+
+
+def test_verify_delta_s_set_reports_the_coarser_of_two_tied_levels():
+    """Two points half a unit apart at delta = 1/4 and s = 1: the ratio is
+    1 / (1/4 * 2) = 2 at level 2 (one point per ball) and 2 / (1/2 * 2) = 2
+    at level 1 (the closed ball about (0, 0) reaches (1/2, 0)), and 1 at
+    level 0. Level 2 is counted first; level 1 ties it and wins."""
+    ds = DiscreteSet(np.array([[0.0, 0.0], [0.5, 0.0]]), 0.25)
+    want = DeltaSCheck(True, 2.0, Point(0.0, 0.0), 1, 16.0, 1.0)
+    assert verify_delta_s_set(ds, 1.0, 16.0) == want
+    assert _verify_delta_s_set_tree_oracle(ds, 1.0, 16.0) == want
+
+
+@pytest.mark.parametrize("cap, counted", [(9, 8), (1000, 6)])
+def test_verify_delta_s_set_with_a_coarse_cell_table(monkeypatch, cap, counted):
+    """With MAX_FFT_CELLS below the 257 x 257 entries the check would
+    build, the table holds the delta-cells of coarser squares, whose looser
+    bounds skip fewer levels; at 9 entries every bound is |P|_delta, which
+    still skips levels 0 and 1. The checks equal the oracle's."""
+    ds = _spread_set(0)
+    ext = frostman_extract(ds, 1.5, 2.0 ** -7)
+    monkeypatch.setattr(covering, "MAX_FFT_CELLS", cap)
+    check, answered = _fft_answered(lambda: verify_delta_s_set(ds, 1.5, 16.0))
+    assert len(answered) == counted > _SPREAD_COUNTED_LEVELS[0]
+    assert check == _verify_delta_s_set_tree_oracle(ds, 1.5, 16.0)
+    assert verify_delta_s_set(ext, 1.5, 16.0) == _verify_delta_s_set_tree_oracle(ext, 1.5, 16.0)
+
+
+def test_verify_delta_s_set_sizes_its_cell_table_by_its_reads():
+    """87 points at delta = 2^-14 whose delta-cells span a 1,533 x 2,192
+    box: a table over that box would take 25.7 MiB, but the check reads
+    at most 15 levels of 174 centres, and its whole peak stays under
+    1 MiB."""
+    import tracemalloc
+
+    ds = gen_random_delta_s_set(0.5, 2.0 ** -14, 0)
+    tracemalloc.start()
+    try:
+        check = verify_delta_s_set(ds, 0.5, 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert check == _verify_delta_s_set_tree_oracle(ds, 0.5, 16.0)
+
+
+@st.composite
+def _cell_bound_cases(draw):
+    """Points and centres for the cell bound, at a dyadic delta 2^-k or at
+    one that is not dyadic: lattice nodes (one point per delta-cell),
+    off-lattice points several to a delta-cell, or nodes each paired with
+    the point exactly r away along an axis for some dyadic r >= delta.
+    Centres: the points, the centres of the occupied squares of a level,
+    and delta-nodes and half-nodes, which sit on cell edges and corners.
+    Reads that allow a table of 9 entries (the least), 40, or the cells'
+    whole box."""
+    k = draw(st.integers(1, 5))
+    delta = 2.0 ** -k * draw(st.sampled_from([1.0, 1.0, 0.3, 0.7, 0.999]))
+    ij = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+    nodes = np.array(draw(st.lists(ij, min_size=1, max_size=40, unique=True)), dtype=float)
+    kind = draw(st.sampled_from(["nodes", "shared", "apart"]))
+    if kind == "nodes":
+        points = nodes * delta
+    elif kind == "shared":
+        jitter = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random(nodes.shape)
+        points = (nodes + jitter) * delta * 0.45
+    else:
+        r = 2.0 ** -draw(st.integers(0, level_of(delta)))
+        step = np.array([[r, 0.0], [0.0, r]])[draw(st.integers(0, 1))]
+        points = np.concatenate([nodes * delta, nodes * delta + step])
+    half = np.array(draw(st.lists(ij, min_size=1, max_size=20)), dtype=float) * delta / 2
+    lv = draw(st.integers(0, level_of(delta)))
+    squares = (unique_rows(cell_indices(points, 2.0 ** -lv)) + 0.5) * 2.0 ** -lv
+    reads = draw(st.sampled_from([1, 40, 10 ** 6]))
+    return points, np.concatenate([points, squares, half]), delta, reads
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cell_bound_cases())
+@example((np.array([[-2.0 ** -60, 0.0]]), np.array([[0.25, 0.0]]), 0.25, 10 ** 6))
+def test_cell_bounds_hold_every_ball_count(case):
+    """At every level from r = 1 down to r = delta / 2, every centre's bound
+    is at least the distinct delta-cells of the points with dx*dx + dy*dy
+    <= r*r, the closed ball both routes count. (The example: -2^-60 - 1/4
+    rounds to -1/4, so at r = 1/4 the point is in the ball about (1/4, 0),
+    though its cell, -1, lies left of the square [0, 1/2].)"""
+    points, centres, delta, reads = case
+    cells, cell_ids = unique_rows(cell_indices(points, delta), return_inverse=True)
+    bounds = covering._cell_bounds(cells, delta, reads)
+    dx = points[None, :, 0] - centres[:, None, 0]
+    dy = points[None, :, 1] - centres[:, None, 1]
+    d2 = dx * dx + dy * dy
+    for lv in range(level_of(delta) + 2):
+        r = 2.0 ** -lv
+        hit = np.zeros((len(centres), len(cells)), dtype=bool)
+        rows, cols = np.nonzero(d2 <= r * r)
+        hit[rows, cell_ids[cols]] = True
+        got = bounds(centres, r)
+        assert got.dtype == np.int64
+        assert np.all(got >= np.count_nonzero(hit, axis=1))
+        assert np.all(got <= len(cells))
 
 
 @pytest.mark.parametrize("s, level", [(2.0, 7), (1.8, 8)])
@@ -1138,14 +1255,15 @@ def test_ball_sums_match_brute_force_on_either_route(case):
 @given(
     st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=150),
     st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=1, max_size=150),
-    st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=4),
+    st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4),
 )
+@example([(0.0, 0.0)], [(7.4e-183, 0.0)], [0.0])
 def test_near_sweep_pairs_are_the_pairs_each_reach_walks(points, centres, reaches):
     """pairs(reaches) of a sweep counts, per reach, the (centre, candidate)
     pairs that iterating a sweep at that reach yields, and those hold every
-    point within the reach of each centre. (Reaches below about 2^-537,
-    where dx*dx underflows to 0, are left out: a point that close passes
-    the distance test from outside the window.)"""
+    point within the reach of each centre, reach 0 included. (The example:
+    dx*dx underflows to 0, so the point 7.4e-183 away passes the test
+    d2 <= 0 and must be in the window.)"""
     points, centres = np.array(points), np.array(centres)
     pairs = dyadic.NearSweep(points, centres, max(reaches)).pairs(reaches)
     for reach, want in zip(reaches, pairs.tolist()):
