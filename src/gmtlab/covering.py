@@ -15,13 +15,16 @@ from typing import Optional
 import numpy as np
 
 from .dyadic import (
+    DISC_BANDS,
     MAX_FFT_CELLS,
     MAX_LEVEL,
     NearSweep,
-    ball_sums,
+    SumTable,
+    ball_max,
     cell_indices,
     count_cells,
     is_dyadic,
+    lattice_nodes,
     level_of,
     quota_child_counts,
     unique_rows,
@@ -226,42 +229,47 @@ def _swept_ball_counts(sweep: NearSweep, r: float, cell_ids: np.ndarray) -> np.n
     return counts
 
 
-def _cell_bounds(cells: np.ndarray, delta: float, reads: int):
-    """Upper bounds on the distinct delta-cells of the points in closed
-    balls, given the occupied delta-cells (distinct integer rows): a map
-    from (centres, r) to the occupied cells, per centre, that meet the
-    square [c - r, c + r]^2 widened by one cell on each side against
-    rounding, by four reads of a summed-area table (Crow, SIGGRAPH 1984).
-    A ball's points, and so their cells, lie in that square.
+def _cell_table(cells: np.ndarray, reads: int):
+    """A SumTable of the occupied delta-cells (distinct integer rows, in
+    any order), for bounding the distinct cells of the points in closed
+    balls, and the k of its squares, of side 2^k delta, each holding its
+    occupied cells; at k = 0 the table's nodes are the given rows.
 
     The table has at most min(reads, MAX_FFT_CELLS) entries, reads being
-    the most bounds the caller will read, so that it costs no more to
-    build than to read. Where the cells' box needs more, the table is
-    built over squares of side 2^k delta, for the least k that fits, each
-    holding its occupied delta-cells: a looser bound, down to |P|_delta
-    itself at 3 x 3 entries, which always fit."""
-    lo, hi = cells.min(axis=0).tolist(), cells.max(axis=0).tolist()
+    the most boxes the caller will read, so that it costs no more to build
+    than to read: k = 0 where the cells' box fits, else the least k that
+    fits, a looser bound, down to |P|_delta itself at 3 x 3 entries, which
+    always fit."""
+    lo, hi = ([int(f(col)) for col in cells.T] for f in (np.min, np.max))
     most = max(min(reads, MAX_FFT_CELLS), 9)
     k = 0
     while math.prod((h >> k) - (l >> k) + 2 for l, h in zip(lo, hi)) > most:
         k += 1
-    coarse, per = unique_rows(cells >> k, return_counts=True)
-    base = coarse.min(axis=0)
-    # table[a, b]: the delta-cells in coarse squares (i, j) - base < (a, b)
-    table = np.zeros(coarse.max(axis=0) - base + 2, dtype=np.int64)
-    table[tuple((coarse - base + 1).T)] = per
-    np.cumsum(table, axis=0, out=table)
-    np.cumsum(table, axis=1, out=table)
-    end = np.array(table.shape) - 1
+    return SumTable(cells >> k if k else cells, np.ones(cells.shape[0], dtype=np.int64)), k
 
-    def bounds(centres: np.ndarray, r: float) -> np.ndarray:
-        # the widened square's first and last delta-cells, then their squares
-        first = (np.floor((centres - r) / delta).astype(np.int64) - 1) >> k
-        last = (np.floor((centres + r) / delta).astype(np.int64) + 1) >> k
-        (a0, a1), (b0, b1) = np.clip(first - base, 0, end).T, np.clip(last - base + 1, 0, end).T
-        return table[b0, b1] - table[a0, b1] - table[b0, a1] + table[a0, a1]
 
-    return bounds
+def _cell_bounds(table: SumTable, k: int, delta: float, centres: np.ndarray,
+                 r: float) -> np.ndarray:
+    """Per centre, an upper bound on the distinct delta-cells of the points
+    in its closed ball of radius r: the occupied cells, read from
+    _cell_table's table and squares of side 2^k delta, that meet the
+    square [c - r, c + r]^2 widened by one cell on each side against
+    rounding. A ball's points, and so their cells, lie in that square."""
+    first = (np.floor((centres - r) / delta).astype(np.int64) - 1) >> k
+    last = (np.floor((centres + r) / delta).astype(np.int64) + 1) >> k
+    return table.boxes(first[:, 0], first[:, 1], last[:, 0], last[:, 1])
+
+
+def _least_count(worst: float, scale: float) -> int:
+    """The least count whose ratio count / scale reaches worst."""
+    if worst == -math.inf:
+        return 0
+    need = max(0, math.ceil(worst * scale))
+    while need > 0 and (need - 1) / scale >= worst:
+        need -= 1
+    while need / scale < worst:
+        need += 1
+    return need
 
 
 def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
@@ -274,24 +282,26 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
 
     The levels are walked from the finest, r = 2^-level_of(delta), to
     r = 1, each level's occupied squares the halved rows of the next
-    finer level's. A level is counted only if it can hold the worst ratio
-    found so far: a summed-area table of the occupied delta-cells, no
-    larger than the walk's reads of it, bounds every centre's count by
-    the occupied cells its widened square meets, and a level whose
-    largest bound, divided by r^s |P|_delta exactly as the counts are,
-    falls strictly below the worst ratio is skipped. The finest level is
-    always counted. Within a level the first centre of the largest ratio
-    is the witness, and a tie between levels goes to the coarser one.
+    finer level's. A level is counted only if some ball can hold the
+    worst ratio found so far, divided by r^s |P|_delta exactly as the
+    counts are: a summed-area table of the occupied delta-cells
+    (dyadic.SumTable), no larger than the walk's reads of it, bounds every
+    centre's count, and a level whose largest bound falls strictly below
+    the worst ratio is skipped. The finest level is always counted. Within
+    a level the first centre of the largest ratio is the witness, and a
+    tie between levels goes to the coarser one.
 
     A ball holds the points with dx*dx + dy*dy <= r*r, as in a k-d tree.
     On a set with one point per delta-cell, a ball's size is its number
-    of points, dyadic.ball_sums of unit weights on the lattice of pitch
-    min(delta, r/2), which holds the points and, on a dyadic delta, also
-    the square centres of the finest level; ball_sums counts a level by
-    FFT when its points and centres are lattice nodes and the transform
-    is cheaper than the sweep. On a set whose points share delta-cells,
-    the near-neighbour sweep (dyadic.NearSweep) counts the distinct cells
-    of a ball's points.
+    of points, and dyadic.ball_max of unit weights finds the largest, with
+    `least` the least count that reaches the worst ratio. Where the points
+    are nodes of a dyadic delta-lattice and the table is not coarsened, it
+    is also ball_max's table, and the level's bound is ball_max's first
+    one, each disc's bounding box, which its table route filters by
+    anyway; no other bound is read. Otherwise each centre's bound is the
+    occupied cells its widened square meets. On a set whose points share
+    delta-cells, the near-neighbour sweep (dyadic.NearSweep) counts the
+    distinct cells of a ball's points.
     """
     if not (0.0 <= s <= 2.0):
         raise PreconditionError(f"s {s!r} outside [0, 2]")
@@ -301,31 +311,41 @@ def verify_delta_s_set(p: DiscreteSet, s: float, c: float) -> DeltaSCheck:
     delta = p.delta
     cells, cell_ids = unique_rows(cell_indices(pts, delta), return_inverse=True)
     n_delta = cells.shape[0]
+    # points on the delta-lattice, one per cell, are their cells
+    nodes = (lattice_nodes(pts, delta) if n_delta == pts.shape[0] and is_dyadic(delta)
+             else None)
     ones = np.ones(pts.shape[0], dtype=np.int64)
     worst = -math.inf
     witness = Point(float(pts[0, 0]), float(pts[0, 1]))
     witness_level = 0
     top = level_of(delta)
     sq = unique_rows(cell_indices(pts, 2.0 ** -top))
-    # no level has more centres than the finest
-    bounds = _cell_bounds(cells, delta, (top + 1) * (pts.shape[0] + sq.shape[0]))
+    # no level has more centres than the finest, and ball_max bounds each
+    # by one box and then at most DISC_BANDS more
+    table, k = _cell_table(cells if nodes is None else nodes,
+                           (top + 1) * (pts.shape[0] + sq.shape[0])
+                           * (1 if nodes is None else 1 + DISC_BANDS))
+    shared = nodes is not None and k == 0
     for lv in range(top, -1, -1):
         r = 2.0 ** -lv
         centers = np.concatenate([pts, (sq + 0.5) * r], axis=0)
         sq = unique_rows(sq // 2)  # the next coarser level's squares
         scale = r ** s * n_delta
-        if bounds(centers, r).max() / scale < worst:
+        need = _least_count(worst, scale)
+        if shared:
+            found = ball_max(pts, ones, centers, [r], delta, need, table)[0]
+        elif _cell_bounds(table, k, delta, centers, r).max() < need:
             continue
-        if n_delta < pts.shape[0]:
+        elif n_delta < pts.shape[0]:
             # points share delta-cells: count distinct cells inside each ball
             counts = _swept_ball_counts(NearSweep(pts, centers, r), r, cell_ids)
+            i = int(np.argmax(counts))
+            found = (counts[i], i) if counts[i] >= need else None
         else:
-            counts = ball_sums(pts, ones, centers, [r], min(delta, r / 2))[0]
-        ratios = counts / scale
-        imax = int(np.argmax(ratios))
-        if ratios[imax] >= worst:
-            worst = float(ratios[imax])
-            witness = Point(float(centers[imax, 0]), float(centers[imax, 1]))
+            found = ball_max(pts, ones, centers, [r], delta, need)[0]
+        if found is not None:
+            worst = float(found[0] / scale)
+            witness = Point(float(centers[found[1], 0]), float(centers[found[1], 1]))
             witness_level = lv
     return DeltaSCheck(worst <= c + 1e-9, worst, witness, witness_level, c, s)
 

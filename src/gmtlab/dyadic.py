@@ -1,8 +1,11 @@
 """Shared dyadic-grid utilities: cell indexing, exact lattice nodes,
-distinct integer rows, fixed-radius near neighbours, quota branching, and
-closed-ball sums of integer weights. ball_sums is the one place that
-chooses between the near-neighbour sweep and disc sums by FFT on integer
-lattices, which alone size, price and refuse a transform.
+distinct integer rows, fixed-radius near neighbours, quota branching,
+summed-area tables, and closed-ball sums of integer weights. ball_sums is
+the one place that chooses between the near-neighbour sweep and disc sums
+by FFT on integer lattices, which alone size, price and refuse a
+transform. ball_max, for callers that want only the heaviest ball, prices
+one more route against those two: bound every ball from a summed-area
+table and count exactly only the balls the bound cannot rule out.
 
 The quota-branching helper drives the random quota trees (the random set
 generator and the Furstenberg direction pencils) and the Frostman-style
@@ -350,20 +353,36 @@ def lattice_disc_sums(nodes: np.ndarray, weights: np.ndarray,
     read. The sums are rounded to int64; InvariantViolation if one strays
     more than 0.25 from an integer.
     """
-    lo = np.minimum(nodes.min(axis=0), centres.min(axis=0))
-    side = np.maximum(nodes.max(axis=0), centres.max(axis=0)) - lo + 1
+    lo, hi = _span(nodes, centres)
+    side = hi - lo + 1
     fits = int(weights.sum()) <= MAX_FFT_TOTAL
     out = []
     for q2, walk in zip(q2s, [math.inf] * len(q2s) if pairs is None else pairs):
-        q = math.isqrt(q2)
-        box = [int(k) + q for k in side]
-        # fast_len only rounds up, so a box priced out needs no transform length
-        shape = ((fast_len(box[0]), fast_len(box[1]))
-                 if fits and box[0] * box[1] * _PAIRS_PER_FFT_CELL <= walk else None)
-        cells = math.inf if shape is None else shape[0] * shape[1]
-        out.append(None if cells > MAX_FFT_CELLS or cells * _PAIRS_PER_FFT_CELL > walk
-                   else _disc_sums(nodes, weights, centres, lo, q2, shape))
+        shape = _fft_shape(side, q2, walk) if fits else None
+        out.append(None if shape is None else _disc_sums(nodes, weights, centres, lo, q2, shape))
     return out
+
+
+def _span(*rows):
+    """Least and greatest value per column over integer arrays of shape
+    (n, 2), a column at a time: a reduction of a narrow array along axis 0
+    takes many times longer."""
+    return (np.array([min(int(a[:, k].min()) for a in rows) for k in (0, 1)]),
+            np.array([max(int(a[:, k].max()) for a in rows) for k in (0, 1)]))
+
+
+def _fft_shape(side, q2: int, walk: float):
+    """The transform grid lattice_disc_sums would use for a box of the
+    given side and squared radius q2, or None if it exceeds MAX_FFT_CELLS
+    or costs more than `walk` sweep pairs."""
+    q = math.isqrt(q2)
+    box = [int(k) + q for k in side]
+    # fast_len only rounds up, so a box priced out needs no transform length
+    if box[0] * box[1] * _PAIRS_PER_FFT_CELL > walk:
+        return None
+    shape = fast_len(box[0]), fast_len(box[1])
+    cells = shape[0] * shape[1]
+    return None if cells > MAX_FFT_CELLS or cells * _PAIRS_PER_FFT_CELL > walk else shape
 
 
 def _disc_sums(nodes: np.ndarray, weights: np.ndarray, centres: np.ndarray,
@@ -414,9 +433,16 @@ def ball_sums(points: np.ndarray, weights: np.ndarray, centres: np.ndarray,
     """
     if len(radii) == 0:
         return []
-    sweep = NearSweep(points, centres, max(radii))
     nodes = lattice_nodes(points, pitch) if is_dyadic(pitch) else None
     at = nodes if nodes is None or centres is points else lattice_nodes(centres, pitch)
+    return _ball_sums(points, weights, centres, radii, pitch,
+                      NearSweep(points, centres, max(radii)), nodes, at)
+
+
+def _ball_sums(points, weights, centres, radii, pitch, sweep, nodes, at) -> list:
+    """ball_sums, given a NearSweep of the points and centres at the
+    largest radius, and the lattice nodes of the points and of the
+    centres (at is None if either are no nodes)."""
     out = ([None] * len(radii) if at is None else
            lattice_disc_sums(nodes, weights, at, [lattice_q2(r * r, pitch) for r in radii],
                              sweep.pairs(radii).tolist()))
@@ -439,3 +465,208 @@ def ball_sums(points: np.ndarray, weights: np.ndarray, centres: np.ndarray,
         for j, k in enumerate(swept):
             out[k] = sums[j].astype(np.int64)
     return out
+
+
+class SumTable:
+    """Summed-area table (Crow, SIGGRAPH 1984) of non-negative integer
+    weights on integer nodes, repeated nodes adding up: boxes() sums the
+    weights in closed boxes of nodes, four int64 reads a box."""
+
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
+        self.nodes = nodes
+        self.base, hi = _span(nodes)
+        shape = hi - self.base + 2
+        self.end, self.size = shape - 1, int(shape[0] * shape[1])
+        # table[a, b]: the weight of the nodes with node - base < (a, b)
+        table = np.zeros(shape, dtype=np.int64)
+        at = nodes - self.base + 1
+        np.add.at(table, (at[:, 0], at[:, 1]), weights)
+        np.cumsum(table, axis=0, out=table)
+        np.cumsum(table, axis=1, out=table)
+        self._flat, self._stride = table.reshape(-1), int(shape[1])
+
+    def boxes(self, i0, j0, i1, j1) -> np.ndarray:
+        """Weight of the nodes (i, j) with i0 <= i <= i1 and j0 <= j <= j1,
+        over broadcast integer arrays; a box with i1 = i0 - 1 or j1 = j0 - 1
+        is empty, and none may be emptier."""
+        bi, bj = self.base.tolist()
+        return self._sums(np.subtract(i0, bi), np.subtract(j0, bj),
+                          np.subtract(i1, bi - 1), np.subtract(j1, bj - 1))
+
+    def _sums(self, a0, b0, a1, b1) -> np.ndarray:
+        """boxes() of the rows a0 <= a < a1 and columns b0 <= b < b1, taken
+        from the base, in fresh int64 arrays that it overwrites."""
+        ei, ej = self.end.tolist()
+        for a, e in ((a0, ei), (a1, ei), (b0, ej), (b1, ej)):
+            np.clip(a, 0, e, out=a)
+        a0 *= self._stride
+        a1 *= self._stride
+        t = self._flat
+        out = t[a1 + b1]
+        out -= t[a0 + b1]
+        out -= t[a1 + b0]
+        out += t[a0 + b0]
+        return out
+
+
+# ball_max counts the _SEEDS centres of the largest bounds first; the
+# largest of their sums is a floor that any other centre's bound must reach
+_SEEDS = 32
+# boxes, bands of consecutive rows, per disc in ball_max's finer bound
+DISC_BANDS = 8
+# (centre, box) reads per block of ball_max's bounds and exact counts
+_BLOCK = 1 << 14
+# ball_max prices a box read of its table route, and a table cell built,
+# at this many pairs of a near-neighbour sweep. Timed on a spread set
+# (8,695 points, delta 2^-9, 2 cores): a box took 15-22 ns in exact counts
+# and 20-37 ns in bounds, a table cell 5 ns, a sweep pair 4-5 ns, and an
+# FFT cell 41-42 ns, about _PAIRS_PER_FFT_CELL pairs.
+_PAIRS_PER_READ = 4
+
+
+def ball_max(points: np.ndarray, weights: np.ndarray, centres: np.ndarray,
+             radii, pitch: float, least: int = 0,
+             table: Optional[SumTable] = None) -> list:
+    """Per radius, the largest of ball_sums' sums over the centres and the
+    first centre that holds it, as (sum, index); None where every ball
+    sums to less than `least`.
+
+    If every point is a node of the dyadic lattice of the given pitch and
+    every centre a node of the lattice of half that pitch (which holds the
+    centres of the pitch-squares), a radius may take the table route, on
+    one SumTable of the node weights (`table`, if the caller built it for
+    these nodes and weights). It bounds every ball from above by one box,
+    the disc's bounding square. The _SEEDS centres of the largest bounds
+    are counted exactly, and the largest of those sums, or `least`, is the
+    floor a ball must reach. The centres whose box reaches it are bounded
+    again by DISC_BANDS boxes, each spanning a band of the disc's rows at
+    the band's widest, and those that still reach it are counted exactly,
+    one box per row of the disc. Rows and widths come from the centres'
+    doubled coordinates, so one table serves integer and half-integer
+    centres alike.
+
+    The route is priced, before any table is built, from the centres, the
+    table's cells and the disc's rows, taking a centre to pass the first
+    bound as often as a node occupies the table, and taken where that is
+    no more than ball_sums would pay on the coarsest lattice holding the
+    centres: the sweep's pairs, or the FFT's grid if that is cheaper. A
+    table to be built must have at most MAX_FFT_CELLS cells. The other
+    radii go to ball_sums; with a table given, each is first bounded by
+    one box per disc, and skipped if no bound reaches `least`.
+    """
+    if len(radii) == 0:
+        return []
+    nodes = (table.nodes if table is not None else
+             lattice_nodes(points, pitch) if is_dyadic(pitch) else None)
+    twice = (None if nodes is None else
+             2 * nodes if centres is points else lattice_nodes(centres, pitch / 2))
+    if twice is None:
+        return [_largest(sums, least) for sums in _ball_sums(
+            points, weights, centres, radii, pitch, NearSweep(points, centres, max(radii)),
+            None, None)]
+    out, left = [None] * len(radii), list(range(len(radii)))
+    q2s = [lattice_q2(r * r, pitch / 2) for r in radii]
+    bounds = [None] * len(radii)
+    if table is not None and least > 0:
+        bounds = [_disc_boxes(table, twice, q2, 1) for q2 in q2s]
+        left = [k for k in left if bounds[k].max() >= least]
+        if not left:
+            return out
+    if (twice & 1).any():  # ball_sums must take the half-pitch lattice
+        fine, at_nodes, at_centres = pitch / 2, 2 * nodes, twice
+    else:
+        fine, at_nodes, at_centres = pitch, nodes, twice >> 1
+    lo, hi = _span(at_nodes, at_centres)
+    fits = int(weights.sum()) <= MAX_FFT_TOTAL
+    size = table.size if table is not None else math.prod(int(np.ptp(c)) + 2 for c in nodes.T)
+    build = 0 if table is not None else size
+    occupied = min(1.0, nodes.shape[0] / size)
+    sweep = NearSweep(points, centres, max(radii[k] for k in left))
+    priced = []
+    for k, walk in zip(left, sweep.pairs([radii[k] for k in left]).tolist()):
+        if build > MAX_FFT_CELLS:  # a table no larger than a transform grid
+            break
+        rows = math.isqrt(q2s[k]) + 1
+        reads = (build + centres.shape[0] * (1 + occupied * (min(rows, DISC_BANDS) + rows))
+                 + _SEEDS * rows)
+        shape = _fft_shape(hi - lo + 1, lattice_q2(radii[k] * radii[k], fine), walk) if fits else None
+        if reads * _PAIRS_PER_READ <= (walk if shape is None else
+                                       shape[0] * shape[1] * _PAIRS_PER_FFT_CELL):
+            priced.append(k)
+    if priced and table is None:
+        table = SumTable(nodes, weights)
+    for k in priced:
+        out[k] = _disc_max(table, twice, q2s[k], least, bounds[k])
+    left = [k for k in left if k not in priced]
+    if left:
+        for k, sums in zip(left, _ball_sums(points, weights, centres, [radii[k] for k in left],
+                                            fine, sweep, at_nodes, at_centres)):
+            out[k] = _largest(sums, least)
+    return out
+
+
+def _largest(sums: np.ndarray, least: int, index=None):
+    """ball_max's answer given the sums of some centres, in ascending order
+    of their indices (if not the centres 0, 1, ...)."""
+    i = int(np.argmax(sums))
+    return (int(sums[i]), i if index is None else int(index[i])) if sums[i] >= least else None
+
+
+def _disc_rows(q2: int, parity: int):
+    """Rows of the disc i*i + j*j <= q2 whose offset i has the given
+    parity, and each row's half width, the largest j."""
+    top = math.isqrt(q2)
+    d = np.arange(-top + (top - parity) % 2, top + 1, 2, dtype=np.int64)
+    v = q2 - d * d
+    w = np.sqrt(v).astype(np.int64)  # within one of isqrt(v)
+    w -= w * w > v
+    w += (w + 1) * (w + 1) <= v
+    return d, w
+
+
+def _disc_boxes(table: SumTable, twice: np.ndarray, q2: int, bands: Optional[int]) -> np.ndarray:
+    """Per centre (doubled coordinates) the weight of the nodes n with
+    |2n - centre|^2 <= q2: summed over one box per row of the disc if
+    bands is None, else an upper bound, one box per band of rows."""
+    out = np.zeros(twice.shape[0], dtype=np.int64)
+    for parity in (0, 1):
+        idx = np.flatnonzero((twice[:, 0] & 1) == parity)
+        d, w = _disc_rows(q2, parity)
+        if idx.size == 0 or d.size == 0:
+            continue
+        if bands is None:
+            first = last = d
+        else:
+            starts = np.arange(min(bands, d.size)) * d.size // min(bands, d.size)
+            first, last = d[starts], d[np.append(starts[1:], d.size) - 1]
+            w = np.maximum.reduceat(w, starts)
+        # a row of boxes per band or row, so that a sum along axis 0 adds
+        # whole rows; the coordinates are taken from the table's base, and
+        # the rows (x + first) / 2 to (x + last) / 2 and columns
+        # (y - w) / 2 to (y + w) / 2, rounded inwards, end one past the last
+        offsets = [first[:, None], last[:, None] + 2, 1 - w[:, None], w[:, None] + 2]
+        x = twice[idx, 0] - 2 * int(table.base[0])
+        y = twice[idx, 1] - 2 * int(table.base[1])
+        step = max(1, _BLOCK // first.size)
+        for s in range(0, idx.size, step):
+            corners = [np.add(c[s:s + step], off) for c, off in zip((x, x, y, y), offsets)]
+            for c in corners:
+                c >>= 1
+            a0, a1, b0, b1 = corners
+            out[idx[s:s + step]] = table._sums(a0, b0, a1, b1).sum(axis=0)
+    return out
+
+
+def _disc_max(table: SumTable, twice: np.ndarray, q2: int, least: int, bound=None):
+    """ball_max's table route for one squared radius, in doubled units,
+    given the one-box bounds if they are already read."""
+    if bound is None:
+        bound = _disc_boxes(table, twice, q2, 1)
+    keep = np.flatnonzero(bound >= least)
+    floor = least
+    if keep.size > _SEEDS:
+        seeds = keep[np.argpartition(bound[keep], -_SEEDS)[-_SEEDS:]]
+        floor = max(least, int(_disc_boxes(table, twice[seeds], q2, None).max()))
+        keep = keep[bound[keep] >= floor]
+    keep = keep[_disc_boxes(table, twice[keep], q2, DISC_BANDS) >= floor]
+    return _largest(_disc_boxes(table, twice[keep], q2, None), least, keep) if keep.size else None

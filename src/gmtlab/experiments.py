@@ -333,7 +333,9 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
     step = math.pi * 2.0 ** -lv
     pts = x_set.points
     block = max(1, (1 << 18) >> lv)
-    all_cells = []
+    # the union so far, and the distinct cells of the blocks since, merged
+    # into it once they hold more than twice its rows
+    union, pending = np.empty((0, 3), dtype=np.int64), []
     for b0 in range(0, len(pts), block):
         rngs = [np.random.Generator(np.random.PCG64((seed, i)))
                 for i in range(b0, min(len(pts), b0 + block))]
@@ -356,10 +358,12 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
                     f"pencil 0 misses the direction-regularity target "
                     f"(worst ratio {chk.worst_ratio:.2f} > 16)"
                 )
-        all_cells.append(
-            _line_metric_cells(angles, *_anchors(angles, offsets), delta))
+        pending.append(unique_rows(
+            _line_metric_cells(angles, *_anchors(angles, offsets), delta)))
+        if sum(map(len, pending)) > 2 * len(union):
+            union, pending = unique_rows(np.concatenate([union, *pending])), []
         pencil_size = angles.shape[1]
-    count = unique_rows(np.concatenate(all_cells, axis=0)).shape[0]
+    count = len(unique_rows(np.concatenate([union, *pending])) if pending else union)
     wolff_floor = delta ** (-2.0 * sigma)
     return {
         "count": count,

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .covering import _check_level_window, fit_log2_slope
-from .dyadic import ball_sums
+from .dyadic import ball_max, ball_sums
 from .errors import (
     AllMassAtCenter,
     InvariantViolation,
@@ -184,27 +184,33 @@ def frostman_fit(m: WeightedMeasure, level_min: int, level_max: int) -> Frostman
     log2 radius, clamped to [0, 2]. The constant is the worst mass / r^exponent
     over all tested centers and radii, clamped up to 1.
 
+    The maxima are dyadic.ball_max's, each the largest closed-ball count
+    (as in ball_masses_at_support) and the first support index that holds
+    it, over the total; on a dyadic delta-lattice it counts exactly only
+    the balls a summed-area bound cannot rule out.
+
     Ties: masses are exact counts over the total, so equal balls tie
-    exactly. The witness is the lowest support index (np.argmax) at the
-    largest radius of the worst ratio, as a smaller radius replaces it only
-    on a strictly larger one; clamped at 1, it is the heaviest largest ball.
+    exactly. The witness is the lowest support index of the largest ball
+    at the largest radius of the worst ratio, as a smaller radius replaces
+    it only on a strictly larger one; clamped at 1, it is the heaviest
+    largest ball.
     """
     _check_level_window(level_min, level_max, m.support.delta)
     levels = list(range(level_min, level_max + 1))
     radii = [2.0 ** -lv for lv in levels]
-    per_level = ball_masses_at_support(m, radii)
-    maxima = [float(masses.max()) for masses in per_level]
+    pts = m.support.points
+    per_level = ball_max(pts, m.counts, pts, [r + BALL_TOL for r in radii], m.support.delta)
+    maxima = [top / m.total for top, _ in per_level]
     logr = np.array([-float(lv) for lv in levels])
     slope, _, _ = fit_log2_slope(logr, np.maximum(maxima, 1e-300))
     exponent = min(2.0, max(0.0, slope))
     constant = 1.0
-    worst = (Point(*m.support.points[int(np.argmax(per_level[0]))]), radii[0])
-    for lv, r, masses in zip(levels, radii, per_level):
-        ratios = masses / r ** exponent
-        j = int(np.argmax(ratios))
-        if ratios[j] > constant:
-            constant = float(ratios[j])
-            worst = (Point(*m.support.points[j]), r)
+    worst = (Point(*pts[per_level[0][1]]), radii[0])
+    for r, mass, (_, j) in zip(radii, maxima, per_level):
+        ratio = mass / r ** exponent
+        if ratio > constant:
+            constant = ratio
+            worst = (Point(*pts[j]), r)
     return FrostmanFit(exponent, constant, worst)
 
 

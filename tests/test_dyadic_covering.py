@@ -888,15 +888,13 @@ def _verify_delta_s_set_tree_oracle(p, s, c):
 
 
 def _check_against_tree_oracle(ds, s):
-    """verify_delta_s_set under its own FFT/sweep rule, with the FFT on
-    every level whose centres are lattice nodes, and with the sweep on
-    every level, all equal to the oracle."""
+    """verify_delta_s_set under its own pricing, and with every level whose
+    centres are lattice nodes on ball_max's table route, on the FFT, and
+    on the sweep, all equal to the oracle."""
     want = _verify_delta_s_set_tree_oracle(ds, s, 16.0)
     assert verify_delta_s_set(ds, s, 16.0) == want
-    for pairs_per_cell in (0, math.inf):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dyadic, "_PAIRS_PER_FFT_CELL", pairs_per_cell)
-            assert verify_delta_s_set(ds, s, 16.0) == want
+    for per_read, per_cell in ((0, None), (math.inf, 0), (math.inf, math.inf)):
+        assert _routes(lambda: verify_delta_s_set(ds, s, 16.0), per_read, per_cell)[0] == want
 
 
 @st.composite
@@ -972,38 +970,68 @@ def _fft_answered(run, pairs_per_cell=None):
         return run(), answered
 
 
-# each spread set's check, walking from the finest level: the levels it
-# counts (the coarser ones skipped by the cell bound), and of those the
-# finest ones that sweep. The finest level reaches lattice_disc_sums on the
-# half-pitch lattice, where the sweep's pairs price its grid out, as they
-# do level 8 of sets 1, 4 and 7; the FFT counts every other level
+def _routes(run, pairs_per_read=None, pairs_per_cell=None):
+    """run(), and per radius that dyadic.ball_max sends down its table
+    route, or that reaches dyadic.lattice_disc_sums, in call order: "table"
+    for the table route, else whether the FFT answered (False sends the
+    caller to the sweep). pairs_per_read, if given, replaces
+    dyadic._PAIRS_PER_READ: math.inf prices the table route out, so that
+    ball_sums answers every radius; pairs_per_cell replaces
+    dyadic._PAIRS_PER_FFT_CELL as in _fft_answered."""
+    real_max, real_fft, routes = dyadic._disc_max, dyadic.lattice_disc_sums, []
+
+    def table_route(*args):
+        routes.append("table")
+        return real_max(*args)
+
+    def fft(*args):
+        sums = real_fft(*args)
+        routes.extend(s is not None for s in sums)
+        return sums
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dyadic, "_disc_max", table_route)
+        mp.setattr(dyadic, "lattice_disc_sums", fft)
+        if pairs_per_read is not None:
+            mp.setattr(dyadic, "_PAIRS_PER_READ", pairs_per_read)
+        if pairs_per_cell is not None:
+            mp.setattr(dyadic, "_PAIRS_PER_FFT_CELL", pairs_per_cell)
+        return run(), routes
+
+
+# the levels each spread set's check counts, walking from the finest (the
+# coarser ones skipped by the bound); every one takes the table route
 _SPREAD_COUNTED_LEVELS = [5, 5, 5, 4, 5, 4, 6, 5]
-_SPREAD_SWEPT_LEVELS = [1, 2, 1, 1, 2, 1, 1, 2]
 
 
 @pytest.mark.parametrize("i", range(8))
 def test_verify_delta_s_set_keeps_its_routes_on_spread_sets(i):
-    """The set's counted levels reach lattice_disc_sums, which answers all
-    but the finest one or two; its extract's points are no nodes of the
-    extract's delta-lattice, so the FFT never runs there."""
+    """The set's counted levels all take ball_max's table route, on the
+    cell table the check builds, and never transform; the check equals the
+    one with the table route priced out, where ball_sums counts every
+    level that the bound does not skip. Its extract's points are no nodes
+    of the extract's delta-lattice, so it takes neither route."""
     ds = _spread_set(i)
+    check, routes = _routes(lambda: verify_delta_s_set(ds, 1.5, 16.0))
+    assert routes == ["table"] * _SPREAD_COUNTED_LEVELS[i]
+    forced, routes = _routes(lambda: verify_delta_s_set(ds, 1.5, 16.0), math.inf)
+    assert "table" not in routes and len(routes) >= _SPREAD_COUNTED_LEVELS[i]
+    assert forced == check
     ext = frostman_extract(ds, 1.5, 2.0 ** -7)
-    swept = _SPREAD_SWEPT_LEVELS[i]
-    routes = [False] * swept + [True] * (_SPREAD_COUNTED_LEVELS[i] - swept)
-    for case, want in ((ds, routes), (ext, [])):
-        assert _fft_answered(lambda: verify_delta_s_set(case, 1.5, 16.0))[1] == want
+    assert _routes(lambda: verify_delta_s_set(ext, 1.5, 16.0))[1] == []
 
 
 def test_verify_delta_s_set_counts_the_finest_dense_level_by_fft():
     """On a set with one point per delta-cell, the finest level's square
     centres are nodes of the lattice of pitch delta/2, and on a dense set
-    the FFT counts that level too: every counted level, finest first,
-    takes the FFT, and the check is the forced sweep's."""
+    the FFT counts that level too: the table route is priced out, every
+    counted level, finest first, takes the FFT, and the check is the
+    forced sweep's."""
     ds = gen_random_delta_s_set(2.0, 2.0 ** -8, 0)
-    check, answered = _fft_answered(lambda: verify_delta_s_set(ds, 2.0, 16.0))
-    assert answered == [True] * 4  # levels 8-5; the bound skips 4-0
-    swept, answered = _fft_answered(lambda: verify_delta_s_set(ds, 2.0, 16.0), math.inf)
-    assert answered == [False] * 4
+    check, routes = _routes(lambda: verify_delta_s_set(ds, 2.0, 16.0))
+    assert routes == [True] * 3  # levels 8-6; the bound skips 5-0
+    swept, routes = _routes(lambda: verify_delta_s_set(ds, 2.0, 16.0), math.inf, math.inf)
+    assert routes == [False] * 3
     assert check == swept == _verify_delta_s_set_tree_oracle(ds, 2.0, 16.0)
 
 
@@ -1020,15 +1048,20 @@ def test_verify_delta_s_set_reports_the_coarser_of_two_tied_levels():
 
 @pytest.mark.parametrize("cap, counted", [(9, 8), (1000, 6)])
 def test_verify_delta_s_set_with_a_coarse_cell_table(monkeypatch, cap, counted):
-    """With MAX_FFT_CELLS below the 257 x 257 entries the check would
+    """With MAX_FFT_CELLS below the 257 x 513 entries the check would
     build, the table holds the delta-cells of coarser squares, whose looser
     bounds skip fewer levels; at 9 entries every bound is |P|_delta, which
-    still skips levels 0 and 1. The checks equal the oracle's."""
+    still skips levels 0 and 1. Such a table is no node table, so each
+    counted level goes to ball_max without one, which builds its own for
+    the table route. The checks equal the oracle's."""
     ds = _spread_set(0)
     ext = frostman_extract(ds, 1.5, 2.0 ** -7)
     monkeypatch.setattr(covering, "MAX_FFT_CELLS", cap)
-    check, answered = _fft_answered(lambda: verify_delta_s_set(ds, 1.5, 16.0))
-    assert len(answered) == counted > _SPREAD_COUNTED_LEVELS[0]
+    real, tables = dyadic.SumTable, []
+    monkeypatch.setattr(dyadic, "SumTable", lambda *a: tables.append(1) or real(*a))
+    check, routes = _routes(lambda: verify_delta_s_set(ds, 1.5, 16.0))
+    assert routes == ["table"] * counted and counted > _SPREAD_COUNTED_LEVELS[0]
+    assert len(tables) == counted
     assert check == _verify_delta_s_set_tree_oracle(ds, 1.5, 16.0)
     assert verify_delta_s_set(ext, 1.5, 16.0) == _verify_delta_s_set_tree_oracle(ext, 1.5, 16.0)
 
@@ -1093,7 +1126,7 @@ def test_cell_bounds_hold_every_ball_count(case):
     though its cell, -1, lies left of the square [0, 1/2].)"""
     points, centres, delta, reads = case
     cells, cell_ids = unique_rows(cell_indices(points, delta), return_inverse=True)
-    bounds = covering._cell_bounds(cells, delta, reads)
+    table, k = covering._cell_table(cells, reads)
     dx = points[None, :, 0] - centres[:, None, 0]
     dy = points[None, :, 1] - centres[:, None, 1]
     d2 = dx * dx + dy * dy
@@ -1102,7 +1135,7 @@ def test_cell_bounds_hold_every_ball_count(case):
         hit = np.zeros((len(centres), len(cells)), dtype=bool)
         rows, cols = np.nonzero(d2 <= r * r)
         hit[rows, cell_ids[cols]] = True
-        got = bounds(centres, r)
+        got = covering._cell_bounds(table, k, delta, centres, r)
         assert got.dtype == np.int64
         assert np.all(got >= np.count_nonzero(hit, axis=1))
         assert np.all(got <= len(cells))
@@ -1116,11 +1149,13 @@ def test_verify_delta_s_set_matches_tree_oracle_on_dense_sets(s, level):
 
 def test_verify_delta_s_set_refuses_non_integral_fft_counts(monkeypatch):
     """Every FFT sum pushed 0.3 off its integer trips lattice_disc_sums'
-    integer check."""
+    integer check, on a dense set whose finest level the FFT counts."""
+    ds = gen_random_delta_s_set(2.0, 2.0 ** -6, 0)
+    assert _routes(lambda: verify_delta_s_set(ds, 2.0, 16.0))[1][0] is True
     true_irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: true_irfft(*a, **k) + 0.3)
     with pytest.raises(InvariantViolation, match="integers"):
-        verify_delta_s_set(_spread_set(0), 1.5, 16.0)
+        verify_delta_s_set(ds, 2.0, 16.0)
 
 
 def _next_prime(n):
@@ -1284,6 +1319,103 @@ def test_ball_sums_of_no_radii():
         for pairs_per_cell in (0, dyadic._PAIRS_PER_FFT_CELL, math.inf):
             assert _fft_answered(lambda: dyadic.ball_sums(points, ones, centres, [], 1.0 / 16.0),
                                  pairs_per_cell) == ([], [])
+
+
+@st.composite
+def _ball_max_cases(draw):
+    """Nodes of the 2^-k lattice, some repeated, with integer weights of up
+    to 2^30, about a fifth of them zero, or all zero. Centres: the points
+    themselves (the same array), nodes (some far outside the nodes' box),
+    half-nodes (odd doubled coordinates), or the centres of the occupied
+    squares of a dyadic side. Radii: multiples of half the pitch, among
+    them 0 and h/2, whose disc about a half-node has no node (an empty
+    stencil), and arbitrary floats. least: 0, or up to one above the
+    weights' total."""
+    k = draw(st.integers(1, 5))
+    h = 2.0 ** -k
+    coord = st.integers(-12, 12)
+    nodes = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=60)))
+    points = nodes * h
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weights = {"ones": np.ones(len(nodes), dtype=np.int64),
+               "zeros": np.zeros(len(nodes), dtype=np.int64),
+               "random": rng.integers(0, 2 ** 30, len(nodes)) * (rng.random(len(nodes)) >= 0.2),
+               }[draw(st.sampled_from(["ones", "ones", "zeros", "random"]))]
+    kind = draw(st.sampled_from(["points", "nodes", "half", "squares"]))
+    far = st.integers(-40, 40)
+    if kind == "points":
+        centres = points
+    elif kind in ("nodes", "half"):
+        centres = np.array(draw(st.lists(st.tuples(far, far), min_size=1, max_size=40)),
+                           dtype=float) * (h if kind == "nodes" else h / 2)
+    else:
+        side = 2.0 ** -draw(st.integers(0, k))
+        centres = (unique_rows(cell_indices(points, side)) + 0.5) * side
+    radii = draw(st.lists(st.one_of(st.sampled_from([0, 1, 2, 3, 5, 13, 40]).map(lambda q: q * h / 2),
+                                    st.floats(1e-3, 3.0)),
+                          min_size=1, max_size=4))
+    total = int(weights.sum())
+    least = draw(st.sampled_from([0, 0, 1, total // 2, total, total + 1]))
+    return nodes, points, weights, centres, radii, h, least
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ball_max_cases())
+@example((np.array([[0, 0], [0, 3], [11, 0]]), np.array([[0.0, 0.0], [0.0, 0.1875], [0.6875, 0.0]]),
+          np.ones(3, dtype=np.int64), np.array([[0.0, 0.0], [0.25, 0.25]]), [0.5], 0.0625, 3))
+def test_ball_max_matches_brute_force(case):
+    """On every route, with and without the caller's table: the largest
+    closed-ball sum and the first centre that holds it, or None below
+    least. On the lattice, the one-box and banded bounds are at least the
+    exact sums, which are the brute force's. (The example: least is one
+    above the largest ball, which bounds still reach.)"""
+    nodes, points, weights, centres, radii, h, least = case
+    w = weights.tolist()
+    dx = points[None, :, 0] - centres[:, None, 0]
+    dy = points[None, :, 1] - centres[:, None, 1]
+    d2 = dx * dx + dy * dy
+    want = []
+    for r in radii:
+        sums = [sum(x for x, hit in zip(w, row) if hit) for row in (d2 <= r * r).tolist()]
+        top = max(sums)
+        want.append((top, sums.index(top)) if top >= least else None)
+    for per_read in (0, math.inf, None):
+        for table in (None, dyadic.SumTable(nodes, weights)):
+            got, _ = _routes(lambda: dyadic.ball_max(points, weights, centres, radii, h, least, table),
+                             per_read)
+            assert got == want
+    twice = lattice_nodes(centres, h / 2)
+    table = dyadic.SumTable(nodes, weights)
+    for r in radii:
+        q2 = dyadic.lattice_q2(r * r, h / 2)
+        exact = dyadic._disc_boxes(table, twice, q2, None)
+        assert exact.tolist() == [sum(x for x, hit in zip(w, row) if hit)
+                                  for row in (d2 <= r * r).tolist()]
+        for bands in (1, 3, dyadic.DISC_BANDS):
+            assert np.all(dyadic._disc_boxes(table, twice, q2, bands) >= exact)
+
+
+def test_ball_max_of_no_radii():
+    points = np.array([[0.0, 0.0], [0.5, 0.5]])
+    assert dyadic.ball_max(points, np.ones(2, dtype=np.int64), points, [], 0.5) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=1, max_size=40),
+       st.lists(st.tuples(st.integers(-25, 25), st.integers(-25, 25), st.integers(0, 6),
+                          st.integers(0, 6)), min_size=1, max_size=20),
+       st.integers(0, 2 ** 32 - 1))
+def test_sum_table_boxes_match_brute_force(nodes, boxes, seed):
+    """Closed boxes inside, across and outside the nodes' box, empty ones
+    (i1 = i0 - 1) among them; repeated nodes add up."""
+    nodes = np.array(nodes)
+    weights = np.random.default_rng(seed).integers(0, 1000, len(nodes))
+    i0, j0, di, dj = np.array(boxes).T
+    i1, j1 = i0 + di - 1, j0 + dj - 1
+    got = dyadic.SumTable(nodes, weights).boxes(i0, j0, i1, j1)
+    inside = ((nodes[None, :, 0] >= i0[:, None]) & (nodes[None, :, 0] <= i1[:, None])
+              & (nodes[None, :, 1] >= j0[:, None]) & (nodes[None, :, 1] <= j1[:, None]))
+    assert got.dtype == np.int64 and got.tolist() == (inside @ weights).tolist()
 
 
 def test_frostman_extract_subset_and_floor(rand_half_set):

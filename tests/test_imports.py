@@ -46,15 +46,27 @@ def test_ball_masses_and_radial_profile_load_no_scipy():
         "    answered.extend(s is not None for s in sums)",
         "    return sums",
         "dyadic.lattice_disc_sums = spy",
+        "real_max, tabled = dyadic._disc_max, []",
+        "def table_spy(*args):",
+        "    tabled.append(args[2])",
+        "    return real_max(*args)",
+        "dyadic._disc_max = table_spy",
         "ds = gm.gen_random_delta_s_set(1.0, 2.0 ** -9, 0)",
         "c = np.random.default_rng(0).integers(1, 1000, len(ds))",
         "m = gm.WeightedMeasure(ds, c)",
         "gm.frostman_fit(m, 1, 8)",
-        "assert answered and not any(answered), answered",  # priced: the sweep
+        # priced: the sweep
+        "assert answered and not any(answered) and not tabled, (answered, tabled)",
         "answered.clear()",
         "grid = gm.gen_random_delta_s_set(2.0, 2.0 ** -6, 0)",
         "gm.frostman_fit(gm.WeightedMeasure.uniform(grid), 1, 5)",
-        "assert answered and all(answered), answered",  # the full grid: the FFT
+        # the full grid: the FFT
+        "assert answered and all(answered) and not tabled, (answered, tabled)",
+        "answered.clear()",
+        "spread = gm.gen_random_delta_s_set(1.5, 2.0 ** -9, 0)",
+        "gm.frostman_fit(gm.WeightedMeasure.uniform(spread), 2, 8)",
+        # a sparse lattice: the table route at every radius
+        "assert len(tabled) == 7 and not answered, (answered, tabled)",
         "gm.mass_shell_decompose(m, 0.125, 2.0, 64.0)",
         "x = gm.gen_random_delta_s_set(0.4, 2.0 ** -10, 1)",
         "y = gm.gen_random_delta_s_set(1.5, 2.0 ** -8, 2)",

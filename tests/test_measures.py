@@ -585,6 +585,50 @@ def test_frostman_fit_uniform_witness_ignores_transform_length(monkeypatch, leng
     assert np.array_equal(masses, np.rint(masses * len(m)) / len(m))
 
 
+def _frostman_fit_oracle(m, level_min, level_max):
+    """frostman_fit before dyadic.ball_max: every ball's mass by
+    ball_masses_at_support (dyadic.ball_sums), reduced per radius."""
+    levels = list(range(level_min, level_max + 1))
+    radii = [2.0 ** -lv for lv in levels]
+    per_level = ball_masses_at_support(m, radii)
+    maxima = [float(masses.max()) for masses in per_level]
+    slope, _, _ = fit_log2_slope(np.array([-float(lv) for lv in levels]),
+                                 np.maximum(maxima, 1e-300))
+    exponent = min(2.0, max(0.0, slope))
+    constant = 1.0
+    worst = (Point(*m.support.points[int(np.argmax(per_level[0]))]), radii[0])
+    for r, masses in zip(radii, per_level):
+        ratios = masses / r ** exponent
+        j = int(np.argmax(ratios))
+        if ratios[j] > constant:
+            constant = float(ratios[j])
+            worst = (Point(*m.support.points[j]), r)
+    return measures.FrostmanFit(exponent, constant, worst)
+
+
+@pytest.mark.parametrize("make, window", [
+    (lambda: WeightedMeasure.uniform(gen_random_delta_s_set(1.5, 2.0 ** -9, 5)), (2, 8)),
+    (lambda: WeightedMeasure(gen_random_delta_s_set(1.5, 2.0 ** -8, 6),
+                             np.random.default_rng(6).integers(0, 50, 3074)), (1, 7)),
+    (lambda: WeightedMeasure.uniform(gen_random_delta_s_set(2.0, 2.0 ** -7, 0)), (1, 6)),
+    (lambda: WeightedMeasure.uniform(gen_random_delta_s_set(1.0, 2.0 ** -9, 0)), (1, 8)),
+    (lambda: WeightedMeasure.uniform(gen_grid(33)), (1, 5)),
+    (lambda: radial_pushforward(
+        WeightedMeasure.uniform(gen_random_delta_s_set(1.5, 2.0 ** -7, seed=2)),
+        Point(0.5, -0.4)).as_circle_measure(), (2, 7)),
+])
+def test_frostman_fit_matches_the_full_ball_mass_oracle(make, window):
+    """frostman_fit under its own pricing, and with ball_max's table route
+    forced onto every radius and priced out of every one, equals the fit
+    that reduces ball_masses_at_support's arrays."""
+    m = make()
+    want = _frostman_fit_oracle(m, *window)
+    assert frostman_fit(m, *window) == want
+    for per_read in (0, math.inf):
+        with mock.patch.object(dyadic, "_PAIRS_PER_READ", per_read):
+            assert frostman_fit(m, *window) == want
+
+
 def test_frostman_fit_full_grid():
     m = WeightedMeasure.uniform(gen_grid(64))
     fit = frostman_fit(m, 2, 5)
