@@ -255,7 +255,7 @@ def quota_tree(branch_log2: float, levels: int, rngs: list,
     of shape (len(rngs), n, dim), every tree with the same n, since the
     quota total depends only on the row size and the carry. Subcell k
     sits at the bits of k, lowest bit first: (0,0), (1,0), (0,1), (1,1)
-    in the plane.
+    in the plane. Of tied keys, the lower subcell ranks first.
 
     Draws: each generator makes one `random` call of
     (1 + 2^dim) * sum(p_l) doubles, p_l the row sizes of
@@ -288,7 +288,17 @@ def quota_tree(branch_log2: float, levels: int, rngs: list,
             tiebreak=tiebreak,
             carry=carry,
         )
-        ranks = np.argsort(keys, axis=2).argsort(axis=2)
+        # each key's rank in its row, ties to the lower subcell, from one
+        # comparison per pair of subcells: argsort is slower on rows this
+        # short, and its tie order differs between hosts' sort kernels
+        cols = keys.reshape(-1, n_sub).T
+        ranks = np.zeros(cols.shape, dtype=np.int8)
+        for k in range(n_sub):
+            for m in range(k):
+                first = cols[m] <= cols[k]
+                ranks[k] += first
+                ranks[m] += ~first
+        ranks = ranks.T.reshape(keys.shape)
         parent, sub_idx = np.divmod(
             np.flatnonzero(ranks < counts[:, :, None]), n_sub)
         cells = (cells.reshape(-1, dim)[parent] * 2

@@ -6,6 +6,7 @@ directions of orthogonal projections."""
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,9 +38,8 @@ from .tubes import TubeFamily, _anchors, _line_metric_cells, verify_tube_set
 _LINE_TOL = 1e-9
 # constant-target exponent for the generated set in furstenberg_count
 X_CONSTANT_EXPONENT = 0.05
-# pencils larger than this skip the quadratic separated-set verification,
-# with a warning
-_PENCIL_VERIFY_CAP = 256
+# SeedSequence works in 32-bit words
+_M32 = 0xFFFFFFFF
 
 
 class Target(enum.Enum):
@@ -158,22 +158,37 @@ def direction_intervals(y: DiscreteSet, x: Point) -> tuple[np.ndarray, np.ndarra
     each point, as lower and upper edges (upper >= lower, within 2 pi).
     Points closer than twice the resolution are dropped, as in the measure
     pushforward."""
-    d = y.points - np.array([x.x, x.y])
-    dist = np.hypot(d[:, 0], d[:, 1])
-    keep = dist >= 2.0 * y.delta * (1.0 - 1e-12)
-    if not np.any(keep):
+    dx = y.points[:, 0] - x.x
+    dy = y.points[:, 1] - x.y
+    keep = np.hypot(dx, dy) >= 2.0 * y.delta * (1.0 - 1e-12)
+    if not keep.any():
         raise AllMassAtCenter(
             f"every point of the projected set sits within 2 delta of "
             f"({x.x:g}, {x.y:g})"
         )
-    dx, dy = d[keep, 0], d[keep, 1]
+    if not keep.all():
+        dx, dy = dx[keep], dy[keep]
     rho = y.delta
-    # d turned by -/+ asin(rho / |d|), scaled by |d|: an edge that is exactly
-    # axis-aligned comes out exactly, where centre -/+ halfwidth would not
-    tangent = np.sqrt(dx * dx + dy * dy - rho * rho)
-    lower = np.arctan2(dy * tangent - dx * rho, dx * tangent + dy * rho)
-    upper = np.arctan2(dy * tangent + dx * rho, dx * tangent - dy * rho)
-    return np.where(upper < lower, lower - 2.0 * math.pi, lower), upper
+    dx_rho, dy_rho = dx * rho, dy * rho
+    # d = (dx, dy) turned by -/+ asin(rho / |d|), scaled by |d|: an edge that
+    # is exactly axis-aligned comes out exactly, where centre -/+ halfwidth
+    # would not. The buffers are reused; each edge is the same expression in
+    # the same order, so the edges do not depend on the reuse.
+    tangent = dx * dx
+    tangent += dy * dy
+    tangent -= rho * rho
+    np.sqrt(tangent, out=tangent)
+    num, den = dy * tangent, dx * tangent
+    num -= dx_rho
+    den += dy_rho
+    lower = np.arctan2(num, den)
+    np.multiply(dy, tangent, out=num)
+    np.multiply(dx, tangent, out=den)
+    num += dx_rho
+    den -= dy_rho
+    upper = np.arctan2(num, den, out=num)
+    lower[upper < lower] -= 2.0 * math.pi
+    return lower, upper
 
 
 def radial_dimension_profile(spec: ExperimentSpec) -> ExperimentResult:
@@ -292,6 +307,79 @@ def erdos_beck_profile(x: DiscreteSet, t: float) -> dict:
     return out
 
 
+@functools.cache
+def _state_words() -> type:
+    """A seed sequence whose state words are already computed. It is made
+    on first use: numpy loads numpy.random lazily, and `import gmtlab.cli`
+    stays without it."""
+
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
+
+
+def _seed_words(seed) -> list:
+    """SeedSequence's 32-bit entropy words of an integer seed, lowest
+    first, refused with the errors SeedSequence raises."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError("seed must be integer")
+    n = int(seed)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _pencil_rngs(seed_words: list, start: int, stop: int) -> list:
+    """Generator(PCG64(SeedSequence((seed, i)))) for i in [start, stop),
+    with SeedSequence's pool mixing run over every i at once in uint32
+    arithmetic (i < 2^32, so every entropy has the same length and every
+    lane the same hash constants); PCG64 seeds itself from the four
+    state words as it would from the SeedSequence."""
+    idx = np.arange(start, stop, dtype=np.uint32)
+    entropy = [np.full_like(idx, w) for w in seed_words] + [idx]
+    h = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * 0x931E8875 & _M32
+        v *= np.uint32(h)
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[k] if k < len(entropy) else np.zeros_like(idx))
+            for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = 0x8B51F9DD
+    state = np.empty((len(idx), 8), dtype="<u4")
+    for k in range(8):
+        v = pool[k % 4] ^ np.uint32(h)
+        h = h * 0x58F38DED & _M32
+        v *= np.uint32(h)
+        state[:, k] = v ^ (v >> 16)
+    seq = _state_words()
+    return [np.random.Generator(np.random.PCG64(seq(words)))
+            for words in state.view("<u8").astype(np.uint64, copy=False)]
+
+
 def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
                       x_set: Optional[DiscreteSet] = None) -> dict:
     """Union covering number, in the line metric, of random direction
@@ -300,7 +388,9 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
     Reports the count against the classical floor delta^(-2 sigma); the
     asymptotic gain beyond that floor is swamped by constants at desk
     scale, so only the floor ratio is reported, never asserted sharp.
-    A supplied x_set must be at resolution delta.
+    A supplied x_set must be at resolution delta. Pencil i's angles come
+    from the stream PCG64(SeedSequence((seed, i))), seeded a block of
+    pencils at a time; pencil 0's direction regularity is always checked.
     """
     if not (0.0 < sigma < 1.0):
         raise PreconditionError(f"sigma {sigma!r} outside (0, 1)")
@@ -330,6 +420,7 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
                 f"supplied point set is not ({delta:g}, {s:g})-regular at "
                 f"constant 16 (worst ratio {chk.worst_ratio:.2f})"
             )
+    words = _seed_words(seed)
     step = math.pi * 2.0 ** -lv
     pts = x_set.points
     block = max(1, (1 << 18) >> lv)
@@ -337,18 +428,11 @@ def furstenberg_count(sigma: float, s: float, delta: float, seed: int,
     # into it once they hold more than twice its rows
     union, pending = np.empty((0, 3), dtype=np.int64), []
     for b0 in range(0, len(pts), block):
-        rngs = [np.random.Generator(np.random.PCG64((seed, i)))
-                for i in range(b0, min(len(pts), b0 + block))]
+        rngs = _pencil_rngs(words, b0, min(len(pts), b0 + block))
         angles = (quota_tree(sigma, lv, rngs, dim=1)[..., 0] + 0.5) * step
         xy = pts[b0:b0 + len(rngs)]
         offsets = -xy[:, :1] * np.sin(angles) + xy[:, 1:] * np.cos(angles)
-        if b0 == 0 and angles.shape[1] > _PENCIL_VERIFY_CAP:
-            warnings.append(
-                f"pencil 0 has {angles.shape[1]} tubes, over the verification "
-                f"cap {_PENCIL_VERIFY_CAP}; its direction regularity is not "
-                f"checked"
-            )
-        elif b0 == 0:
+        if b0 == 0:
             pencil = TubeFamily(angles[0], offsets[0], width=delta,
                                 direction_net_step=step, scale=delta,
                                 label="pencil 0")

@@ -457,10 +457,11 @@ def test_quota_child_counts_matches_oracle(rows, p, branch, hard_cap, carry, see
         assert one_carry == got_carry == want_carry
 
 
-def _quota_tree_oracle(branch_log2, levels, rngs, dim):
+def _quota_tree_oracle(branch_log2, levels, rngs, dim, kind=None):
     """quota_tree before each generator drew its whole walk in one call:
     per level, a list comprehension over the generators for the
-    tiebreaks and another for the rank keys."""
+    tiebreaks and another for the rank keys, ranked by argsort of the
+    given kind."""
     n_sub = 2 ** dim
     sub = (np.arange(n_sub)[:, None] >> np.arange(dim)) & 1
     hard_cap = max(1, math.ceil(2.0 ** branch_log2 - 1e-12))
@@ -480,7 +481,7 @@ def _quota_tree_oracle(branch_log2, levels, rngs, dim):
             tiebreak=tiebreak,
             carry=carry,
         )
-        ranks = np.argsort(keys, axis=2).argsort(axis=2)
+        ranks = np.argsort(keys, axis=2, kind=kind).argsort(axis=2)
         parent, sub_idx = np.divmod(
             np.flatnonzero(ranks < counts[:, :, None]), n_sub)
         cells = (cells.reshape(-1, dim)[parent] * 2
@@ -489,6 +490,46 @@ def _quota_tree_oracle(branch_log2, levels, rngs, dim):
         surplus = (surplus.reshape(-1)[parent] + np.log2(counts)
                    - branch_log2).reshape(b, -1)
     return cells
+
+
+class _TiedRng:
+    """A generator whose doubles come from {0, 1/4, 1/2} in a fixed order,
+    so rank keys and tiebreaks tie: every row of four keys holds a tie."""
+
+    def __init__(self, seed):
+        self.vals = np.random.default_rng(seed).integers(0, 3, 1 << 14) / 4.0
+        self.at = 0
+
+    def random(self, size=None, out=None):
+        shape = out.shape if out is not None else size
+        vals = self.vals[self.at:self.at + int(np.prod(shape))].reshape(shape)
+        self.at += vals.size
+        if out is None:
+            return vals
+        out[...] = vals
+        return out
+
+
+@pytest.mark.parametrize("dim, branch, levels", [
+    (1, 0.5, 10), (1, 0.9, 8), (2, 1.0, 6), (2, 1.5, 5), (2, 0.4, 8),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_quota_tree_ranks_tied_keys_by_subcell(dim, branch, levels, seed):
+    """Of tied keys the lower subcell ranks first, as a stable argsort
+    orders them. The default argsort is not the oracle here: its tie
+    order on rows of four depends on the host's sort kernel (on AVX-512
+    hosts it orders the keys (1/2, 1/2, 0, 0) as 3, 2, 1, 0)."""
+    got = quota_tree(branch, levels, [_TiedRng((seed, i)) for i in range(3)], dim)
+    want = _quota_tree_oracle(branch, levels, [_TiedRng((seed, i)) for i in range(3)],
+                              dim, kind="stable")
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # one tree, one level, keys (1/2, 1/2, 0, 0): subcells 2 then 3 are
+    # kept first, then 0 before 1
+    for kept, want_cells in [(1, [[0, 1]]), (3, [[0, 0], [0, 1], [1, 1]])]:
+        rng = _TiedRng(0)
+        rng.vals = np.array([0.0, 0.5, 0.5, 0.0, 0.0])
+        got = quota_tree(math.log2(kept), 1, [rng], 2)[0]
+        assert got.tolist() == want_cells
 
 
 class _RecordingRng:

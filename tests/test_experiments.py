@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmtlab.covering import _check_level_window
@@ -13,17 +13,20 @@ from gmtlab.covering import circle_covering_number, verify_delta_s_set
 from gmtlab.dyadic import MAX_LEVEL, level_of, quota_child_counts, unique_rows
 from gmtlab.errors import (
     AllCollinear,
+    AllMassAtCenter,
     CollinearX,
     ConfigInvalid,
     LowDimY,
     PreconditionError,
     ScaleRangeTooNarrow,
 )
+import gmtlab.experiments as experiments
 from gmtlab.experiments import (
-    _PENCIL_VERIFY_CAP,
     X_CONSTANT_EXPONENT,
     ExperimentSpec,
     _clamped_window,
+    _pencil_rngs,
+    _seed_words,
     Target,
     all_collinear,
     direction_intervals,
@@ -133,6 +136,72 @@ class TestHelpers:
             top = int(math.floor(upper[idx].max() / (2.0 * math.pi) * arcs))
             assert circle_covering_number(lower[idx], level, upper=upper[idx]) == (
                 min(top + 1, arcs))
+
+
+def _direction_intervals_oracle(y, x):
+    """direction_intervals before it reused its buffers: one (n, 2)
+    difference array, and np.where for the wrapped lower edges."""
+    d = y.points - np.array([x.x, x.y])
+    dist = np.hypot(d[:, 0], d[:, 1])
+    keep = dist >= 2.0 * y.delta * (1.0 - 1e-12)
+    if not np.any(keep):
+        raise AllMassAtCenter(
+            f"every point of the projected set sits within 2 delta of "
+            f"({x.x:g}, {x.y:g})"
+        )
+    dx, dy = d[keep, 0], d[keep, 1]
+    rho = y.delta
+    tangent = np.sqrt(dx * dx + dy * dy - rho * rho)
+    lower = np.arctan2(dy * tangent - dx * rho, dx * tangent + dy * rho)
+    upper = np.arctan2(dy * tangent + dx * rho, dx * tangent - dy * rho)
+    return np.where(upper < lower, lower - 2.0 * math.pi, lower), upper
+
+
+_INTERVAL_CASES = {
+    # the centre and its 8 neighbours lie within 2 delta and are dropped
+    "dropped": (lambda: gen_grid(9), Point(0.5, 0.5), 9),
+    # points one delta above the centre's line: lower edges exactly 0
+    "axis-aligned": (lambda: gen_random_delta_s_set(1.5, 2.0 ** -7, 3),
+                     Point(0.1328125, 0.0), 3),
+    # points due left of the centre: intervals across pi, lower edges
+    # moved below -pi
+    "wrapped": (lambda: gen_grid(9), Point(1.5, 0.0), 0),
+    "inside": (lambda: gen_random_delta_s_set(1.5, 2.0 ** -10, 3),
+               Point(0.5, 0.5), None),
+    "outside": (lambda: gen_random_delta_s_set(1.5, 2.0 ** -10, 3),
+                Point(-0.3, 0.2), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_INTERVAL_CASES))
+def test_direction_intervals_match_the_retired_body(case):
+    make, x, dropped = _INTERVAL_CASES[case]
+    y = make()
+    got = direction_intervals(y, x)
+    want = _direction_intervals_oracle(y, x)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    lower, upper = got
+    if dropped is not None:
+        assert len(y) - lower.size == dropped
+    if case == "axis-aligned":
+        assert np.count_nonzero(lower == 0.0) >= 2
+    if case == "wrapped":
+        assert np.count_nonzero(lower < -math.pi) >= 2
+    assert np.all(upper >= lower)
+
+
+def test_direction_intervals_of_a_swallowed_set():
+    """Every point within 2 delta of the centre: both bodies refuse alike."""
+    y = DiscreteSet(np.array([[0.5, 0.5], [0.5, 0.5 + 2.0 ** -8],
+                              [0.5 + 2.0 ** -8, 0.5]]), 2.0 ** -8, check=False)
+    x = Point(0.5 + 2.0 ** -9, 0.5)
+    errors = []
+    for fn in (direction_intervals, _direction_intervals_oracle):
+        with pytest.raises(AllMassAtCenter) as exc:
+            fn(y, x)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +356,65 @@ class TestFurstenbergCount:
         with pytest.raises(PreconditionError, match="resolution"):
             furstenberg_count(0.5, 1.0, 2.0 ** -6, seed=0, x_set=x_set)
 
-    def test_unverified_pencil_is_reported(self):
-        """Pencils of 2^(0.9 * 10) ~ 300 tubes are over the cap of 256."""
+    def test_pencil_zero_is_always_verified(self, monkeypatch):
+        """Pencils of 2^(0.9 * 10) ~ 300 tubes: pencil 0 is checked, once,
+        at full size, and it meets the regularity target."""
+        checked = []
+
+        def spy(fam, sigma, c):
+            chk = verify_tube_set(fam, sigma, c)
+            checked.append((fam.label, len(fam), chk.passed))
+            return chk
+
+        monkeypatch.setattr(experiments, "verify_tube_set", spy)
         out = furstenberg_count(0.9, 1.0, 2.0 ** -10, seed=1)
-        assert out["mean_pencil_size"] > _PENCIL_VERIFY_CAP
-        assert out["warnings"][-1] == (
-            f"pencil 0 has {int(out['mean_pencil_size'])} tubes, over the "
-            f"verification cap {_PENCIL_VERIFY_CAP}; its direction "
-            f"regularity is not checked"
-        )
-        small = furstenberg_count(0.5, 1.0, 2.0 ** -10, seed=1)
-        assert not any("verification cap" in w for w in small["warnings"])
+        assert out["mean_pencil_size"] == 300.0
+        assert checked == [("pencil 0", 300, True)]
+        assert out["warnings"] == [
+            f"generator regularity constant 16 exceeds the target "
+            f"delta^-{X_CONSTANT_EXPONENT:g} = {2.0 ** (10 * X_CONSTANT_EXPONENT):.2f} "
+            f"at this scale"
+        ]
+
+    @pytest.mark.parametrize("seed, error", [
+        (-1, ValueError), (np.int64(-1), ValueError), (1.5, TypeError),
+        (np.float64(2.0), TypeError), (None, TypeError),
+    ])
+    def test_seeds_are_refused_as_pcg64_refuses_them(self, seed, error):
+        """A supplied set leaves the pencil seeding as the first use of
+        the seed."""
+        with pytest.raises(error):
+            np.random.PCG64((seed, 0))
+        x_set = gen_random_delta_s_set(1.0, 2.0 ** -6, 3)
+        with pytest.raises(error):
+            furstenberg_count(0.5, 1.0, 2.0 ** -6, seed, x_set=x_set)
+
+
+_SEEDS = st.one_of(st.integers(0, 2 ** 100),
+                   st.integers(0, 2 ** 63 - 1).map(np.int64))
+
+
+@given(seed=_SEEDS, start=st.integers(0, 2 ** 32 - 8),
+       n=st.integers(1, 8), k=st.integers(1, 40))
+@example(seed=0, start=0, n=3, k=5)
+@example(seed=np.int64(0), start=0, n=1, k=1)
+@example(seed=2 ** 32 - 1, start=0, n=4, k=7)
+@example(seed=np.int64(2 ** 32 - 1), start=0, n=2, k=3)
+@example(seed=2 ** 32, start=0, n=2, k=3)
+@example(seed=np.int64(2 ** 32), start=5, n=2, k=3)
+@example(seed=2 ** 64 + 3, start=0, n=3, k=3)
+@example(seed=2 ** 96 + 1, start=1, n=2, k=3)  # a fifth entropy word
+@example(seed=7, start=2 ** 32 - 8, n=8, k=2)
+@settings(max_examples=60, deadline=None)
+def test_pencil_streams_match_pcg64_seed_sequences(seed, start, n, k):
+    """Seeding a block of pencils at once gives each pencil i the stream
+    of Generator(PCG64((seed, i)))."""
+    got = [rng.random(k) for rng in _pencil_rngs(_seed_words(seed), start, start + n)]
+    want = [np.random.Generator(np.random.PCG64((seed, i))).random(k)
+            for i in range(start, start + n)]
+    assert len(got) == n
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def _quota_angle_cells_oracle(sigma, levels, rng):
@@ -364,7 +481,6 @@ def _furstenberg_count_oracle(sigma, s, delta, seed, x_set=None):
     step = math.pi * 2.0 ** -lv
     all_cells = []
     pencil_sizes = []
-    verified_any = False
     for i, (px, py) in enumerate(x_set.points):
         rng = np.random.default_rng((seed, i))
         cells = _quota_angle_cells_oracle(sigma, lv, rng)
@@ -374,18 +490,11 @@ def _furstenberg_count_oracle(sigma, s, delta, seed, x_set=None):
                          direction_net_step=step, scale=delta,
                          label=f"pencil {i}")
         pencil_sizes.append(len(fam))
-        if i == 0 and len(fam) > _PENCIL_VERIFY_CAP:
-            warnings.append(
-                f"pencil 0 has {len(fam)} tubes, over the verification "
-                f"cap {_PENCIL_VERIFY_CAP}; its direction regularity is not "
-                f"checked"
-            )
-        if len(fam) <= _PENCIL_VERIFY_CAP and not verified_any:
+        if i == 0:
             chk = verify_tube_set(fam, sigma, 16.0)
-            verified_any = True
             if not chk.passed:
                 warnings.append(
-                    f"pencil {i} misses the direction-regularity target "
+                    f"pencil 0 misses the direction-regularity target "
                     f"(worst ratio {chk.worst_ratio:.2f} > 16)"
                 )
         all_cells.append(_line_metric_cells_oracle(fam, delta))
