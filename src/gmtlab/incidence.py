@@ -39,6 +39,9 @@ _PAIR_CHUNK = 1 << 15
 # key below 2^63.
 _DIRECTION_BITS = 52
 _ANCHOR_BITS = 11
+# points times parallel classes per block of the exact incidence count: its
+# two int64 buffers take 2 MiB each
+_CLASS_BLOCK = 1 << 18
 
 
 def _pack(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -463,10 +466,93 @@ def spanned_lines(p: DiscreteSet) -> LineSet:
     return LineSet(angles=ang, offsets=off, point_counts=k)
 
 
+def _count_dense(ints: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 c: np.ndarray) -> np.ndarray:
+    """Points on each line a*x + b*y == c, every point tested against every
+    line, (1 << 22) // m points at a time."""
+    counts = np.zeros(c.size, dtype=np.int64)
+    block = max(1, (1 << 22) // max(1, c.size))
+    for s in range(0, ints.shape[0], block):
+        px = ints[s:s + block, 0]
+        py = ints[s:s + block, 1]
+        hit = px[:, None] * a[None, :] + py[:, None] * b[None, :] == c[None, :]
+        counts += hit.sum(axis=0)
+    return counts
+
+
+def _class_starts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First line of each run of equal (a, b), and the number of lines."""
+    new = np.append(True, (a[1:] != a[:-1]) | (b[1:] != b[:-1]))
+    return np.append(np.flatnonzero(new), a.size)
+
+
+def _count_in_rows(v: np.ndarray, r: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Entries equal to t[j] in row r[j] of v, whose rows are sorted; v is
+    overwritten.
+
+    Row r keys as (r, v - least value) in one int64 when the bits fit, so
+    the sorted rows are one sorted array and each target takes two
+    searchsorted calls; otherwise unique_rows lexsorts the (row, value)
+    rows with the targets'."""
+    k, n = v.shape
+    lo, hi = int(v[:, 0].min()), int(v[:, -1].max())
+    bits = (hi - lo).bit_length()
+    if bits + (k - 1).bit_length() > 63:
+        rows = np.concatenate((np.column_stack((np.repeat(np.arange(k), n), v.ravel())),
+                               np.column_stack((r, t))))
+        inv = unique_rows(rows, return_inverse=True)[1]
+        return np.bincount(inv[:k * n], minlength=rows.shape[0])[inv[k * n:]]
+    v -= lo
+    v |= (np.arange(k) << bits)[:, None]
+    keys = v.ravel()
+    q = np.clip(t, lo, hi)
+    hit = q == t
+    q -= lo
+    q |= r << bits
+    return (np.searchsorted(keys, q, side="right") - np.searchsorted(keys, q)) * hit
+
+
+def _count_by_class(ints: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    c: np.ndarray) -> np.ndarray:
+    """Points on each line a*x + b*y == c, the lines in runs of equal (a, b).
+
+    The lines of a run are parallel, so v = a*x + b*y over the points is
+    formed and sorted once per run, and each line counts the entries equal
+    to its c. Runs go in blocks of _CLASS_BLOCK // n, one row each, so the
+    two (rows, n) int64 buffers stay within 2 MiB and serve every block.
+    """
+    n = ints.shape[0]
+    first = _class_starts(a, b)
+    row = np.repeat(np.arange(first.size - 1), np.diff(first))
+    a, b = a[first[:-1]], b[first[:-1]]
+    x = np.ascontiguousarray(ints[:, 0])
+    y = np.ascontiguousarray(ints[:, 1])
+    rows = max(1, _CLASS_BLOCK // n)
+    v = np.empty((min(rows, a.size), n), dtype=np.int64)
+    w = np.empty_like(v)
+    counts = np.empty(c.size, dtype=np.int64)
+    for k0 in range(0, a.size, rows):
+        k1 = min(k0 + rows, a.size)
+        vk, wk = v[:k1 - k0], w[:k1 - k0]
+        np.multiply(a[k0:k1, None], x, out=vk)
+        np.multiply(b[k0:k1, None], y, out=wk)
+        vk += wk
+        vk.sort(axis=1)
+        s0, s1 = first[k0], first[k1]
+        counts[s0:s1] = _count_in_rows(vk, row[s0:s1] - k0, c[s0:s1])
+    return counts
+
+
 def _count_on_lines_exact(p: DiscreteSet, l: LineSet) -> tuple[Optional[np.ndarray], str]:
     """Points on each exact line, by integer evaluation, and "". None and
     the reason when the points are not on a lattice or the integer test
-    could overflow int64."""
+    could overflow int64.
+
+    Lines sharing (a, b) are parallel and counted together by one sort
+    (_count_by_class); a line alone in its direction is tested against
+    every point (_count_dense), and so is every line of a set whose
+    directions are all distinct.
+    """
     rat = _rationalize(p.points)
     if rat is None:
         return None, "the points are not on a lattice"
@@ -482,13 +568,22 @@ def _count_on_lines_exact(p: DiscreteSet, l: LineSet) -> tuple[Optional[np.ndarr
     a = l.triples[:, 0] * dl
     b = l.triples[:, 1] * dl
     c = l.triples[:, 2] * dp
-    counts = np.zeros(len(l), dtype=np.int64)
-    block = max(1, (1 << 22) // max(1, len(l)))
-    for s in range(0, len(p), block):
-        px = ints[s:s + block, 0]
-        py = ints[s:s + block, 1]
-        hit = px[:, None] * a[None, :] + py[:, None] * b[None, :] == c[None, :]
-        counts += hit.sum(axis=0)
+    # spanned and rich triples come sorted, so their classes are runs
+    order = None
+    if np.any((a[1:] < a[:-1]) | ((a[1:] == a[:-1]) & (b[1:] < b[:-1]))):
+        order = np.lexsort((b, a))
+        a, b, c = a[order], b[order], c[order]
+    size = np.diff(_class_starts(a, b))
+    if size.size == c.size:
+        counts = _count_dense(ints, a, b, c)
+    else:
+        lone = np.repeat(size == 1, size)
+        many = ~lone
+        counts = np.empty(c.size, dtype=np.int64)
+        counts[lone] = _count_dense(ints, a[lone], b[lone], c[lone])
+        counts[many] = _count_by_class(ints, a[many], b[many], c[many])
+    if order is not None:
+        counts[order] = counts.copy()
     return counts, ""
 
 

@@ -908,3 +908,207 @@ def test_weak_dirac_needs_three_points():
     ds = DiscreteSet(np.array([[0.0, 0.0], [1.0, 1.0]]), 0.5)
     with pytest.raises(TooFewPoints):
         weak_dirac_stat(ds)
+
+
+# ---------------------------------------------------------------------------
+# exact incidence counts by direction class
+# ---------------------------------------------------------------------------
+
+
+def _count_exact_oracle(p, l):
+    """Points on each exact line, every point tested against every line in
+    int64, blocks of (1 << 22) // m points: the dense test that counted
+    every exact line set before lines were grouped by direction."""
+    ints, dp = _rationalize(p.points)
+    dl = l.denominator
+    a = l.triples[:, 0] * dl
+    b = l.triples[:, 1] * dl
+    c = l.triples[:, 2] * dp
+    counts = np.zeros(len(l), dtype=np.int64)
+    block = max(1, (1 << 22) // max(1, len(l)))
+    for s in range(0, len(p), block):
+        px = ints[s:s + block, 0]
+        py = ints[s:s + block, 1]
+        hit = px[:, None] * a[None, :] + py[:, None] * b[None, :] == c[None, :]
+        counts += hit.sum(axis=0)
+    return counts
+
+
+def _assert_counts_match_oracle(p, l, blocks=(None,)):
+    """The class counts equal the dense oracle, line for line, with every
+    listed _CLASS_BLOCK (None keeps the module's)."""
+    want = _count_exact_oracle(p, l)
+    for block in blocks:
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(inc, "_CLASS_BLOCK", block)
+            got, why = inc._count_on_lines_exact(p, l)
+        assert why == ""
+        assert np.array_equal(got, want)
+    return want
+
+
+def _lattice_set(ints, den=64):
+    return DiscreteSet(ints.astype(float) / den, 1.0 / den, check=False)
+
+
+def _classes(l):
+    """Sizes of the line set's direction classes, lines of equal (a, b)."""
+    return unique_rows(l.triples[:, :2], return_counts=True)[1]
+
+
+@given(ints=_lattice_points(), seed=st.integers(0, 2 ** 31))
+@settings(max_examples=80, deadline=None)
+def test_class_counts_match_dense_oracle(ints, seed):
+    """Spanned lines, their rich subsets, and the spanned triples with
+    their rows shuffled (no longer runs of one class), with class blocks
+    of one row, of three rows and the module's."""
+    p = _lattice_set(ints)
+    n = len(p)
+    l = spanned_lines(p)
+    assert np.array_equal(_assert_counts_match_oracle(p, l, (None, 1, 3 * n)),
+                          l.point_counts)
+    for r in (3, 4):
+        rich = rich_lines(p, r)
+        if len(rich):
+            _assert_counts_match_oracle(p, rich, (None, 1))
+    perm = np.random.default_rng(seed).permutation(len(l))
+    shuffled = LineSet(triples=l.triples[perm], denominator=l.denominator)
+    assert np.array_equal(_assert_counts_match_oracle(p, shuffled, (None, 1)),
+                          l.point_counts[perm])
+
+
+@given(ints=_lattice_points(), q=st.sampled_from([2, 3, 1 << 10]))
+@settings(max_examples=60, deadline=None)
+def test_class_counts_at_another_line_denominator(ints, q):
+    """Supplied exact lines at a denominator other than the points'. The
+    spanned lines written at q times their denominator, each with the two
+    parallels c +- 1 between it and its neighbours, count the spanned
+    point counts and zero; those whose c is even, written at half the
+    denominator, count their point counts again."""
+    p = _lattice_set(ints)
+    l = spanned_lines(p)
+    t, dp = l.triples, l.denominator
+    up = np.concatenate([np.column_stack((t[:, :2], q * t[:, 2] + j)) for j in (-1, 0, 1)])
+    got = _assert_counts_match_oracle(p, LineSet(triples=up, denominator=q * dp))
+    assert np.array_equal(got, np.concatenate((0 * l.point_counts, l.point_counts,
+                                               0 * l.point_counts)))
+    even = t[:, 2] % 2 == 0
+    if dp % 2 == 0 and even.any():
+        down = np.column_stack((t[even, :2], t[even, 2] // 2))
+        got = _assert_counts_match_oracle(p, LineSet(triples=down, denominator=dp // 2))
+        assert np.array_equal(got, l.point_counts[even])
+
+
+@pytest.mark.parametrize("make", [
+    lambda request: gen_grid(32),
+    lambda request: gen_planted_collinear(256, 40, 3),
+    lambda request: gen_grid(9),
+    lambda request: request.getfixturevalue("fourcorner4"),
+])
+def test_class_counts_on_named_sets(make, request):
+    """The 32 x 32 grid (every line in a class of two or more), a planted
+    set, the 9 x 9 grid and the depth-4 four-corner set, with their rich
+    subsets."""
+    p = make(request)
+    l = spanned_lines(p)
+    assert np.array_equal(_assert_counts_match_oracle(p, l), l.point_counts)
+    _assert_counts_match_oracle(p, rich_lines(p, 5))
+
+
+def test_class_counts_stay_small_on_the_four_corner_set(fourcorner4):
+    """The census of the depth-4 four-corner set (256 points, 23,546 lines
+    in 2,536 direction classes) held 64.7 MiB at its peak when every point
+    was tested against every line; by class it stays within 8 MiB."""
+    import tracemalloc
+
+    l = spanned_lines(fourcorner4)
+    tracemalloc.start()
+    try:
+        rep = incidence_count(fourcorner4, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.incidence_count == int(l.point_counts.sum())
+    assert peak < 8 << 20
+
+
+def test_distinct_directions_take_the_dense_test(monkeypatch):
+    """A line set whose classes all have one line, as the spanned lines of
+    32 random lattice points: every line goes to the dense test in one call,
+    in its own order, so its block is (1 << 22) // m points as before; no
+    line is counted by class."""
+    ints = np.random.default_rng(5).integers(0, 1 << 16, size=(32, 2))
+    p = _lattice_set(ints, 1 << 16)
+    l = spanned_lines(p)
+    assert len(l) == 496 and np.all(_classes(l) == 1)
+    calls = []
+    dense = inc._count_dense
+
+    def spy(ints, a, b, c):
+        calls.append(c.size)
+        return dense(ints, a, b, c)
+
+    monkeypatch.setattr(inc, "_count_dense", spy)
+    monkeypatch.setattr(inc, "_count_by_class",
+                        lambda *args: pytest.fail("counted by class"))
+    assert np.array_equal(inc._count_on_lines_exact(p, l)[0], l.point_counts)
+    assert calls == [len(l)]
+
+
+@given(k=st.integers(1, 4), n=st.integers(1, 6), scale=st.sampled_from([1, 1 << 59]),
+       data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_in_rows_matches_per_row_count(k, n, scale, data):
+    """Targets below, above and between a row's values, and equal to
+    values of other rows, count only their own row's equal entries; at
+    scale 2^59 the values span up to 2^63 and the targets reach -2^63, and
+    the rows are lexsorted."""
+    v = np.sort(np.array(data.draw(st.lists(st.integers(-8, 8), min_size=k * n,
+                                            max_size=k * n)),
+                         dtype=np.int64).reshape(k, n) * scale, axis=1)
+    m = data.draw(st.integers(1, 12))
+    r = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)))
+    t = np.array(data.draw(st.lists(st.integers(-16, 15), min_size=m, max_size=m)),
+                 dtype=np.int64) * scale
+    want = [int(np.sum(v[i] == x)) for i, x in zip(r, t)]
+    assert inc._count_in_rows(v.copy(), r, t).tolist() == want
+
+
+def _cap_lines(dl):
+    """Points at denominator 2^21 out to (+-0.875, +-1.75) and exact lines
+    at denominator dl: x - y = 0 alone in its class, and four lines each
+    of x + y = c and x + 2y = c."""
+    e = 2.0 ** -21
+    pts = [(0.875, 1.75), (-0.875, -1.75), (1, 0), (0, 0.5), (-1, 1),
+           (0.5, 0.25), (-0.5, 0.75), (0, 0), (1, -0.5), (-1, 0.5), (1, -1),
+           (0.5, -0.5), (0.5, 0.5), (0, 1), (e, 0)]
+    lines = [(1, -1, 0), (1, 1, -2.625), (1, 1, 0), (1, 1, 0.25), (1, 1, 1),
+             (1, 2, 0), (1, 2, 1), (1, 2, 3), (1, 2, 4.375)]
+    triples = np.array([(a, b, int(c * dl)) for a, b, c in lines], dtype=np.int64)
+    return (DiscreteSet(np.array(pts, dtype=float), e, check=False),
+            LineSet(triples=triples, denominator=dl))
+
+
+@pytest.mark.parametrize("dl,fallback", [(1 << 38, True), (1 << 30, False)])
+def test_class_keys_over_63_bits_take_the_lexsort(dl, fallback, monkeypatch):
+    """At dl = 2^38 the integer test needs 2^60.8, within the guard, but
+    x + 2y takes values over a range of 8.75 * 2^59: with a bit for the
+    class row the (class, value) key needs 64 bits, so the rows are
+    lexsorted. At dl = 2^30 the key packs; so it does at 2^38 with one
+    class per block."""
+    p, l = _cap_lines(dl)
+    sorts = []
+    lexsort = np.lexsort
+
+    def spy(keys, *args, **kwargs):
+        sorts.append(len(keys))
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    want = _assert_counts_match_oracle(p, l)
+    assert want.tolist() == [2, 1, 4, 1, 3, 3, 5, 0, 1]
+    assert bool(sorts) == fallback
+    sorts.clear()
+    _assert_counts_match_oracle(p, l, (1,))
+    assert sorts == []
